@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a verified identity failed or a search found
 nothing, 2 usage or parse errors.  All output is deterministic given the
 flags and seed; --format json emits a single JSON document on stdout.
 The environment variable QTREES_HARD_CAP (an integer) raises the hard
-size caps for the verify/enumerate/search commands.
+size caps for the verify/enumerate/search commands; any other value is a
+usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from . import invariant, presimplicial, qpoly, trees
 from .qpoly import QPoly, q_binomial, q_factorial, to_json_coeffs, to_latex
-from .trees import BoundExceeded, ParseError, parse_delayed, parse_tree, serialize
+from .trees import parse_delayed, parse_tree, serialize
 
 _DEFAULT_SIZES = {"wedge": 8, "state": 8, "reroot": 7, "block": 9, "presimplicial": 6}
 _HARD_CAPS = {
@@ -39,7 +40,7 @@ def _cap(name: str) -> int:
         try:
             cap = max(cap, int(override))
         except ValueError:
-            pass
+            raise ValueError(f"QTREES_HARD_CAP must be an integer, got {override!r}") from None
     return cap
 
 
@@ -136,14 +137,10 @@ def _cmd_enumerate(args) -> int:
     if args.size > cap:
         print(f"error: size {args.size} exceeds hard cap {cap}", file=sys.stderr)
         return 2
-    try:
-        if args.kind == "plane":
-            found = trees.enumerate_plane_trees(args.size, bound=cap)
-        else:
-            found = presimplicial.enumerate_top_trees(args.size, bound=cap)
-    except (BoundExceeded, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.kind == "plane":
+        found = trees.enumerate_plane_trees(args.size, bound=cap)
+    else:
+        found = presimplicial.enumerate_top_trees(args.size, bound=cap)
     listing = [serialize(t) for t in found]
     if args.format == "json":
         print(json.dumps({"kind": args.kind, "size": args.size, "count": len(listing), "trees": listing}))
@@ -381,13 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ParseError and BoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

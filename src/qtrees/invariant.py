@@ -57,14 +57,15 @@ class InadmissibleDelays(ValueError):
     block formula."""
 
 
-_QPOLY_MEMO: dict[PlaneTree, QPoly] = {}
-_DELAYED_MEMO: dict[tuple[PlaneTree, tuple[int, ...]], QPoly] = {}
+# One memo for both games: plain states are keyed by the tree, delayed
+# states by (tree, delays).
+_QPOLY_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop the memo tables; results are unaffected, only speed."""
+    """Drop the memo shared by the plain and delayed recursion; results are
+    unaffected, only speed."""
     _QPOLY_MEMO.clear()
-    _DELAYED_MEMO.clear()
 
 
 def q_poly(tree: PlaneTree) -> QPoly:
@@ -74,22 +75,42 @@ def q_poly(tree: PlaneTree) -> QPoly:
     where r(v) counts the edges strictly right of the root-to-v path.
     Results are memoized on the tree shape.
     """
-    cached = _QPOLY_MEMO.get(tree)
+    return _removal_sum(tree, None)
+
+
+def _removal_sum(tree: PlaneTree, delays: tuple[int, ...] | None) -> QPoly:
+    """Sum of q**r(v) times the value of T - v over the leaves v that may
+    move.  delays labels the leaves left to right as in q_poly_delayed;
+    None means every leaf may move for the rest of the game."""
+    if not tree.children:
+        return ONE
+    key = tree if delays is None else (tree, delays)
+    cached = _QPOLY_MEMO.get(key)
     if cached is not None:
         return cached
-    if not tree.children:
-        val = ONE
-    else:
-        acc: list[int] = []
-        for addr, rw in leaf_weights(tree):
-            sub = q_poly(remove_leaf(tree, addr)).coeffs
-            need = rw + len(sub)
-            if len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            for j, c in enumerate(sub):
-                acc[rw + j] += c
-        val = QPoly(acc)
-    _QPOLY_MEMO[tree] = val
+    acc: list[int] = []
+    for i, (addr, rw) in enumerate(leaf_weights(tree)):
+        next_delays = None
+        if delays is not None:
+            if delays[i] != 1:
+                continue
+            ticked = [d - 1 if d > 2 else 1 for d in delays]
+            parent = node_at(tree, addr[:-1])
+            if len(parent.children) > 1:
+                del ticked[i]  # the leaf slot disappears
+            elif len(addr) == 1:
+                ticked = []  # the root was stripped bare: the point remains
+            else:
+                ticked[i] = 1  # the parent is exposed as a new leaf
+            next_delays = tuple(ticked)
+        sub = _removal_sum(remove_leaf(tree, addr), next_delays).coeffs
+        need = rw + len(sub)
+        if len(acc) < need:
+            acc.extend([0] * (need - len(acc)))
+        for j, c in enumerate(sub):
+            acc[rw + j] += c
+    val = QPoly(acc)
+    _QPOLY_MEMO[key] = val
     return val
 
 
@@ -148,38 +169,7 @@ def q_poly_delayed(delayed: DelayedTree) -> QPoly:
     parent becomes a delay-1 leaf.  The point gives 1; a nonpoint tree
     with no delay-1 leaf gives 0 (the sum is empty).
     """
-    return _delayed_value(delayed.tree, delayed.delay_vector())
-
-
-def _delayed_value(tree: PlaneTree, delays: tuple[int, ...]) -> QPoly:
-    if not tree.children:
-        return ONE
-    key = (tree, delays)
-    cached = _DELAYED_MEMO.get(key)
-    if cached is not None:
-        return cached
-    acc: list[int] = []
-    for i, (addr, rw) in enumerate(leaf_weights(tree)):
-        if delays[i] != 1:
-            continue
-        smaller = remove_leaf(tree, addr)
-        ticked = [d - 1 if d > 2 else 1 for d in delays]
-        parent = node_at(tree, addr[:-1])
-        if len(parent.children) > 1:
-            del ticked[i]  # the leaf slot disappears
-        elif len(addr) == 1:
-            ticked = []  # the root was stripped bare: the point remains
-        else:
-            ticked[i] = 1  # the parent is exposed as a new leaf
-        sub = _delayed_value(smaller, tuple(ticked)).coeffs
-        need = rw + len(sub)
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for j, c in enumerate(sub):
-            acc[rw + j] += c
-    val = QPoly(acc)
-    _DELAYED_MEMO[key] = val
-    return val
+    return _removal_sum(delayed.tree, delayed.delay_vector())
 
 
 # -- constant-delay blocks -------------------------------------------------------
@@ -290,6 +280,6 @@ def search_delayed(
         for tree in enumerate_plane_trees(edges):
             addrs = leaves(tree)
             for combo in itertools.product(range(1, top_delay + 1), repeat=len(addrs)):
-                if _delayed_value(tree, combo) == target:
+                if _removal_sum(tree, combo) == target:
                     hits.append(DelayedTree(tree, dict(zip(addrs, combo))))
     return hits

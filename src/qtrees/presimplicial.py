@@ -335,15 +335,8 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
     the result for a tree with n leaves is the q-factorial of n.
     """
     point_coeff = ZERO
-    current: dict[PlaneTree, QPoly] = {tree: ONE}
-    while current:
-        nxt: dict[PlaneTree, QPoly] = {}
-        for t, coeff in current.items():
-            if not t.children:
-                point_coeff = point_coeff + coeff
-                continue
-            for i in range(leaf_count(t)):
-                piece = face(t, i)
-                nxt[piece] = nxt.get(piece, ZERO) + coeff.shift(i)
-        current = {t: c for t, c in nxt.items() if c}
+    chain = QChain({tree: ONE})
+    while chain:
+        point_coeff = point_coeff + chain.coefficient(POINT)
+        chain = q_boundary(chain)
     return point_coeff

@@ -71,23 +71,7 @@ class QPoly:
         return f"QPoly({str(self)!r})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                body = var if mag == 1 else f"{mag}{var}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(parts)
+        return _render(self, "q^{}")
 
     def __add__(self, other):
         other = _coerce(other)
@@ -341,6 +325,12 @@ def from_json_coeffs(values: Iterable) -> QPoly:
 
 def to_latex(poly: QPoly) -> str:
     """LaTeX rendering with braced exponents, ascending terms."""
+    return _render(poly, "q^{{{}}}")
+
+
+def _render(poly: QPoly, power: str) -> str:
+    """Ascending terms with unit coefficients elided; power formats an
+    exponent of at least 2."""
     if not poly.coeffs:
         return "0"
     parts: list[str] = []
@@ -351,7 +341,7 @@ def to_latex(poly: QPoly) -> str:
         if i == 0:
             body = str(mag)
         else:
-            var = "q" if i == 1 else f"q^{{{i}}}"
+            var = "q" if i == 1 else power.format(i)
             body = var if mag == 1 else f"{mag}{var}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")

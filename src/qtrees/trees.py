@@ -176,13 +176,9 @@ def node_at(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     return node
 
 
-def _size(tree: PlaneTree) -> int:
-    return 1 + sum(_size(c) for c in tree.children)
-
-
 def edge_count(tree: PlaneTree) -> int:
-    """Number of edges: node count minus one."""
-    return _size(tree) - 1
+    """Number of edges: one per child, plus those below it."""
+    return sum(1 + edge_count(c) for c in tree.children)
 
 
 def leaves(tree: PlaneTree) -> tuple[VertexAddr, ...]:
@@ -255,7 +251,7 @@ def right_weight(tree: PlaneTree, addr: VertexAddr) -> int:
     cur = tree
     for i in addr:
         for sib in cur.children[i + 1 :]:
-            total += _size(sib)
+            total += 1 + edge_count(sib)
         cur = cur.children[i]
     return total
 

@@ -237,6 +237,11 @@ def test_hard_cap_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "enumerate", "topological", "--size", "8")
     assert code == 0
     assert out.splitlines()[0] == "4279"
+    monkeypatch.setenv("QTREES_HARD_CAP", "abc")
+    code, out, err = run(capsys, "enumerate", "plane", "--size", "3")
+    assert code == 2
+    assert out == ""
+    assert "QTREES_HARD_CAP" in err
 
 
 # -- determinism ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from qtrees.invariant import (
     sample_block_specs,
     search_delayed,
 )
-from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q_binomial, q_factorial
+from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q, q_binomial, q_factorial
 from qtrees.trees import (
     POINT,
     BoundExceeded,
@@ -255,6 +255,13 @@ def test_clear_caches_keeps_results():
     before = q_poly(tree)
     clear_caches()
     assert q_poly(tree) == before
+    # plain and delayed states share one memo and must stay apart
+    clear_caches()
+    assert q_poly_delayed(parse_delayed("(2 1)")) == ONE
+    assert q_poly(parse_tree("(..)")) == 1 + q
+    clear_caches()
+    assert q_poly(parse_tree("(..)")) == 1 + q
+    assert q_poly_delayed(parse_delayed("(2 1)")) == ONE
 
 
 def test_concurrent_computation_matches_sequential():

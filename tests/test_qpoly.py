@@ -256,6 +256,7 @@ def test_cyclotomic_factor_reassembles(poly):
         (QPoly((-1, 1)), "-1 + q"),
         (QPoly((0, -1, 1)), "-q + q^2"),
         (QPoly((1, 0, 1)), "1 + q^2"),
+        (QPoly((2,) + (0,) * 9 + (-1,) + (0,) + (3,)), "2 - q^10 + 3q^12"),
     ],
 )
 def test_plain_rendering(poly, text):
@@ -263,9 +264,16 @@ def test_plain_rendering(poly, text):
 
 
 def test_latex_rendering():
-    assert to_latex(QPoly((1, 2, 2, 1))) == "1 + 2q + 2q^{2} + q^{3}"
     assert to_latex(ZERO) == "0"
+    assert to_latex(ONE) == "1"
     assert to_latex(q) == "q"
+    assert to_latex(QPoly((5,))) == "5"
+    assert to_latex(QPoly((1, 2, 2, 1))) == "1 + 2q + 2q^{2} + q^{3}"
+    assert to_latex(QPoly((1, -1, 1))) == "1 - q + q^{2}"
+    assert to_latex(QPoly((-1, 1))) == "-1 + q"
+    assert to_latex(QPoly((0, -1, 1))) == "-q + q^{2}"
+    assert to_latex(QPoly((1, 0, 1))) == "1 + q^{2}"
+    assert to_latex(QPoly((2,) + (0,) * 9 + (-1,) + (0,) + (3,))) == "2 - q^{10} + 3q^{12}"
 
 
 def test_json_coeffs_roundtrip():
