@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verified identity failed or a search found
-nothing, 2 usage or parse errors.  All output is deterministic given the
-flags and seed; --format json emits a single JSON document on stdout.
-The environment variable QTREES_HARD_CAP (an integer) raises the hard
-size caps for the verify/enumerate/search commands; any other value is a
-usage error.
+nothing, 2 usage or parse errors or input past the recursion limit.  All
+output is deterministic given the flags and seed; --format json emits a
+single JSON document on stdout.  The environment variable QTREES_HARD_CAP
+(an integer) raises the hard size caps for the verify/enumerate/search
+commands; any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import os
 import random
 import sys
 
-from . import invariant, presimplicial, qpoly, trees
-from .qpoly import QPoly, q_binomial, q_factorial, to_json_coeffs, to_latex
+from . import invariant, presimplicial, qpoly, trees, verify
+from .qpoly import QPoly, q_factorial, to_json_coeffs, to_latex
 from .trees import parse_delayed, parse_tree, serialize
 
 _DEFAULT_SIZES = {"wedge": 8, "state": 8, "reroot": 7, "block": 9, "presimplicial": 6}
@@ -111,6 +111,7 @@ def _cmd_reduce(args) -> int:
     value = presimplicial.reduce_to_point(tree)
     n = presimplicial.leaf_count(tree)
     expected = q_factorial(n)
+    match = value == expected
     if args.format == "json":
         print(
             json.dumps(
@@ -120,16 +121,17 @@ def _cmd_reduce(args) -> int:
                     "leaves": n,
                     "coeffs": to_json_coeffs(value),
                     "expected": to_json_coeffs(expected),
-                    "match": value == expected,
+                    "match": match,
                 }
             )
         )
     elif args.format == "latex":
-        print(f"{to_latex(value)} = [{n}]_q!")
+        relation = "=" if match else "\\neq"
+        print(f"{to_latex(value)} {relation} [{n}]_q!")
     else:
-        suffix = f"(= [{n}]_q!)" if value == expected else f"(expected [{n}]_q! = {expected})"
+        suffix = f"(= [{n}]_q!)" if match else f"(expected [{n}]_q! = {expected})"
         print(f"{value} {suffix}")
-    return 0
+    return 0 if match else 1
 
 
 def _cmd_enumerate(args) -> int:
@@ -183,102 +185,24 @@ def _cmd_search_delayed(args) -> int:
     return 0 if rendered else 1
 
 
-# -- verify families ---------------------------------------------------------
+_PLAIN_LINES = {
+    "wedge": "wedge: checked {pairs} ordered pairs, {violations} violations",
+    "state": "state: checked {exhaustive} trees exhaustively and {random} random"
+    " 12-edge trees, {violations} violations",
+    "reroot": "reroot: checked {edges} edges, {violations} violations",
+    "block": "block: checked {specs} sampled specs, {violations} mismatches",
+}
 
 
-def _verify_wedge(max_size: int, seed: int) -> tuple[dict, list[str]]:
-    pairs = 0
-    violations = 0
-    for left_edges in range(max_size + 1):
-        for right_edges in range(max_size - left_edges + 1):
-            factor = q_binomial(left_edges + right_edges, left_edges)
-            for left in trees.enumerate_plane_trees(left_edges):
-                left_poly = invariant.q_poly(left)
-                for right in trees.enumerate_plane_trees(right_edges):
-                    pairs += 1
-                    glued = invariant.q_poly(trees.wedge([left, right]))
-                    if glued != factor * left_poly * invariant.q_poly(right):
-                        violations += 1
-    summary = {"pairs": pairs, "violations": violations}
-    return summary, [f"wedge: checked {pairs} ordered pairs, {violations} violations"]
-
-def _verify_state(max_size: int, seed: int) -> tuple[dict, list[str]]:
-    checked = 0
-    violations = 0
-    for edges in range(max_size + 1):
-        for tree in trees.enumerate_plane_trees(edges):
-            checked += 1
-            if invariant.q_poly(tree) != invariant.q_poly_state(tree):
-                violations += 1
-    rng = random.Random(seed)
-    random_checked = 0
-    for _ in range(25):
-        tree = trees.random_plane_tree(12, rng)
-        random_checked += 1
-        if invariant.q_poly(tree) != invariant.q_poly_state(tree):
-            violations += 1
-    summary = {"exhaustive": checked, "random": random_checked, "violations": violations}
-    return summary, [
-        f"state: checked {checked} trees exhaustively and {random_checked} random"
-        f" 12-edge trees, {violations} violations"
-    ]
-
-
-def _verify_reroot(max_size: int, seed: int) -> tuple[dict, list[str]]:
-    edges_checked = 0
-    violations = 0
-    for edges in range(max_size + 1):
-        for tree in trees.enumerate_plane_trees(edges):
-            for addr in _all_vertices(tree):
-                if not addr:
-                    continue
-                edges_checked += 1
-                if not invariant.check_reroot(tree, addr).holds:
-                    violations += 1
-    summary = {"edges": edges_checked, "violations": violations}
-    return summary, [f"reroot: checked {edges_checked} edges, {violations} violations"]
-
-
-def _all_vertices(tree, prefix=()):
-    yield prefix
-    for i, child in enumerate(tree.children):
-        yield from _all_vertices(child, prefix + (i,))
-
-
-def _verify_block(max_size: int, seed: int) -> tuple[dict, list[str]]:
-    specs = invariant.sample_block_specs(500, max_size, seed=seed)
-    violations = 0
-    for spec in specs:
-        closed = invariant.q_poly_block(spec)
-        oracle = invariant.q_poly_delayed(invariant.assemble_blocks(spec))
-        if closed != oracle:
-            violations += 1
-    summary = {"specs": len(specs), "violations": violations}
-    return summary, [f"block: checked {len(specs)} sampled specs, {violations} mismatches"]
-
-
-def _verify_presimplicial(max_size: int, seed: int) -> tuple[dict, list[str]]:
-    report = presimplicial.check_identities(max_size)
+def _presimplicial_lines(summary: dict) -> list[str]:
+    checked = ", ".join(f"{name}={count}" for name, count in sorted(summary["checked"].items()))
     lines = [
-        "presimplicial: checked "
-        + ", ".join(f"{name}={count}" for name, count in sorted(report.checked.items()))
-        + f", {len(report.violations)} violations"
-    ]
-    boundary_failures = 0
-    basis = 0
-    for level_leaves in range(1, max_size + 1):
-        for tree in presimplicial.enumerate_top_trees(level_leaves):
-            basis += 1
-            once = presimplicial.q_boundary_at({tree: 1}, -1)
-            if presimplicial.q_boundary_at(once, -1):
-                boundary_failures += 1
-            if presimplicial.reduce_to_point(tree) != q_factorial(level_leaves):
-                boundary_failures += 1
-    lines.append(
+        f"presimplicial: checked {checked}, {len(summary['violations'])} violations",
         f"presimplicial: alternating boundary squares to zero and reduction matches"
-        f" the q-factorial on {basis} basis trees, {boundary_failures} failures"
-    )
-    witness = report.double_degeneracy_witness
+        f" the q-factorial on {summary['basis_trees']} basis trees,"
+        f" {summary['boundary_failures']} failures",
+    ]
+    witness = summary["double_degeneracy_witness"]
     if witness:
         tree_text, index, lhs, rhs = witness
         lines.append(
@@ -287,21 +211,7 @@ def _verify_presimplicial(max_size: int, seed: int) -> tuple[dict, list[str]]:
         )
     else:
         lines.append("presimplicial: no double-degeneracy counterexample found")
-    summary = report.as_dict()
-    summary["basis_trees"] = basis
-    summary["boundary_failures"] = boundary_failures
-    ok = report.ok and boundary_failures == 0
-    summary["ok"] = ok
-    return summary, lines
-
-
-_FAMILIES = {
-    "wedge": _verify_wedge,
-    "state": _verify_state,
-    "reroot": _verify_reroot,
-    "block": _verify_block,
-    "presimplicial": _verify_presimplicial,
-}
+    return lines
 
 
 def _cmd_verify(args) -> int:
@@ -311,16 +221,19 @@ def _cmd_verify(args) -> int:
     if max_size > cap or max_size < 0:
         print(f"error: --max-size {max_size} outside 0..{cap} for {family}", file=sys.stderr)
         return 2
-    summary, lines = _FAMILIES[family](max_size, args.seed)
-    if family == "presimplicial":
-        ok = bool(summary.get("ok"))
+    if family == "state":
+        rng = random.Random(args.seed)
+        ok, summary = verify.state(max_size, [trees.random_plane_tree(12, rng) for _ in range(25)])
+    elif family == "block":
+        ok, summary = verify.block(invariant.sample_block_specs(500, max_size, seed=args.seed))
     else:
-        ok = summary.get("violations", 1) == 0
+        ok, summary = getattr(verify, family)(max_size)
     if args.format == "json":
         print(json.dumps({"family": family, "max_size": max_size, "ok": ok, "summary": summary}))
+    elif family == "presimplicial":
+        print("\n".join(_presimplicial_lines(summary)))
     else:
-        for line in lines:
-            print(line)
+        print(_PLAIN_LINES[family].format(**summary))
     return 0 if ok else 1
 
 
@@ -348,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_q_delayed)
 
     p = sub.add_parser("verify", help="run an identity suite and report violations")
-    p.add_argument("family", choices=sorted(_FAMILIES))
+    p.add_argument("family", choices=sorted(_DEFAULT_SIZES))
     p.add_argument("--max-size", type=int, default=None, help="edges (leaves for presimplicial)")
     p.add_argument("--seed", type=int, default=0)
     add_format(p, latex=False)
@@ -380,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ValueError as exc:  # ParseError and BoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input too deep or too large for the recursive algorithms", file=sys.stderr)
         return 2
 
 

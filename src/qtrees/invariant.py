@@ -236,7 +236,13 @@ def assemble_blocks(spec: BlockSpec) -> DelayedTree:
 
 
 def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[BlockSpec]:
-    """Seeded sample of admissible block specs with the given edge budget."""
+    """Seeded sample of admissible block specs with the given edge budget.
+
+    A spec has at least two blocks of at least one edge each, so a
+    nonempty sample needs max_total_edges >= 2.
+    """
+    if count > 0 and max_total_edges < 2:
+        raise ValueError(f"block specs need at least 2 edges, got {max_total_edges}")
     rng = random.Random(seed)
     out: list[BlockSpec] = []
     while len(out) < count:

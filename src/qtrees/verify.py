@@ -1,0 +1,125 @@
+"""The identity suites behind ``qtrees verify`` and the acceptance criteria.
+
+Each family runs one set of exact cross-checks and returns ``(ok,
+summary)``, where summary is the dict of counts that ``qtrees verify
+--format json`` prints.  Sizes are exhaustive bounds, in edges for the
+plane-tree families and in leaves for presimplicial; each is also passed on
+as the enumeration bound, so the caller's size check is the only gate.
+Sampled inputs (random trees, block specs) are built by the caller.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable
+
+from . import invariant, trees
+from . import presimplicial as _top
+from .qpoly import q_binomial, q_factorial
+
+__all__ = ["wedge", "state", "reroot", "block", "presimplicial", "double_boundary", "reduction"]
+
+
+def wedge(max_edges: int) -> tuple[bool, dict]:
+    """Q(S v T) = [a+b choose a]_q Q(S) Q(T) on every ordered pair of plane
+    trees with a + b <= max_edges edges."""
+    pairs = 0
+    violations = 0
+    for left_edges in range(max_edges + 1):
+        for right_edges in range(max_edges - left_edges + 1):
+            factor = q_binomial(left_edges + right_edges, left_edges)
+            for left in trees.enumerate_plane_trees(left_edges, bound=max_edges):
+                left_poly = invariant.q_poly(left)
+                for right in trees.enumerate_plane_trees(right_edges, bound=max_edges):
+                    pairs += 1
+                    glued = invariant.q_poly(trees.wedge([left, right]))
+                    if glued != factor * left_poly * invariant.q_poly(right):
+                        violations += 1
+    return violations == 0, {"pairs": pairs, "violations": violations}
+
+
+def state(max_edges: int, sample: Iterable[trees.PlaneTree]) -> tuple[bool, dict]:
+    """Recursion equals state product on every plane tree with at most
+    max_edges edges and on each tree of the sample."""
+    exhaustive = []
+    for size in range(max_edges + 1):
+        exhaustive.extend(trees.enumerate_plane_trees(size, bound=max_edges))
+    sample = list(sample)
+    violations = sum(
+        1 for tree in exhaustive + sample if invariant.q_poly(tree) != invariant.q_poly_state(tree)
+    )
+    summary = {"exhaustive": len(exhaustive), "random": len(sample), "violations": violations}
+    return violations == 0, summary
+
+
+def _edges(tree: trees.PlaneTree, prefix: tuple = ()):
+    """Addresses of the non-root vertices, i.e. of the edges above them."""
+    for i, child in enumerate(tree.children):
+        yield prefix + (i,)
+        yield from _edges(child, prefix + (i,))
+
+
+def reroot(max_edges: int) -> tuple[bool, dict]:
+    """The cross-multiplied change-of-root identity on every edge of every
+    plane tree with at most max_edges edges."""
+    edges = 0
+    violations = 0
+    for size in range(max_edges + 1):
+        for tree in trees.enumerate_plane_trees(size, bound=max_edges):
+            for addr in _edges(tree):
+                edges += 1
+                if not invariant.check_reroot(tree, addr).holds:
+                    violations += 1
+    return violations == 0, {"edges": edges, "violations": violations}
+
+
+def block(specs: Iterable[invariant.BlockSpec]) -> tuple[bool, dict]:
+    """The closed block formula equals the delayed recursion on each spec."""
+    specs = list(specs)
+    violations = sum(
+        1
+        for spec in specs
+        if invariant.q_poly_block(spec) != invariant.q_poly_delayed(invariant.assemble_blocks(spec))
+    )
+    return violations == 0, {"specs": len(specs), "violations": violations}
+
+
+def double_boundary(max_leaves: int, q_value: int) -> tuple[int, int]:
+    """(basis trees checked, trees whose boundary at q_value applied twice
+    is nonzero) over every topological tree with at most max_leaves leaves."""
+    checked = 0
+    nonzero = 0
+    for leaf_total in range(1, max_leaves + 1):
+        for tree in _top.enumerate_top_trees(leaf_total, bound=max_leaves):
+            checked += 1
+            once = _top.q_boundary_at({tree: 1}, q_value)
+            if _top.q_boundary_at(once, q_value):
+                nonzero += 1
+    return checked, nonzero
+
+
+def reduction(max_leaves: int) -> tuple[int, int]:
+    """(basis trees checked, trees not reducing to [n]_q! times the point)
+    over every topological tree with at most max_leaves leaves."""
+    checked = 0
+    mismatches = 0
+    for leaf_total in range(1, max_leaves + 1):
+        expected = q_factorial(leaf_total)
+        for tree in _top.enumerate_top_trees(leaf_total, bound=max_leaves):
+            checked += 1
+            if _top.reduce_to_point(tree) != expected:
+                mismatches += 1
+    return checked, mismatches
+
+
+def presimplicial(max_leaves: int) -> tuple[bool, dict]:
+    """The face/degeneracy relations with a double-degeneracy witness, the
+    alternating boundary squaring to zero, and reduction to [n]_q!, on every
+    topological tree with at most max_leaves leaves."""
+    report = _top.check_identities(max_leaves, bound=max_leaves)
+    basis, nonzero = double_boundary(max_leaves, -1)
+    _, mismatches = reduction(max_leaves)
+    summary = report.as_dict()
+    summary["basis_trees"] = basis
+    summary["boundary_failures"] = nonzero + mismatches
+    summary["ok"] = report.ok and nonzero + mismatches == 0
+    return summary["ok"], summary

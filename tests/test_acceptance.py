@@ -8,24 +8,11 @@ polynomial equalities; there are no tolerances anywhere.
 import random
 import time
 
-from qtrees.invariant import (
-    assemble_blocks,
-    check_reroot,
-    q_poly,
-    q_poly_block,
-    q_poly_delayed,
-    q_poly_state,
-    sample_block_specs,
-    search_delayed,
-)
-from qtrees.presimplicial import (
-    check_identities,
-    enumerate_top_trees,
-    q_boundary_at,
-    reduce_to_point,
-)
-from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q_binomial, q_factorial
-from qtrees.trees import enumerate_plane_trees, random_plane_tree, star, wedge
+from qtrees import verify
+from qtrees.invariant import q_poly, sample_block_specs, search_delayed
+from qtrees.presimplicial import check_identities, enumerate_top_trees
+from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q_factorial
+from qtrees.trees import enumerate_plane_trees, random_plane_tree, star
 
 SEED = 20140530
 
@@ -37,12 +24,6 @@ def report(number, description, ok, elapsed, limit):
     assert elapsed < limit, f"criterion {number} exceeded {limit}s ({elapsed:.2f}s)"
 
 
-def all_edges(tree, prefix=()):
-    for i, child in enumerate(tree.children):
-        yield prefix + (i,)
-        yield from all_edges(child, prefix + (i,))
-
-
 def test_criterion_1_star_evaluation():
     start = time.perf_counter()
     ok = all(q_poly(star(rays)) == q_factorial(rays) for rays in range(9))
@@ -51,17 +32,8 @@ def test_criterion_1_star_evaluation():
 
 def test_criterion_2_wedge_factorization():
     start = time.perf_counter()
-    pairs = 0
-    ok = True
-    for left_edges in range(10):
-        for right_edges in range(10 - left_edges):
-            factor = q_binomial(left_edges + right_edges, left_edges)
-            for left in enumerate_plane_trees(left_edges):
-                left_poly = q_poly(left)
-                for right in enumerate_plane_trees(right_edges):
-                    pairs += 1
-                    if q_poly(wedge([left, right])) != factor * left_poly * q_poly(right):
-                        ok = False
+    ok, summary = verify.wedge(9)
+    pairs = summary["pairs"]
     catalan = [1]
     for n in range(1, 11):
         catalan.append(sum(catalan[i] * catalan[n - 1 - i] for i in range(n)))
@@ -80,19 +52,9 @@ def test_criterion_2_wedge_factorization():
 
 def test_criterion_3_state_product_equivalence():
     start = time.perf_counter()
-    ok = True
-    checked = 0
-    for edges in range(9):
-        for tree in enumerate_plane_trees(edges):
-            checked += 1
-            if q_poly(tree) != q_poly_state(tree):
-                ok = False
     rng = random.Random(SEED)
-    for _ in range(200):
-        tree = random_plane_tree(16, rng)
-        checked += 1
-        if q_poly(tree) != q_poly_state(tree):
-            ok = False
+    ok, summary = verify.state(8, [random_plane_tree(16, rng) for _ in range(200)])
+    checked = summary["exhaustive"] + summary["random"]
     report(
         3,
         f"recursion and state product agree on {checked} trees"
@@ -105,14 +67,8 @@ def test_criterion_3_state_product_equivalence():
 
 def test_criterion_4_change_of_root():
     start = time.perf_counter()
-    ok = True
-    checked = 0
-    for edges in range(8):
-        for tree in enumerate_plane_trees(edges):
-            for addr in all_edges(tree):
-                checked += 1
-                if not check_reroot(tree, addr).holds:
-                    ok = False
+    ok, summary = verify.reroot(7)
+    checked = summary["edges"]
     report(
         4,
         f"cross-multiplied change-of-root identity on all {checked} edges of trees <= 7 edges",
@@ -124,14 +80,12 @@ def test_criterion_4_change_of_root():
 
 def test_criterion_5_delayed_block_formula():
     start = time.perf_counter()
-    specs = sample_block_specs(500, 9, seed=SEED)
-    mismatches = sum(
-        1 for spec in specs if q_poly_block(spec) != q_poly_delayed(assemble_blocks(spec))
-    )
-    ok = len(specs) >= 500 and mismatches == 0
+    ok, summary = verify.block(sample_block_specs(500, 9, seed=SEED))
+    specs = summary["specs"]
+    ok = ok and specs >= 500
     report(
         5,
-        f"closed block formula equals the delayed recursion on {len(specs)} sampled specs",
+        f"closed block formula equals the delayed recursion on {specs} sampled specs",
         ok,
         time.perf_counter() - start,
         120,
@@ -181,14 +135,8 @@ def test_criterion_7_presimplicial_relations():
 
 def test_criterion_8_quotient_computation():
     start = time.perf_counter()
-    ok = True
-    checked = 0
-    for total in range(1, 7):
-        expected = q_factorial(total)
-        for tree in enumerate_top_trees(total):
-            checked += 1
-            if reduce_to_point(tree) != expected:
-                ok = False
+    checked, mismatches = verify.reduction(6)
+    ok = mismatches == 0
     report(
         8,
         f"q-boundary rewriting lands every one of {checked} trees on the q-factorial"
@@ -201,22 +149,9 @@ def test_criterion_8_quotient_computation():
 
 def test_criterion_9_chain_complex_boundary_cases():
     start = time.perf_counter()
-    ok = True
-    for total in range(1, 7):
-        for tree in enumerate_top_trees(total):
-            once = q_boundary_at({tree: 1}, -1)
-            if q_boundary_at(once, -1):
-                ok = False
-    witness_found = False
-    for total in range(1, 7):
-        for tree in enumerate_top_trees(total):
-            once = q_boundary_at({tree: 1}, 2)
-            if q_boundary_at(once, 2):
-                witness_found = True
-                break
-        if witness_found:
-            break
-    ok = ok and witness_found
+    _, nonzero = verify.double_boundary(6, -1)
+    _, witnesses = verify.double_boundary(6, 2)
+    ok = nonzero == 0 and witnesses > 0
     report(
         9,
         "alternating boundary squares to zero on all trees <= 6 leaves;"

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from qtrees import cli
+from qtrees.invariant import RerootCheck
+from qtrees.qpoly import ONE, ZERO, QPoly
 
 
 def run(capsys, *argv):
@@ -38,8 +40,6 @@ def test_q_both_agrees(capsys):
 
 
 def test_q_both_reports_mismatch(capsys, monkeypatch):
-    from qtrees.qpoly import QPoly
-
     monkeypatch.setattr(cli.invariant, "q_poly_state", lambda tree: QPoly((999,)))
     code, out, err = run(capsys, "q", "(..)", "--algo", "both")
     assert code == 1
@@ -112,10 +112,130 @@ def test_verify_presimplicial(capsys):
     assert "0 violations" in out
 
 
+_PRESIMPLICIAL_4_SUMMARY = (
+    '{"max_leaves": 4, "checked": {"face_face": 75, "deg_deg": 76, "face_deg": 152,'
+    ' "face_cancel": 56}, "violations": [], "double_degeneracy_witness":'
+    ' [".", 0, "((..).)", "(.(..))"], "basis_trees": 16, "boundary_failures": 0, "ok": true}'
+)
+
+
+@pytest.mark.parametrize(
+    "family,fmt,expected",
+    [
+        ("wedge", "plain", "wedge: checked 64 ordered pairs, 0 violations\n"),
+        (
+            "wedge",
+            "json",
+            '{"family": "wedge", "max_size": 4, "ok": true,'
+            ' "summary": {"pairs": 64, "violations": 0}}\n',
+        ),
+        (
+            "state",
+            "plain",
+            "state: checked 23 trees exhaustively and 25 random 12-edge trees, 0 violations\n",
+        ),
+        (
+            "state",
+            "json",
+            '{"family": "state", "max_size": 4, "ok": true,'
+            ' "summary": {"exhaustive": 23, "random": 25, "violations": 0}}\n',
+        ),
+        ("reroot", "plain", "reroot: checked 76 edges, 0 violations\n"),
+        (
+            "reroot",
+            "json",
+            '{"family": "reroot", "max_size": 4, "ok": true,'
+            ' "summary": {"edges": 76, "violations": 0}}\n',
+        ),
+        ("block", "plain", "block: checked 500 sampled specs, 0 mismatches\n"),
+        (
+            "block",
+            "json",
+            '{"family": "block", "max_size": 4, "ok": true,'
+            ' "summary": {"specs": 500, "violations": 0}}\n',
+        ),
+        (
+            "presimplicial",
+            "plain",
+            "presimplicial: checked deg_deg=76, face_cancel=56, face_deg=152, face_face=75,"
+            " 0 violations\n"
+            "presimplicial: alternating boundary squares to zero and reduction matches"
+            " the q-factorial on 16 basis trees, 0 failures\n"
+            "presimplicial: double-degeneracy counterexample on '.' at index 0:"
+            " ((..).) != (.(..))\n",
+        ),
+        (
+            "presimplicial",
+            "json",
+            '{"family": "presimplicial", "max_size": 4, "ok": true, "summary": '
+            + _PRESIMPLICIAL_4_SUMMARY
+            + "}\n",
+        ),
+    ],
+)
+def test_verify_output_is_pinned(capsys, family, fmt, expected):
+    assert run(capsys, "verify", family, "--max-size", "4", "--format", fmt) == (0, expected, "")
+
+
 def test_verify_bound_guard(capsys):
     code, _, err = run(capsys, "verify", "wedge", "--max-size", "99")
     assert code == 2
     assert "99" in err
+
+
+@pytest.mark.parametrize(
+    "family,max_size,module,enumerator",
+    [
+        ("wedge", 11, "trees", "_plane_trees"),
+        ("state", 11, "trees", "_plane_trees"),
+        ("reroot", 11, "trees", "_plane_trees"),
+        ("presimplicial", 8, "presimplicial", "_top_trees"),
+    ],
+)
+def test_verify_hard_cap_reaches_every_family(
+    capsys, monkeypatch, family, max_size, module, enumerator
+):
+    # Past the library's default bound the check is the CLI cap alone; the
+    # enumeration is stubbed empty above size 2 so the run stays instant.
+    target = getattr(cli, module)
+    real = getattr(target, enumerator)
+    monkeypatch.setattr(target, enumerator, lambda n: real(n) if n <= 2 else ())
+    code, _, err = run(capsys, "verify", family, "--max-size", str(max_size))
+    assert code == 2
+    assert "outside" in err
+    monkeypatch.setenv("QTREES_HARD_CAP", str(max_size))
+    code, out, err = run(capsys, "verify", family, "--max-size", str(max_size))
+    assert (code, err) == (0, "")
+    assert "0 violations" in out
+
+
+@pytest.mark.parametrize("size", ["0", "1"])
+def test_verify_block_needs_two_edges(capsys, size):
+    code, out, err = run(capsys, "verify", "block", "--max-size", size)
+    assert (code, out) == (2, "")
+    assert "at least 2 edges" in err
+
+
+@pytest.mark.parametrize(
+    "family,module,name,fake",
+    [
+        ("wedge", "invariant", "q_poly", lambda tree: QPoly((999,))),
+        ("state", "invariant", "q_poly_state", lambda tree: QPoly((999,))),
+        ("reroot", "invariant", "check_reroot", lambda tree, addr: RerootCheck(ONE, ZERO, False)),
+        ("block", "invariant", "q_poly_block", lambda spec: QPoly((999,))),
+        ("presimplicial", "presimplicial", "reduce_to_point", lambda tree: QPoly((999,))),
+    ],
+    ids=["wedge", "state", "reroot", "block", "presimplicial"],
+)
+def test_verify_reports_failures(capsys, monkeypatch, family, module, name, fake):
+    monkeypatch.setattr(getattr(cli, module), name, fake)
+    code, out, _ = run(capsys, "verify", family, "--max-size", "2", "--format", "json")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    summary = doc["summary"]
+    assert summary["boundary_failures" if family == "presimplicial" else "violations"] > 0
+    assert run(capsys, "verify", family, "--max-size", "2")[0] == 1
 
 
 def test_verify_unknown_family(capsys):
@@ -191,6 +311,15 @@ def test_reduce_json(capsys):
     assert doc["leaves"] == 3
 
 
+def test_reduce_reports_mismatch(capsys, monkeypatch):
+    monkeypatch.setattr(cli.presimplicial, "reduce_to_point", lambda tree: QPoly((999,)))
+    assert run(capsys, "reduce", "(..)") == (1, "999 (expected [2]_q! = 1 + q)\n", "")
+    assert run(capsys, "reduce", "(..)", "--format", "latex") == (1, "999 \\neq [2]_q!\n", "")
+    code, out, _ = run(capsys, "reduce", "(..)", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["match"] is False
+
+
 def test_reduce_parse_error(capsys):
     code, _, err = run(capsys, "reduce", "((")
     assert code == 2
@@ -242,6 +371,18 @@ def test_hard_cap_env_override(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "QTREES_HARD_CAP" in err
+
+
+# -- resource failures ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["q", "q-delayed", "reduce"])
+def test_deep_tree_exits_cleanly(capsys, command):
+    path = "(" * 1200 + "." + ")" * 1200
+    code, out, err = run(capsys, command, path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 # -- determinism ---------------------------------------------------------------------------

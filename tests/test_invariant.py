@@ -206,6 +206,15 @@ def test_block_matches_delayed_recursion_on_samples():
         assert q_poly_block(spec) == q_poly_delayed(assemble_blocks(spec))
 
 
+def test_block_specs_need_two_edges():
+    with pytest.raises(ValueError, match="at least 2 edges"):
+        sample_block_specs(1, 1)
+    with pytest.raises(ValueError, match="at least 2 edges"):
+        sample_block_specs(5, 0)
+    assert sample_block_specs(0, 1) == []
+    assert len(sample_block_specs(3, 2)) == 3
+
+
 def test_block_rejects_inadmissible_delays():
     edge = parse_tree("(.)")
     with pytest.raises(InadmissibleDelays):
