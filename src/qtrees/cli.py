@@ -21,6 +21,7 @@ from .qpoly import QPoly, q_factorial, to_json_coeffs, to_latex
 from .trees import parse_delayed, parse_tree, serialize
 
 _DEFAULT_SIZES = {"wedge": 8, "state": 8, "reroot": 7, "block": 9, "presimplicial": 6}
+_MIN_SIZES = {"presimplicial": (1, "at least 1 leaf"), "block": (2, "at least 2 edges")}
 _HARD_CAPS = {
     "wedge": 10,
     "state": 10,
@@ -218,8 +219,10 @@ def _cmd_verify(args) -> int:
     family = args.family
     max_size = args.max_size if args.max_size is not None else _DEFAULT_SIZES[family]
     cap = _cap(family)
-    if max_size > cap or max_size < 0:
-        print(f"error: --max-size {max_size} outside 0..{cap} for {family}", file=sys.stderr)
+    low, need = _MIN_SIZES.get(family, (0, None))
+    if not low <= max_size <= cap:
+        why = f": it needs {need}" if need and max_size < low else ""
+        print(f"error: --max-size {max_size} outside {low}..{cap} for {family}{why}", file=sys.stderr)
         return 2
     if family == "state":
         rng = random.Random(args.seed)

@@ -20,6 +20,7 @@ from .trees import (
     BoundExceeded,
     PlaneTree,
     POINT,
+    _splice,
     leaves,
     remove_leaf,
     serialize,
@@ -88,21 +89,13 @@ def face(tree: PlaneTree, index: int) -> PlaneTree:
     return normalize_topological(remove_leaf(tree, addrs[index]))
 
 
-def _replace_at(tree: PlaneTree, addr: tuple, replacement: PlaneTree) -> PlaneTree:
-    if not addr:
-        return replacement
-    i = addr[0]
-    kids = tree.children
-    return PlaneTree(kids[:i] + (_replace_at(kids[i], addr[1:], replacement),) + kids[i + 1 :])
-
-
 def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
     """Plant a cherry on the index-th leaf.  Climbs one level; the result
     is topological by construction."""
     addrs = ordered_leaves(tree)
     if not 0 <= index < len(addrs):
         raise IndexError(f"leaf index {index} out of range 0..{len(addrs) - 1}")
-    return _replace_at(tree, addrs[index], CHERRY)
+    return _splice(tree, addrs[index], (CHERRY,))
 
 
 @lru_cache(maxsize=None)
@@ -295,17 +288,25 @@ class QChain:
         return f"QChain({body or '0'})"
 
 
+def _face_sum(items: Iterable, weight_at) -> dict:
+    """Sum over (tree, coeff) items and leaf indices i of weight_at(coeff, i)
+    times d_i(tree), walking each tree's leaves once.  The point and zero
+    coefficients contribute nothing; keys keep first-insertion order."""
+    acc: dict = {}
+    for tree, coeff in items:
+        if not tree.children or not coeff:
+            continue
+        for i, addr in enumerate(leaves(tree)):
+            piece = normalize_topological(remove_leaf(tree, addr))
+            term = weight_at(coeff, i)
+            acc[piece] = acc[piece] + term if piece in acc else term
+    return acc
+
+
 def q_boundary(chain: QChain) -> QChain:
     """Linear extension of T -> sum over leaf indices i of q**i * d_i(T);
     the point maps to zero."""
-    acc: dict[PlaneTree, QPoly] = {}
-    for tree, coeff in chain.terms.items():
-        if not tree.children:
-            continue
-        for i in range(leaf_count(tree)):
-            piece = face(tree, i)
-            acc[piece] = acc.get(piece, ZERO) + coeff.shift(i)
-    return QChain(acc)
+    return QChain(_face_sum(chain.terms.items(), QPoly.shift))
 
 
 def q_boundary_at(chain, q_value: int) -> dict[PlaneTree, int]:
@@ -316,14 +317,11 @@ def q_boundary_at(chain, q_value: int) -> dict[PlaneTree, int]:
     face sum and squares to zero; at generic integers it does not.
     """
     items = chain.terms.items() if isinstance(chain, QChain) else dict(chain).items()
-    acc: dict[PlaneTree, int] = {}
-    for tree, coeff in items:
-        weight = coeff.eval_int(q_value) if isinstance(coeff, QPoly) else int(coeff)
-        if not tree.children or weight == 0:
-            continue
-        for i in range(leaf_count(tree)):
-            piece = face(tree, i)
-            acc[piece] = acc.get(piece, 0) + weight * q_value**i
+    weights = (
+        (tree, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else int(coeff))
+        for tree, coeff in items
+    )
+    acc = _face_sum(weights, lambda weight, i: weight * q_value**i)
     return {tree: w for tree, w in acc.items() if w}
 
 

@@ -2,8 +2,8 @@
 
 Text grammar:  Tree := "." | "(" Tree+ ")" .  A "." is a leaf; an internal
 node lists its children left to right, and that order is significant (it is
-the plane embedding).  The delayed grammar writes each leaf as a positive
-integer label, with "." accepted as shorthand for 1.
+the plane embedding).  The delayed grammar is the same grammar with integer
+leaves admitted: each leaf is a positive integer label, "." meaning 1.
 
 A vertex is addressed by the sequence of 0-based child indices walked from
 the root; the empty address is the root itself.
@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "PlaneTree",
@@ -128,39 +128,74 @@ def _skip_ws(text: str, pos: int) -> int:
 
 def parse_tree(text: str) -> PlaneTree:
     """Parse  Tree := "." | "(" Tree+ ")"  with optional whitespace."""
-    tree, pos = _parse_node(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("trailing input", pos)
-    return tree
+    return _parse(text, labelled=False)[0]
 
 
-def _parse_node(text: str, pos: int) -> tuple[PlaneTree, int]:
-    if pos >= len(text):
-        raise ParseError("unexpected end of input", pos)
-    ch = text[pos]
-    if ch == ".":
-        return POINT, pos + 1
-    if ch == "(":
-        kids = []
-        pos = _skip_ws(text, pos + 1)
-        while pos < len(text) and text[pos] != ")":
-            kid, pos = _parse_node(text, pos)
-            kids.append(kid)
-            pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise ParseError("unbalanced '('", pos)
-        if not kids:
-            raise ParseError("empty node", pos)
-        return PlaneTree(kids), pos + 1
-    raise ParseError(f"unexpected character {ch!r}", pos)
+def _parse(text: str, labelled: bool) -> tuple[PlaneTree, list[int]]:
+    """The tree and its leaf labels, left to right, read with an explicit
+    stack so nesting depth is unbounded.  labelled admits integer leaves
+    (the delayed grammar); a "." leaf is labelled 1 in both grammars."""
+    end = len(text)
+    labels: list[int] = []
+    stack: list[list[PlaneTree]] = [[]]  # the result, then the kids of each open "("
+    pos = 0
+    while True:
+        pos = _skip_ws(text, pos)
+        if len(stack) == 1 and stack[0]:
+            if pos != end:
+                raise ParseError("trailing input", pos)
+            return stack[0][0], labels
+        if pos >= end:
+            raise ParseError("unbalanced '('" if len(stack) > 1 else "unexpected end of input", pos)
+        ch = text[pos]
+        if ch == ")" and len(stack) > 1:
+            kids = stack.pop()
+            if not kids:
+                raise ParseError("empty node", pos)
+            stack[-1].append(PlaneTree(kids))
+            pos += 1
+        elif ch == "(":
+            stack.append([])
+            pos += 1
+        elif ch == ".":
+            stack[-1].append(POINT)
+            labels.append(1)
+            pos += 1
+        elif labelled and ch.isdigit():
+            start = pos
+            while pos < end and text[pos].isdigit():
+                pos += 1
+            labels.append(int(text[start:pos]))
+            if labels[-1] == 0:
+                raise ZeroDelay("zero delay", start)
+            stack[-1].append(POINT)
+        else:
+            raise ParseError(f"unexpected character {ch!r}", pos)
 
 
 def serialize(tree: PlaneTree) -> str:
     """Canonical text, whitespace-free; round-trips through parse_tree."""
-    if not tree.children:
-        return "."
-    return "(" + "".join(serialize(c) for c in tree.children) + ")"
+    return _write(tree, itertools.repeat("."), "")
+
+
+def _write(tree: PlaneTree, leaf_texts: Iterator[str], sep: str) -> str:
+    """Tree text with each leaf written as the next of leaf_texts and sep
+    between siblings, built with an explicit stack."""
+    out: list[str] = []
+    todo: list = [tree]  # trees still to write, and literal text
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif item.children:
+            out.append("(")
+            todo.append(")")
+            for kid in reversed(item.children):
+                todo += (kid, sep)
+            todo.pop()  # no separator before the first child
+        else:
+            out.append(next(leaf_texts))
+    return "".join(out)
 
 
 # -- structure queries -------------------------------------------------------
@@ -226,15 +261,20 @@ def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
         raise NotALeaf("the root is not a leaf")
     if node_at(tree, addr).children:
         raise NotALeaf(f"vertex {format_addr(addr)} has children")
+    return _splice(tree, addr, ())
 
-    def rebuild(node: PlaneTree, rest: VertexAddr) -> PlaneTree:
-        i = rest[0]
-        kids = node.children
-        if len(rest) == 1:
-            return PlaneTree(kids[:i] + kids[i + 1 :])
-        return PlaneTree(kids[:i] + (rebuild(kids[i], rest[1:]),) + kids[i + 1 :])
 
-    return rebuild(tree, addr)
+def _splice(tree: PlaneTree, addr: VertexAddr, replacement: tuple) -> PlaneTree:
+    """The tree with the subtree at a valid address replaced by the trees in
+    replacement (none deletes it; exactly one at the root).  The path is
+    rebuilt bottom-up, without recursion."""
+    path = [tree]
+    for i in addr[:-1]:
+        path.append(path[-1].children[i])
+    kids = replacement
+    for node, i in zip(reversed(path), reversed(addr)):
+        kids = (PlaneTree(node.children[:i] + kids + node.children[i + 1 :]),)
+    return kids[0]
 
 
 def right_weight(tree: PlaneTree, addr: VertexAddr) -> int:
@@ -407,44 +447,10 @@ def parse_delayed(text: str) -> DelayedTree:
     Adjacent integer leaves need whitespace between them; a bare leaf at the
     top level is the point, whose label is vacuous (the root is not a leaf).
     """
-    node, delays, pos = _parse_delayed_node(text, _skip_ws(text, 0))
-    pos = _skip_ws(text, pos)
-    if pos != len(text):
-        raise ParseError("trailing input", pos)
+    node, delays = _parse(text, labelled=True)
     if not node.children:
         return DelayedTree(POINT, {})
     return DelayedTree(node, dict(zip(leaves(node), delays)))
-
-
-def _parse_delayed_node(text: str, pos: int) -> tuple[PlaneTree, list[int], int]:
-    if pos >= len(text):
-        raise ParseError("unexpected end of input", pos)
-    ch = text[pos]
-    if ch == ".":
-        return POINT, [1], pos + 1
-    if ch.isdigit():
-        end = pos
-        while end < len(text) and text[end].isdigit():
-            end += 1
-        value = int(text[pos:end])
-        if value == 0:
-            raise ZeroDelay("zero delay", pos)
-        return POINT, [value], end
-    if ch == "(":
-        kids: list[PlaneTree] = []
-        delays: list[int] = []
-        pos = _skip_ws(text, pos + 1)
-        while pos < len(text) and text[pos] != ")":
-            kid, kid_delays, pos = _parse_delayed_node(text, pos)
-            kids.append(kid)
-            delays.extend(kid_delays)
-            pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            raise ParseError("unbalanced '('", pos)
-        if not kids:
-            raise ParseError("empty node", pos)
-        return PlaneTree(kids), delays, pos + 1
-    raise ParseError(f"unexpected character {ch!r}", pos)
 
 
 def serialize_delayed(delayed: DelayedTree) -> str:
@@ -452,11 +458,4 @@ def serialize_delayed(delayed: DelayedTree) -> str:
     children; round-trips through parse_delayed."""
     if not delayed.tree.children:
         return "."
-    vec = iter(delayed.delay_vector())
-
-    def go(node: PlaneTree) -> str:
-        if not node.children:
-            return str(next(vec))
-        return "(" + " ".join(go(c) for c in node.children) + ")"
-
-    return go(delayed.tree)
+    return _write(delayed.tree, map(str, delayed.delay_vector()), " ")

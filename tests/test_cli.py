@@ -217,6 +217,19 @@ def test_verify_block_needs_two_edges(capsys, size):
 
 
 @pytest.mark.parametrize(
+    "family,size,message",
+    [
+        ("presimplicial", "0", "outside 1..7 for presimplicial: it needs at least 1 leaf"),
+        ("block", "1", "outside 2..12 for block: it needs at least 2 edges"),
+    ],
+    ids=["presimplicial-0", "block-1"],
+)
+def test_verify_range_starts_at_family_minimum(capsys, family, size, message):
+    code, out, err = run(capsys, "verify", family, "--max-size", size)
+    assert (code, out, err) == (2, "", f"error: --max-size {size} {message}\n")
+
+
+@pytest.mark.parametrize(
     "family,module,name,fake",
     [
         ("wedge", "invariant", "q_poly", lambda tree: QPoly((999,))),

@@ -3,6 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from qtrees import cli, invariant, presimplicial, qpoly, trees, verify
 from qtrees.invariant import (
     BlockSpec,
     InadmissibleDelays,
@@ -259,11 +260,55 @@ def test_search_bound():
 # -- caches ----------------------------------------------------------------------------------
 
 
+def lru_tables():
+    return {
+        f"{module.__name__}.{name}": obj
+        for module in (qpoly, trees, invariant, presimplicial, verify, cli)
+        for name, obj in vars(module).items()
+        if callable(getattr(obj, "cache_info", None)) and obj.__module__ == module.__name__
+    }
+
+
 def test_clear_caches_keeps_results():
     tree = parse_tree("((..)(.))")
     before = q_poly(tree)
     clear_caches()
     assert q_poly(tree) == before
+    # every memo table of the package is warmed, then emptied
+    tables = lru_tables()
+    assert sorted(tables) == [
+        "qtrees.presimplicial._compositions",
+        "qtrees.presimplicial._top_trees",
+        "qtrees.qpoly.cyclotomic",
+        "qtrees.qpoly.q_binomial",
+        "qtrees.qpoly.q_factorial",
+        "qtrees.trees._catalan",
+        "qtrees.trees._plane_trees",
+    ]
+    warm = (
+        q_factorial(5),
+        q_binomial(6, 2),
+        cyclotomic_factor(q_factorial(4)),
+        enumerate_plane_trees(4),
+        random_plane_tree(6, random.Random(1)),
+        presimplicial.enumerate_top_trees(4),
+        q_poly(star(3)),
+    )
+    assert invariant._QPOLY_MEMO
+    assert all(table.cache_info().currsize for table in tables.values())
+    clear_caches()
+    assert not invariant._QPOLY_MEMO
+    assert {name: table.cache_info().currsize for name, table in tables.items()} == dict.fromkeys(tables, 0)
+    rerun = (
+        q_factorial(5),
+        q_binomial(6, 2),
+        cyclotomic_factor(q_factorial(4)),
+        enumerate_plane_trees(4),
+        random_plane_tree(6, random.Random(1)),
+        presimplicial.enumerate_top_trees(4),
+        q_poly(star(3)),
+    )
+    assert rerun == warm
     # plain and delayed states share one memo and must stay apart
     clear_caches()
     assert q_poly_delayed(parse_delayed("(2 1)")) == ONE

@@ -187,6 +187,24 @@ def test_generic_boundary_does_not_square_to_zero():
     assert q_boundary_at(once, 2) == {POINT: 21}
 
 
+def test_boundaries_are_face_sums():
+    # oracle: one public face call per leaf index, terms kept in face order
+    for total, tree in basis(5):
+        if total == 1:
+            continue
+        faces = [face(tree, i) for i in range(total)]
+        expected = {}
+        for i, piece in enumerate(faces):
+            expected[piece] = expected.get(piece, QPoly(())) + QPoly((0,) * i + (1,))
+        assert q_boundary(QChain({tree: ONE})) == QChain(expected)
+        for q_value in (-1, 2, 3):
+            weights = {}
+            for i, piece in enumerate(faces):
+                weights[piece] = weights.get(piece, 0) + q_value**i
+            got = q_boundary_at({tree: 1}, q_value)
+            assert list(got.items()) == [(t, w) for t, w in weights.items() if w]
+
+
 def test_boundary_of_point_vanishes():
     assert q_boundary_at({POINT: 1}, 5) == {}
 

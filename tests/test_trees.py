@@ -83,6 +83,115 @@ def test_parse_errors_carry_offsets(text, offset):
     assert err.value.offset == offset
 
 
+# Outcome of each grammar per input: ("parses", canonical text) for
+# parse_tree, ("parses", canonical text, labels) for parse_delayed, or
+# ("raises", exception class, message, offset).
+PLAIN_OUTCOMES = [
+    (".", ("parses", ".")),
+    (" . ", ("parses", ".")),
+    ("(..)", ("parses", "(..)")),
+    ("(.(..))", ("parses", "(.(..))")),
+    (" ( . ( . . ) ) ", ("parses", "(.(..))")),
+    ("\t((.))\n", ("parses", "((.))")),
+    ("((...)(.)((..)))", ("parses", "((...)(.)((..)))")),
+    ("", ("raises", "ParseError", "unexpected end of input at offset 0", 0)),
+    ("   ", ("raises", "ParseError", "unexpected end of input at offset 3", 3)),
+    ("(", ("raises", "ParseError", "unbalanced '(' at offset 1", 1)),
+    ("((", ("raises", "ParseError", "unbalanced '(' at offset 2", 2)),
+    (")", ("raises", "ParseError", "unexpected character ')' at offset 0", 0)),
+    ("(..", ("raises", "ParseError", "unbalanced '(' at offset 3", 3)),
+    ("()", ("raises", "ParseError", "empty node at offset 1", 1)),
+    ("( )", ("raises", "ParseError", "empty node at offset 2", 2)),
+    ("(.( ))", ("raises", "ParseError", "empty node at offset 4", 4)),
+    ("(.)x", ("raises", "ParseError", "trailing input at offset 3", 3)),
+    ("(.) .", ("raises", "ParseError", "trailing input at offset 4", 4)),
+    ("x", ("raises", "ParseError", "unexpected character 'x' at offset 0", 0)),
+    ("..", ("raises", "ParseError", "trailing input at offset 1", 1)),
+    (".)", ("raises", "ParseError", "trailing input at offset 1", 1)),
+    ("(.))", ("raises", "ParseError", "trailing input at offset 3", 3)),
+    ("((.)", ("raises", "ParseError", "unbalanced '(' at offset 4", 4)),
+    ("[.]", ("raises", "ParseError", "unexpected character '[' at offset 0", 0)),
+    # digits belong to the delayed grammar only
+    ("0", ("raises", "ParseError", "unexpected character '0' at offset 0", 0)),
+    ("7", ("raises", "ParseError", "unexpected character '7' at offset 0", 0)),
+    ("(1 0)", ("raises", "ParseError", "unexpected character '1' at offset 1", 1)),
+    ("(00)", ("raises", "ParseError", "unexpected character '0' at offset 1", 1)),
+    ("(12)", ("raises", "ParseError", "unexpected character '1' at offset 1", 1)),
+    ("(1.)", ("raises", "ParseError", "unexpected character '1' at offset 1", 1)),
+    ("( 1 . )", ("raises", "ParseError", "unexpected character '1' at offset 2", 2)),
+    ("(1x)", ("raises", "ParseError", "unexpected character '1' at offset 1", 1)),
+    ("((1) 2", ("raises", "ParseError", "unexpected character '1' at offset 2", 2)),
+]
+
+DELAYED_OUTCOMES = [
+    (".", ("parses", ".", ())),
+    ("0", ("raises", "ZeroDelay", "zero delay at offset 0", 0)),
+    ("7", ("parses", ".", ())),
+    (" 7 ", ("parses", ".", ())),
+    ("(1 0)", ("raises", "ZeroDelay", "zero delay at offset 3", 3)),
+    ("(00)", ("raises", "ZeroDelay", "zero delay at offset 1", 1)),
+    ("(12)", ("parses", "(.)", (12,))),
+    ("(1.)", ("parses", "(..)", (1, 1))),
+    ("( 1 . )", ("parses", "(..)", (1, 1))),
+    ("(1x)", ("raises", "ParseError", "unexpected character 'x' at offset 2", 2)),
+    ("((1) 2", ("raises", "ParseError", "unbalanced '(' at offset 6", 6)),
+    ("(1 2)", ("parses", "(..)", (1, 2))),
+    ("(. .)", ("parses", "(..)", (1, 1))),
+    ("(3 (1 1) 2)", ("parses", "(.(..).)", (3, 1, 1, 2))),
+    ("(1(2 3)4)", ("parses", "(.(..).)", (1, 2, 3, 4))),
+    ("(007)", ("parses", "(.)", (7,))),
+    ("(10 2)", ("parses", "(..)", (10, 2))),
+    ("((2 1) 1)", ("parses", "((..).)", (2, 1, 1))),
+    ("\t(1\n2)\n", ("parses", "(..)", (1, 2))),
+    ("", ("raises", "ParseError", "unexpected end of input at offset 0", 0)),
+    ("   ", ("raises", "ParseError", "unexpected end of input at offset 3", 3)),
+    ("\n", ("raises", "ParseError", "unexpected end of input at offset 1", 1)),
+    ("(", ("raises", "ParseError", "unbalanced '(' at offset 1", 1)),
+    ("()", ("raises", "ParseError", "empty node at offset 1", 1)),
+    ("( )", ("raises", "ParseError", "empty node at offset 2", 2)),
+    ("(1 2", ("raises", "ParseError", "unbalanced '(' at offset 4", 4)),
+    ("(1 2)x", ("raises", "ParseError", "trailing input at offset 5", 5)),
+    ("(1 2))", ("raises", "ParseError", "trailing input at offset 5", 5)),
+    ("(-1)", ("raises", "ParseError", "unexpected character '-' at offset 1", 1)),
+    ("12 3", ("raises", "ParseError", "trailing input at offset 3", 3)),
+    ("(0)", ("raises", "ZeroDelay", "zero delay at offset 1", 1)),
+    ("(1 (0))", ("raises", "ZeroDelay", "zero delay at offset 4", 4)),
+    ("x", ("raises", "ParseError", "unexpected character 'x' at offset 0", 0)),
+]
+
+
+def parse_outcome(parse, text):
+    try:
+        got = parse(text)
+    except ParseError as exc:
+        return ("raises", type(exc).__name__, str(exc), exc.offset)
+    if isinstance(got, DelayedTree):
+        return ("parses", serialize(got.tree), got.delay_vector())
+    return ("parses", serialize(got))
+
+
+@pytest.mark.parametrize("text,expected", PLAIN_OUTCOMES)
+def test_parse_tree_outcomes_are_pinned(text, expected):
+    assert parse_outcome(parse_tree, text) == expected
+
+
+@pytest.mark.parametrize("text,expected", DELAYED_OUTCOMES)
+def test_parse_delayed_outcomes_are_pinned(text, expected):
+    assert parse_outcome(parse_delayed, text) == expected
+
+
+def test_deep_and_wide_trees_round_trip():
+    # Compared as text: equality and most other walks still recurse.
+    depth = 10_000
+    path = "(" * depth + "." + ")" * depth
+    tree = parse_tree(path)
+    assert serialize(tree) == path
+    shorter = "(" * (depth - 1) + "." + ")" * (depth - 1)
+    assert serialize(remove_leaf(tree, (0,) * depth)) == shorter
+    wide = "(" + "." * 5000 + ")"
+    assert serialize(parse_tree(wide)) == wide
+
+
 def test_serialize_examples():
     assert serialize(POINT) == "."
     assert serialize(CHERRY) == "(..)"
