@@ -73,8 +73,6 @@ def clear_caches() -> None:
         qpoly.q_binomial,
         qpoly.cyclotomic,
         trees._plane_trees,
-        trees._catalan,
-        presimplicial._compositions,
         presimplicial._top_trees,
     ):
         cached.cache_clear()
@@ -133,10 +131,16 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
     plus the hanging edge) of its child subtrees; leaves contribute 1.
     Agrees with q_poly on every tree.
     """
-    out = q_multinomial(tuple(edge_count(c) + 1 for c in tree.children))
-    for c in tree.children:
-        out = out * q_poly_state(c)
-    return out
+    values: list[tuple[int, QPoly]] = []  # (vertices, value) per subtree not yet attached
+    for node in trees._postorder(tree):
+        cut = len(values) - len(node.children)
+        kids = values[cut:]
+        del values[cut:]
+        out = q_multinomial(tuple(size for size, _ in kids))
+        for _, value in kids:
+            out = out * value
+        values.append((1 + sum(size for size, _ in kids), out))
+    return values[0][1]
 
 
 def boltzmann_weight(tree: PlaneTree, addr: tuple) -> QPoly:

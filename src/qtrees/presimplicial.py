@@ -20,6 +20,7 @@ from .trees import (
     BoundExceeded,
     PlaneTree,
     POINT,
+    _postorder,
     _splice,
     leaves,
     remove_leaf,
@@ -53,19 +54,19 @@ CHERRY = PlaneTree((POINT, POINT))
 def normalize_topological(tree: PlaneTree) -> PlaneTree:
     """Smooth away every vertex with exactly one child; a unary root hands
     the root over to its child.  Idempotent."""
-    if not tree.children:
-        return tree
-    kids = tuple(normalize_topological(c) for c in tree.children)
-    if len(kids) == 1:
-        return kids[0]
-    return PlaneTree(kids)
+    values: list[PlaneTree] = []  # the smoothed subtrees not yet attached
+    for node in _postorder(tree):
+        if len(node.children) != 1:  # a unary vertex keeps its child's value
+            cut = len(values) - len(node.children)
+            kids = tuple(values[cut:])
+            del values[cut:]
+            values.append(node if kids == node.children else PlaneTree(kids))
+    return values[0]
 
 
 def is_topological(tree: PlaneTree) -> bool:
     """True when no vertex has exactly one child."""
-    if len(tree.children) == 1:
-        return False
-    return all(is_topological(c) for c in tree.children)
+    return all(len(node.children) != 1 for node in _postorder(tree))
 
 
 def ordered_leaves(tree: PlaneTree) -> tuple:
@@ -98,15 +99,13 @@ def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
     return _splice(tree, addrs[index], (CHERRY,))
 
 
-@lru_cache(maxsize=None)
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
-    if parts == 1:
-        return ((total,),) if total >= 1 else ()
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
+    """Every way to write total >= 1 as parts positive summands, in
+    lexicographic order, one per set of parts - 1 cut points."""
+    return tuple(
+        tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+        for cuts in itertools.combinations(range(1, total), parts - 1)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -3,7 +3,8 @@
 Text grammar:  Tree := "." | "(" Tree+ ")" .  A "." is a leaf; an internal
 node lists its children left to right, and that order is significant (it is
 the plane embedding).  The delayed grammar is the same grammar with integer
-leaves admitted: each leaf is a positive integer label, "." meaning 1.
+leaves admitted: each leaf is a positive integer label in ASCII digits, "."
+meaning 1.
 
 A vertex is addressed by the sequence of 0-based child indices walked from
 the root; the empty address is the root itself.
@@ -161,9 +162,9 @@ def _parse(text: str, labelled: bool) -> tuple[PlaneTree, list[int]]:
             stack[-1].append(POINT)
             labels.append(1)
             pos += 1
-        elif labelled and ch.isdigit():
+        elif labelled and "0" <= ch <= "9":
             start = pos
-            while pos < end and text[pos].isdigit():
+            while pos < end and "0" <= text[pos] <= "9":
                 pos += 1
             labels.append(int(text[start:pos]))
             if labels[-1] == 0:
@@ -211,47 +212,54 @@ def node_at(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     return node
 
 
+def _preorder(tree: PlaneTree) -> Iterator[tuple[VertexAddr, PlaneTree]]:
+    """(address, subtree) for every vertex, root first, siblings left to right."""
+    stack = [((), tree)]
+    while stack:
+        addr, node = item = stack.pop()
+        yield item
+        kids = node.children
+        i = len(kids)
+        while i:  # right to left, so the leftmost child comes out first
+            i -= 1
+            stack.append((addr + (i,), kids[i]))
+
+
+def _postorder(tree: PlaneTree) -> list[PlaneTree]:
+    """Every subtree, children before parents, siblings left to right."""
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    out.reverse()  # a right-first pre-order, reversed
+    return out
+
+
 def edge_count(tree: PlaneTree) -> int:
-    """Number of edges: one per child, plus those below it."""
-    return sum(1 + edge_count(c) for c in tree.children)
+    """Number of edges: one per vertex below the root."""
+    return len(_postorder(tree)) - 1
 
 
 def leaves(tree: PlaneTree) -> tuple[VertexAddr, ...]:
     """Addresses of all childless non-root vertices, left to right."""
-    out: list[VertexAddr] = []
-
-    def walk(node: PlaneTree, addr: VertexAddr) -> None:
-        if not node.children:
-            if addr:
-                out.append(addr)
-            return
-        for i, c in enumerate(node.children):
-            walk(c, addr + (i,))
-
-    walk(tree, ())
-    return tuple(out)
+    return tuple(addr for addr, node in _preorder(tree) if addr and not node.children)
 
 
 def leaf_weights(tree: PlaneTree) -> list[tuple[VertexAddr, int]]:
     """All leaves with their right weights, in one left-to-right pass.
 
     Equivalent to [(v, right_weight(tree, v)) for v in leaves(tree)] but
-    linear in the tree size.
+    linear in the tree size: a leaf has no descendants, so the edges right
+    of its path are those above the vertices after it in pre-order.
     """
-
-    def walk(node: PlaneTree, addr: VertexAddr, acc: int) -> tuple[int, list]:
-        if not node.children:
-            return 1, ([(addr, acc)] if addr else [])
-        suffix = 0
-        chunks = []
-        for i in range(len(node.children) - 1, -1, -1):
-            size_c, leaves_c = walk(node.children[i], addr + (i,), acc + suffix)
-            chunks.append(leaves_c)
-            suffix += size_c
-        chunks.reverse()
-        return 1 + suffix, [item for chunk in chunks for item in chunk]
-
-    return walk(tree, (), 0)[1]
+    found = []  # (leaf, vertices up to and including it)
+    seen = 0
+    for seen, (addr, node) in enumerate(_preorder(tree), 1):
+        if not node.children and addr:
+            found.append((addr, seen))
+    return [(addr, seen - upto) for addr, upto in found]
 
 
 def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
@@ -372,40 +380,45 @@ def enumerate_plane_trees(edges: int, bound: int = DEFAULT_PLANE_BOUND) -> tuple
     return _plane_trees(edges)
 
 
-@lru_cache(maxsize=None)
-def _catalan(n: int) -> int:
-    if n == 0:
-        return 1
-    return sum(_catalan(i) * _catalan(n - 1 - i) for i in range(n))
-
-
 def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
-    """Uniformly random plane tree with the given edge count."""
-    if edges == 0:
-        return POINT
-    r = rng.randrange(_catalan(edges))
-    acc = 0
-    first = 0
-    for first in range(edges):
-        acc += _catalan(first) * _catalan(edges - 1 - first)
-        if r < acc:
-            break
-    head = random_plane_tree(first, rng)
-    rest = random_plane_tree(edges - 1 - first, rng)
-    return PlaneTree((head,) + rest.children)
+    """Uniformly random plane tree with the given edge count.  An open vertex
+    with e edges left hangs first of them below its next child with
+    probability C(first) C(e - 1 - first) / C(e), C the Catalan numbers."""
+    catalan = [1]
+    for n in range(edges):
+        catalan.append(catalan[-1] * 2 * (2 * n + 1) // (n + 2))
+    stack: list = [[edges, []]]  # open vertices: [edges left, children so far]
+    while True:
+        remaining, kids = stack[-1]
+        if remaining:
+            r = rng.randrange(catalan[remaining])
+            acc = 0
+            for first in range(remaining):
+                acc += catalan[first] * catalan[remaining - 1 - first]
+                if r < acc:
+                    break
+            stack[-1][0] = remaining - 1 - first
+            stack.append([first, []])
+        else:
+            stack.pop()
+            node = PlaneTree(kids) if kids else POINT
+            if not stack:
+                return node
+            stack[-1][1].append(node)
 
 
 def permute_children(tree: PlaneTree, seed: int) -> PlaneTree:
-    """Seeded reshuffle of the child order at every vertex; the abstract
-    rooted tree is unchanged."""
+    """Seeded reshuffle of the child order at every vertex, in left-to-right
+    post-order; the abstract rooted tree is unchanged."""
     rng = random.Random(seed)
-
-    def go(node: PlaneTree) -> PlaneTree:
-        kids = [go(c) for c in node.children]
+    values: list[PlaneTree] = []  # the reshuffled subtrees not yet attached
+    for node in _postorder(tree):
+        cut = len(values) - len(node.children)
+        kids = values[cut:]
+        del values[cut:]
         rng.shuffle(kids)
-        return PlaneTree(kids)
-
-    return go(tree)
+        values.append(PlaneTree(kids))
+    return values[0]
 
 
 def format_addr(addr: VertexAddr) -> str:

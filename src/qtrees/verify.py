@@ -51,13 +51,6 @@ def state(max_edges: int, sample: Iterable[trees.PlaneTree]) -> tuple[bool, dict
     return violations == 0, summary
 
 
-def _edges(tree: trees.PlaneTree, prefix: tuple = ()):
-    """Addresses of the non-root vertices, i.e. of the edges above them."""
-    for i, child in enumerate(tree.children):
-        yield prefix + (i,)
-        yield from _edges(child, prefix + (i,))
-
-
 def reroot(max_edges: int) -> tuple[bool, dict]:
     """The cross-multiplied change-of-root identity on every edge of every
     plane tree with at most max_edges edges."""
@@ -65,10 +58,11 @@ def reroot(max_edges: int) -> tuple[bool, dict]:
     violations = 0
     for size in range(max_edges + 1):
         for tree in trees.enumerate_plane_trees(size, bound=max_edges):
-            for addr in _edges(tree):
-                edges += 1
-                if not invariant.check_reroot(tree, addr).holds:
-                    violations += 1
+            for addr, _ in trees._preorder(tree):
+                if addr:  # the root has no edge above it
+                    edges += 1
+                    if not invariant.check_reroot(tree, addr).holds:
+                        violations += 1
     return violations == 0, {"edges": edges, "violations": violations}
 
 

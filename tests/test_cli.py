@@ -389,13 +389,19 @@ def test_hard_cap_env_override(capsys, monkeypatch):
 # -- resource failures ------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["q", "q-delayed", "reduce"])
+@pytest.mark.parametrize("command", ["q", "q-delayed"])
 def test_deep_tree_exits_cleanly(capsys, command):
+    # the leaf-removal recursion is one level per edge
     path = "(" * 1200 + "." + ")" * 1200
     code, out, err = run(capsys, command, path)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_deep_path_reduces(capsys):
+    path = "(" * 1200 + "." + ")" * 1200
+    assert run(capsys, "reduce", path) == (0, "1 (= [1]_q!)\n", "")
 
 
 # -- determinism ---------------------------------------------------------------------------

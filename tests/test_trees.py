@@ -1,7 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
+from qtrees.presimplicial import is_topological, normalize_topological
 from qtrees.trees import (
     POINT,
     BoundExceeded,
@@ -33,6 +35,7 @@ from qtrees.trees import (
 )
 
 CHERRY = parse_tree("(..)")
+SEED = 20140530
 
 
 def catalan_numbers(top):
@@ -157,6 +160,9 @@ DELAYED_OUTCOMES = [
     ("(0)", ("raises", "ZeroDelay", "zero delay at offset 1", 1)),
     ("(1 (0))", ("raises", "ZeroDelay", "zero delay at offset 4", 4)),
     ("x", ("raises", "ParseError", "unexpected character 'x' at offset 0", 0)),
+    # labels are ASCII digits only
+    ("(²)", ("raises", "ParseError", "unexpected character '²' at offset 1", 1)),
+    ("(١ ٢)", ("raises", "ParseError", "unexpected character '١' at offset 1", 1)),
 ]
 
 
@@ -181,7 +187,7 @@ def test_parse_delayed_outcomes_are_pinned(text, expected):
 
 
 def test_deep_and_wide_trees_round_trip():
-    # Compared as text: equality and most other walks still recurse.
+    # Compared as text: tree equality still recurses.
     depth = 10_000
     path = "(" * depth + "." + ")" * depth
     tree = parse_tree(path)
@@ -190,6 +196,31 @@ def test_deep_and_wide_trees_round_trip():
     assert serialize(remove_leaf(tree, (0,) * depth)) == shorter
     wide = "(" + "." * 5000 + ")"
     assert serialize(parse_tree(wide)) == wide
+
+
+def test_walks_take_any_depth():
+    depth = 10_000
+    path = parse_tree("(" * depth + "." + ")" * depth)
+    bottom = (0,) * depth
+    assert edge_count(path) == depth
+    assert leaves(path) == (bottom,)
+    assert leaf_weights(path) == [(bottom, 0)]
+    assert normalize_topological(path) == POINT
+    assert not is_topological(path)
+    assert serialize(permute_children(path, 1)) == serialize(path)
+
+    tree = random_plane_tree(5000, random.Random(SEED))
+    assert edge_count(tree) == 5000
+    smooth = normalize_topological(tree)
+    assert is_topological(smooth)
+    assert len(leaves(smooth)) == len(leaves(tree))
+    shuffled = permute_children(tree, SEED)
+    assert edge_count(shuffled) == 5000
+    assert sorted(map(len, leaves(shuffled))) == sorted(map(len, leaves(tree)))
+    weights = leaf_weights(tree)
+    assert [addr for addr, _ in weights] == list(leaves(tree))
+    for addr, rw in random.Random(SEED).sample(weights, 50):
+        assert rw == right_weight(tree, addr)
 
 
 def test_serialize_examples():
@@ -392,6 +423,32 @@ def test_permute_children():
         for edges in range(6):
             for t in enumerate_plane_trees(edges):
                 assert unordered_form(permute_children(t, seed)) == unordered_form(t)
+
+
+# Which tree a seed gives is part of the output: `qtrees verify state` and
+# `block` and sample_block_specs draw from it.  The hash covers the texts of
+# random_plane_tree(e, Random(s)) for e <= 20 and s = 0, 1, 2, each with the
+# rng's next random() after the call, one per line.
+RANDOM_TREES_SHA256 = "0e69e4a8f0aacda3dd1b3a9537b803070ae66a302f2a8282069ebb0b2d835dec"
+
+PERMUTED = [
+    ("(.(..))", ["(.(..))", "((..).)", "((..).)"]),
+    ("((..)(.(..)).)", ["((..).((..).))", "(.(.(..))(..))", "(.(..)((..).))"]),
+    ("(((..).)(...)(.))", ["(((..).)(...)(.))", "((.(..))(.)(...))", "((.)(...)(.(..)))"]),
+]
+
+
+def test_seeded_draws_are_pinned():
+    lines = []
+    for edges in range(21):
+        for seed in range(3):
+            rng = random.Random(seed)
+            text = serialize(random_plane_tree(edges, rng))
+            lines.append(f"{edges} {seed} {text} {rng.random()!r}")
+    assert lines[-1] == "20 2 (..(.(.))((.)(.((((.)(.)))).).)) 0.4648938620973121"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == RANDOM_TREES_SHA256
+    for text, by_seed in PERMUTED:
+        assert [serialize(permute_children(parse_tree(text), seed)) for seed in range(3)] == by_seed
 
 
 def test_format_addr():
