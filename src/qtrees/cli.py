@@ -1,11 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a verified identity failed or a search found
-nothing, 2 usage or parse errors or input past the recursion limit.  All
-output is deterministic given the flags and seed; --format json emits a
-single JSON document on stdout.  The environment variable QTREES_HARD_CAP
-(an integer) raises the hard size caps for the verify/enumerate/search
-commands; any other value is a usage error.
+nothing, 2 usage or parse errors, a q-polynomial whose degree exceeds its
+cap (checked before q and q-delayed evaluate anything), or input past the
+recursion limit.  All output is deterministic given the flags and seed;
+--format json emits a single JSON document on stdout.  The environment
+variable QTREES_HARD_CAP (an integer) raises the hard caps: the sizes for
+the verify/enumerate/search commands and the degree for q/q-delayed; any
+other value is a usage error.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ _HARD_CAPS = {
     "enumerate-plane": trees.DEFAULT_PLANE_BOUND,
     "enumerate-topological": presimplicial.DEFAULT_TOP_BOUND,
     "search": invariant.DEFAULT_SEARCH_BOUND,
+    "degree": 20_000,
 }
 
 
@@ -71,8 +74,20 @@ def _emit_poly(poly: QPoly, fmt: str) -> None:
         print(str(poly))
 
 
+def _check_degree(tree: trees.PlaneTree) -> None:
+    """Refuse, before any evaluation, a tree whose q-polynomial has a degree
+    past the cap; the delayed polynomial of the tree has at most that degree."""
+    cap = _cap("degree")
+    degree = invariant.q_degree(tree)
+    if degree > cap:
+        raise trees.BoundExceeded(
+            f"degree {degree} of the q-polynomial exceeds hard cap {cap} (QTREES_HARD_CAP raises it)"
+        )
+
+
 def _cmd_q(args) -> int:
     tree = parse_tree(args.tree)
+    _check_degree(tree)
     if args.algo == "recursive":
         _emit_poly(invariant.q_poly(tree), args.format)
         return 0
@@ -103,6 +118,7 @@ def _cmd_q(args) -> int:
 
 def _cmd_q_delayed(args) -> int:
     delayed = parse_delayed(args.tree)
+    _check_degree(delayed.tree)
     _emit_poly(invariant.q_poly_delayed(delayed), args.format)
     return 0
 
@@ -244,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qtrees",
         description="Exact q-polynomial invariants of plane rooted trees.",
-        epilog="Set QTREES_HARD_CAP to raise the hard size caps.",
+        epilog="Set QTREES_HARD_CAP to raise the hard size and degree caps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

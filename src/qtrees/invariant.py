@@ -21,13 +21,12 @@ from .trees import (
     DelayedTree,
     PlaneTree,
     RootHasNoEdge,
+    dyck_word,
     edge_count,
     enumerate_plane_trees,
-    leaf_weights,
     leaves,
     node_at,
     random_plane_tree,
-    remove_leaf,
     reroot_across_edge,
     side_edge_counts,
     wedge,
@@ -36,6 +35,7 @@ from .trees import (
 __all__ = [
     "q_poly",
     "q_poly_state",
+    "q_degree",
     "boltzmann_weight",
     "check_reroot",
     "RerootCheck",
@@ -58,8 +58,8 @@ class InadmissibleDelays(ValueError):
     block formula."""
 
 
-# One memo for both games: plain states are keyed by the tree, delayed
-# states by (tree, delays).
+# One memo for both games: plain states are keyed by the tree's Dyck word,
+# delayed states by (word, delays).
 _QPOLY_MEMO: dict = {}
 
 
@@ -85,43 +85,79 @@ def q_poly(tree: PlaneTree) -> QPoly:
     where r(v) counts the edges strictly right of the root-to-v path.
     Results are memoized on the tree shape.
     """
-    return _removal_sum(tree, None)
+    return _removal_sum(dyck_word(tree), None)
 
 
-def _removal_sum(tree: PlaneTree, delays: tuple[int, ...] | None) -> QPoly:
+def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
     """Sum of q**r(v) times the value of T - v over the leaves v that may
-    move.  delays labels the leaves left to right as in q_poly_delayed;
-    None means every leaf may move for the rest of the game."""
-    if not tree.children:
+    move, T the tree with the given Dyck word (trees.dyck_word).  delays
+    labels the leaves left to right as in q_poly_delayed; None means every
+    leaf may move for the rest of the game.
+
+    A leaf is a down-step followed by an up-step, so the leaves are the set
+    bits of word & ~(word << 1), left to right from the high end.  Removing
+    the leaf at bit j deletes bits j and j - 1, and r(v) counts the
+    down-steps after them, in the lower bits.  The leaf was an only child exactly when a
+    down-step comes just before it (bit j + 1) and an up-step just after it
+    (bit j - 2).  A state waits on an explicit stack until every state it
+    reaches is in the memo.
+    """
+    if not word:
         return ONE
-    key = tree if delays is None else (tree, delays)
-    cached = _QPOLY_MEMO.get(key)
-    if cached is not None:
-        return cached
-    acc: list[int] = []
-    for i, (addr, rw) in enumerate(leaf_weights(tree)):
-        next_delays = None
-        if delays is not None:
-            if delays[i] != 1:
+    memo = _QPOLY_MEMO
+    key = word if delays is None else (word, delays)
+    val = memo.get(key)
+    if val is not None:
+        return val
+    stack = [[key, word, delays, None]]  # key, word, delays, moves once listed
+    while stack:
+        frame = stack[-1]
+        key, word, delays, moves = frame
+        if moves is None:
+            if key in memo:  # finished meanwhile, reached from another state
+                stack.pop()
                 continue
-            ticked = [d - 1 if d > 2 else 1 for d in delays]
-            parent = node_at(tree, addr[:-1])
-            if len(parent.children) > 1:
-                del ticked[i]  # the leaf slot disappears
-            elif len(addr) == 1:
-                ticked = []  # the root was stripped bare: the point remains
-            else:
-                ticked[i] = 1  # the parent is exposed as a new leaf
-            next_delays = tuple(ticked)
-        sub = _removal_sum(remove_leaf(tree, addr), next_delays).coeffs
-        need = rw + len(sub)
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for j, c in enumerate(sub):
-            acc[rw + j] += c
-    val = QPoly(acc)
-    _QPOLY_MEMO[key] = val
-    return val
+            moves = frame[3] = []  # (r(v), key of T - v), the point keyed 0
+            depth = len(stack)
+            found = word & ~(word << 1)
+            i = -1
+            while found:
+                j = found.bit_length() - 1
+                found ^= 1 << j
+                i += 1
+                low = word & ((1 << (j - 1)) - 1)
+                rest = ((word >> (j + 1)) << (j - 1)) | low
+                if delays is None:
+                    sub = rest
+                    next_delays = None
+                elif delays[i] != 1:
+                    continue
+                elif not rest:  # the root was stripped bare: the point remains
+                    sub = 0
+                else:
+                    ticked = [d - 1 if d > 2 else 1 for d in delays]
+                    if (word >> (j + 1)) & 1 and not (word >> (j - 2)) & 1:
+                        ticked[i] = 1  # the parent is exposed as a new leaf
+                    else:
+                        del ticked[i]  # the leaf slot disappears
+                    next_delays = tuple(ticked)
+                    sub = (rest, next_delays)
+                moves.append((low.bit_count(), sub))
+                if sub and sub not in memo:
+                    stack.append([sub, rest, next_delays, None])
+            if len(stack) > depth:
+                continue
+        stack.pop()
+        acc: list[int] = []
+        for rw, sub in moves:
+            coeffs = memo[sub].coeffs if sub else ONE.coeffs
+            need = rw + len(coeffs)
+            if len(acc) < need:
+                acc.extend([0] * (need - len(acc)))
+            for j, c in enumerate(coeffs, rw):
+                acc[j] += c
+        memo[key] = QPoly(acc)
+    return memo[key]
 
 
 def q_poly_state(tree: PlaneTree) -> QPoly:
@@ -141,6 +177,23 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
             out = out * value
         values.append((1 + sum(size for size, _ in kids), out))
     return values[0][1]
+
+
+def q_degree(tree: PlaneTree) -> int:
+    """Degree of q_poly(tree), without computing it: C(e + 1, 2) minus the
+    vertex counts of the subtrees below the root, e the edge count.  It
+    bounds the delayed polynomial of the tree too, which sums a subset of
+    the same removal sequences."""
+    sizes: list[int] = []  # vertices per subtree not yet attached
+    total = 0
+    for node in trees._postorder(tree):
+        cut = len(sizes) - len(node.children)
+        size = 1 + sum(sizes[cut:])
+        del sizes[cut:]
+        sizes.append(size)
+        total += size
+    vertices = sizes[0]
+    return vertices * (vertices - 1) // 2 - (total - vertices)
 
 
 def boltzmann_weight(tree: PlaneTree, addr: tuple) -> QPoly:
@@ -185,7 +238,7 @@ def q_poly_delayed(delayed: DelayedTree) -> QPoly:
     parent becomes a delay-1 leaf.  The point gives 1; a nonpoint tree
     with no delay-1 leaf gives 0 (the sum is empty).
     """
-    return _removal_sum(delayed.tree, delayed.delay_vector())
+    return _removal_sum(dyck_word(delayed.tree), delayed.delay_vector())
 
 
 # -- constant-delay blocks -------------------------------------------------------
@@ -300,8 +353,9 @@ def search_delayed(
     for edges in range(max_edges + 1):
         top_delay = max(edges, 1)
         for tree in enumerate_plane_trees(edges):
+            word = dyck_word(tree)
             addrs = leaves(tree)
             for combo in itertools.product(range(1, top_delay + 1), repeat=len(addrs)):
-                if _removal_sum(tree, combo) == target:
+                if _removal_sum(word, combo) == target:
                     hits.append(DelayedTree(tree, dict(zip(addrs, combo))))
     return hits

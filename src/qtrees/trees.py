@@ -39,6 +39,7 @@ __all__ = [
     "edge_count",
     "leaves",
     "leaf_weights",
+    "dyck_word",
     "remove_leaf",
     "right_weight",
     "wedge",
@@ -88,10 +89,11 @@ class PlaneTree:
     """A plane rooted tree: an immutable ordered tuple of child subtrees.
 
     A node with no children is a leaf; the whole value is the subtree rooted
-    at that node.  Hashes are precomputed so trees work as dictionary keys.
+    at that node.  Hashes are precomputed so trees work as dictionary keys;
+    the Dyck word is set on first use by dyck_word.
     """
 
-    __slots__ = ("children", "_hash")
+    __slots__ = ("children", "_hash", "_word")
 
     def __init__(self, children: Iterable["PlaneTree"] = ()):
         kids = tuple(children)
@@ -100,6 +102,7 @@ class PlaneTree:
                 raise TypeError("children must be PlaneTree values")
         self.children = kids
         self._hash = hash(kids)
+        self._word = None
 
     def __eq__(self, other: object):
         if self is other:
@@ -260,6 +263,24 @@ def leaf_weights(tree: PlaneTree) -> list[tuple[VertexAddr, int]]:
         if not node.children and addr:
             found.append((addr, seen))
     return [(addr, seen - upto) for addr, upto in found]
+
+
+def dyck_word(tree: PlaneTree) -> int:
+    """The tree's Dyck word packed in one int, read from the most
+    significant bit: 1 steps down an edge, 0 steps back up.  The point is 0
+    and every other word starts with 1, so shapes and ints match one to one
+    and the bit length is twice the edge count.  Computed once per tree object:
+    every subtree keeps its word, set bottom-up on first use."""
+    if tree._word is None:
+        for node in _postorder(tree):
+            if node._word is None:
+                word = 0
+                for kid in node.children:
+                    k = kid._word
+                    n = k.bit_length()
+                    word = (word << (n + 2)) | (1 << (n + 1)) | (k << 1)  # 1, kid's word, 0
+                node._word = word
+    return tree._word
 
 
 def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:

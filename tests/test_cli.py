@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -391,12 +392,41 @@ def test_hard_cap_env_override(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["q", "q-delayed"])
 def test_deep_tree_exits_cleanly(capsys, command):
-    # the leaf-removal recursion is one level per edge
+    # the leaf-removal recursion runs on an explicit stack
     path = "(" * 1200 + "." + ")" * 1200
-    code, out, err = run(capsys, command, path)
+    start = time.perf_counter()
+    assert run(capsys, command, path) == (0, "1\n", "")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["q", "--algo", "recursive"], ["q", "--algo", "state"], ["q", "--algo", "both"], ["q-delayed"]],
+)
+def test_degree_preflight_refuses_a_wide_star(capsys, argv):
+    # [1200]_q! has degree 1200 * 1199 / 2; every evaluator would take minutes
+    wide = "(" + "." * 1200 + ")"
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv[0], wide, *argv[1:])
+    assert time.perf_counter() - start < 2
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert err == "error: degree 719400 of the q-polynomial exceeds hard cap 20000 (QTREES_HARD_CAP raises it)\n"
+
+
+@pytest.mark.parametrize("command", ["q", "q-delayed"])
+def test_degree_cap_is_inclusive_and_raised_by_the_env(capsys, monkeypatch, command):
+    monkeypatch.setitem(cli._HARD_CAPS, "degree", 5)
+    assert run(capsys, command, "(...)")[0] == 0  # [3]_q! has degree 3
+    assert run(capsys, command, "(..(.))")[0] == 0  # degree 5
+    code, out, err = run(capsys, command, "(....)")  # [4]_q! has degree 6
+    assert (code, out) == (2, "")
+    assert "degree 6" in err
+    monkeypatch.setenv("QTREES_HARD_CAP", "6")
+    assert run(capsys, command, "(....)")[0] == 0
+    monkeypatch.setenv("QTREES_HARD_CAP", "six")
+    code, out, err = run(capsys, command, "(..)")
+    assert (code, out) == (2, "")
+    assert "QTREES_HARD_CAP" in err
 
 
 def test_deep_path_reduces(capsys):

@@ -1,4 +1,8 @@
+import hashlib
+import itertools
+import json
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -11,6 +15,7 @@ from qtrees.invariant import (
     boltzmann_weight,
     check_reroot,
     clear_caches,
+    q_degree,
     q_poly,
     q_poly_block,
     q_poly_delayed,
@@ -18,7 +23,7 @@ from qtrees.invariant import (
     sample_block_specs,
     search_delayed,
 )
-from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q, q_binomial, q_factorial
+from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q, q_binomial, q_factorial, to_json_coeffs
 from qtrees.trees import (
     POINT,
     BoundExceeded,
@@ -30,6 +35,7 @@ from qtrees.trees import (
     parse_tree,
     permute_children,
     random_plane_tree,
+    serialize,
     serialize_delayed,
     star,
     wedge,
@@ -99,6 +105,39 @@ def test_q_poly_counts_removal_sequences():
     for edges in range(7):
         for tree in enumerate_plane_trees(edges):
             assert q_poly(tree).eval_int(1) == removal_sequences(tree)
+
+
+def test_q_poly_takes_any_depth():
+    path = parse_tree("(" * 10_000 + "." + ")" * 10_000)
+    assert q_poly(path) == ONE
+    assert q_poly_delayed(DelayedTree(path, {(0,) * 10_000: 1})) == ONE
+    stemmed_cherry = parse_tree("(" * 3_000 + ".." + ")" * 3_000)
+    assert q_poly(stemmed_cherry) == 1 + q
+
+
+def test_q_poly_builds_no_trees(monkeypatch):
+    tree = parse_tree("((..)(.(..))..)")
+    trees.dyck_word(tree)
+    built = []
+    init = trees.PlaneTree.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(trees.PlaneTree, "__init__", counted_init)
+    clear_caches()
+    assert q_poly(tree) == q_poly_state(tree)
+    assert q_poly_delayed(DelayedTree(tree, dict.fromkeys(leaves(tree), 1))) == q_poly(tree)
+    assert built == []
+
+
+def test_q_degree_is_the_degree_of_q_poly():
+    for edges in range(9):
+        for tree in enumerate_plane_trees(edges):
+            assert q_degree(tree) == q_poly(tree).degree
+    assert q_degree(star(1200)) == 1200 * 1199 // 2
+    assert q_degree(parse_tree("(" * 10_000 + "." + ")" * 10_000)) == 0
 
 
 # -- the state product ----------------------------------------------------------
@@ -171,6 +210,26 @@ def test_delayed_examples():
     assert q_poly_delayed(parse_delayed("(1 2)")) == QPoly((0, 1))
     assert q_poly_delayed(parse_delayed("(2)")) == QPoly(())
     assert q_poly_delayed(parse_delayed(".")) == ONE
+
+
+# sha256 of json.dumps(to_json_coeffs(q_poly_delayed(d))), one line per d, over
+# every tree with e <= 5 edges (enumerate_plane_trees order) and every leaf
+# labelling from 1..e (itertools.product order): 12,935 states.  Captured
+# from the recursion on PlaneTree values that preceded the Dyck-word engine.
+DELAYED_SHA256 = "229187fc4c3542624cdee4d6581d444c70a4ff2e4502375ffdce521d4fd04e5d"
+
+
+def test_delayed_values_are_pinned():
+    clear_caches()
+    lines = []
+    for edges in range(6):
+        for tree in enumerate_plane_trees(edges):
+            addrs = leaves(tree)
+            for combo in itertools.product(range(1, edges + 1), repeat=len(addrs)):
+                poly = q_poly_delayed(DelayedTree(tree, dict(zip(addrs, combo))))
+                lines.append(json.dumps(to_json_coeffs(poly)))
+    assert len(lines) == 12_935
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DELAYED_SHA256
 
 
 def test_delayed_all_ones_degenerates_to_plain():
@@ -323,3 +382,22 @@ def test_concurrent_computation_matches_sequential():
     with ThreadPoolExecutor(max_workers=8) as ex:
         results = list(ex.map(q_poly, pool))
     assert results == expected
+
+
+def test_concurrent_words_and_memo_match_the_state_product():
+    # fresh trees, half of them wedges sharing subtree objects with the other
+    # half, so threads race to set the same lazily cached Dyck words
+    texts = [serialize(tree) for edges in range(7) for tree in enumerate_plane_trees(edges)]
+    fresh = [parse_tree(text) for text in texts]
+    pool = fresh + [wedge([a, b]) for a, b in zip(fresh, reversed(fresh))]
+    expected = [q_poly_state(tree) for tree in pool]
+    clear_caches()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            results = list(ex.map(q_poly, pool, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == expected
+    assert [trees.dyck_word(tree) for tree in pool] == [trees.dyck_word(parse_tree(serialize(t))) for t in pool]

@@ -14,6 +14,7 @@ from qtrees.trees import (
     PlaneTree,
     RootHasNoEdge,
     ZeroDelay,
+    dyck_word,
     edge_count,
     enumerate_plane_trees,
     format_addr,
@@ -318,6 +319,29 @@ def test_wedge_shifts_left_factor_weights():
                     glued = wedge([left, right])
                     for leaf in leaves(left):
                         assert right_weight(glued, leaf) == right_weight(left, leaf) + edge_count(right)
+
+
+def test_dyck_word_examples():
+    assert dyck_word(POINT) == 0
+    assert dyck_word(parse_tree("(.)")) == 0b10
+    assert dyck_word(CHERRY) == 0b1010
+    assert dyck_word(parse_tree("((.).)")) == 0b110010
+    depth = 10_000
+    assert dyck_word(parse_tree("(" * depth + "." + ")" * depth)) == (2**depth - 1) << depth
+
+
+def test_dyck_word_is_one_int_per_shape():
+    seen = set()
+    for edges in range(9):
+        for tree in enumerate_plane_trees(edges):
+            # a leaf is "()"; drop the root's parentheses, read ( as 1 and ) as 0
+            steps = serialize(tree).replace(".", "()")[1:-1]
+            word = dyck_word(tree)
+            assert word == int(steps.replace("(", "1").replace(")", "0") or "0", 2)
+            assert word.bit_length() == 2 * edges
+            assert dyck_word(parse_tree(serialize(tree))) == word
+            seen.add(word)
+    assert len(seen) == 1 + 1 + 2 + 5 + 14 + 42 + 132 + 429 + 1430
 
 
 # -- surgery --------------------------------------------------------------------
