@@ -167,16 +167,16 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
     plus the hanging edge) of its child subtrees; leaves contribute 1.
     Agrees with q_poly on every tree.
     """
-    values: list[tuple[int, QPoly]] = []  # (vertices, value) per subtree not yet attached
+    values: list[QPoly] = []  # value per subtree not yet attached
     for node in trees._postorder(tree):
         cut = len(values) - len(node.children)
         kids = values[cut:]
         del values[cut:]
-        out = q_multinomial(tuple(size for size, _ in kids))
-        for _, value in kids:
+        out = q_multinomial(tuple(edge_count(c) + 1 for c in node.children))
+        for value in kids:
             out = out * value
-        values.append((1 + sum(size for size, _ in kids), out))
-    return values[0][1]
+        values.append(out)
+    return values[0]
 
 
 def q_degree(tree: PlaneTree) -> int:
@@ -184,16 +184,10 @@ def q_degree(tree: PlaneTree) -> int:
     vertex counts of the subtrees below the root, e the edge count.  It
     bounds the delayed polynomial of the tree too, which sums a subset of
     the same removal sequences."""
-    sizes: list[int] = []  # vertices per subtree not yet attached
-    total = 0
-    for node in trees._postorder(tree):
-        cut = len(sizes) - len(node.children)
-        size = 1 + sum(sizes[cut:])
-        del sizes[cut:]
-        sizes.append(size)
-        total += size
-    vertices = sizes[0]
-    return vertices * (vertices - 1) // 2 - (total - vertices)
+    edges = edge_count(tree)
+    # the edge counts of all subtrees, the root's included, sum to the
+    # vertex counts of the subtrees below the root
+    return edges * (edges + 1) // 2 - sum(edge_count(node) for node in trees._postorder(tree))
 
 
 def boltzmann_weight(tree: PlaneTree, addr: tuple) -> QPoly:

@@ -38,7 +38,6 @@ __all__ = [
     "node_at",
     "edge_count",
     "leaves",
-    "leaf_weights",
     "dyck_word",
     "remove_leaf",
     "right_weight",
@@ -89,27 +88,30 @@ class PlaneTree:
     """A plane rooted tree: an immutable ordered tuple of child subtrees.
 
     A node with no children is a leaf; the whole value is the subtree rooted
-    at that node.  Hashes are precomputed so trees work as dictionary keys;
-    the Dyck word is set on first use by dyck_word.
+    at that node.  Its identity is its Dyck word (see dyck_word), built from
+    the children's words at construction: equality and the hash read it, so
+    trees of any depth compare and work as dictionary keys.
     """
 
     __slots__ = ("children", "_hash", "_word")
 
     def __init__(self, children: Iterable["PlaneTree"] = ()):
         kids = tuple(children)
+        word = 0
         for c in kids:
             if not isinstance(c, PlaneTree):
                 raise TypeError("children must be PlaneTree values")
+            k = c._word
+            n = k.bit_length()
+            word = (word << (n + 2)) | (1 << (n + 1)) | (k << 1)  # 1, kid's word, 0
         self.children = kids
-        self._hash = hash(kids)
-        self._word = None
+        self._word = word
+        self._hash = hash(word)
 
     def __eq__(self, other: object):
-        if self is other:
-            return True
         if not isinstance(other, PlaneTree):
             return NotImplemented
-        return self._hash == other._hash and self.children == other.children
+        return self._word == other._word
 
     def __hash__(self):
         return self._hash
@@ -242,7 +244,7 @@ def _postorder(tree: PlaneTree) -> list[PlaneTree]:
 
 def edge_count(tree: PlaneTree) -> int:
     """Number of edges: one per vertex below the root."""
-    return len(_postorder(tree)) - 1
+    return tree._word.bit_length() // 2
 
 
 def leaves(tree: PlaneTree) -> tuple[VertexAddr, ...]:
@@ -250,36 +252,12 @@ def leaves(tree: PlaneTree) -> tuple[VertexAddr, ...]:
     return tuple(addr for addr, node in _preorder(tree) if addr and not node.children)
 
 
-def leaf_weights(tree: PlaneTree) -> list[tuple[VertexAddr, int]]:
-    """All leaves with their right weights, in one left-to-right pass.
-
-    Equivalent to [(v, right_weight(tree, v)) for v in leaves(tree)] but
-    linear in the tree size: a leaf has no descendants, so the edges right
-    of its path are those above the vertices after it in pre-order.
-    """
-    found = []  # (leaf, vertices up to and including it)
-    seen = 0
-    for seen, (addr, node) in enumerate(_preorder(tree), 1):
-        if not node.children and addr:
-            found.append((addr, seen))
-    return [(addr, seen - upto) for addr, upto in found]
-
-
 def dyck_word(tree: PlaneTree) -> int:
     """The tree's Dyck word packed in one int, read from the most
     significant bit: 1 steps down an edge, 0 steps back up.  The point is 0
     and every other word starts with 1, so shapes and ints match one to one
-    and the bit length is twice the edge count.  Computed once per tree object:
-    every subtree keeps its word, set bottom-up on first use."""
-    if tree._word is None:
-        for node in _postorder(tree):
-            if node._word is None:
-                word = 0
-                for kid in node.children:
-                    k = kid._word
-                    n = k.bit_length()
-                    word = (word << (n + 2)) | (1 << (n + 1)) | (k << 1)  # 1, kid's word, 0
-                node._word = word
+    and the bit length is twice the edge count.  Every tree keeps its word
+    from construction."""
     return tree._word
 
 

@@ -1,5 +1,7 @@
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
@@ -441,3 +443,28 @@ def test_output_is_deterministic(capsys):
     first = run(capsys, "verify", "presimplicial", "--max-size", "4")
     second = run(capsys, "verify", "presimplicial", "--max-size", "4")
     assert first == second
+
+
+# -- README examples ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The README lines whose comment is their exact output; the other comments
+# describe what the command does.
+PRINTS_ITS_COMMENT = ['qtrees q "(..)"', 'qtrees q "." --format json', 'qtrees q-delayed "(1 2)"', 'qtrees reduce "(...)"']
+
+
+def test_readme_command_line_examples_run(capsys):
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        command, _, comment = (part.strip() for part in line.partition("#"))
+        if not command.startswith("qtrees "):
+            continue
+        commands.append(command)
+        code, out, err = run(capsys, *shlex.split(command)[1:])
+        assert (code, err) == (0, ""), command
+        if command in PRINTS_ITS_COMMENT:
+            assert out == comment + "\n", command
+    assert set(PRINTS_ITS_COMMENT) <= set(commands)

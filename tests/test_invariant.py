@@ -117,7 +117,6 @@ def test_q_poly_takes_any_depth():
 
 def test_q_poly_builds_no_trees(monkeypatch):
     tree = parse_tree("((..)(.(..))..)")
-    trees.dyck_word(tree)
     built = []
     init = trees.PlaneTree.__init__
 
@@ -385,8 +384,8 @@ def test_concurrent_computation_matches_sequential():
 
 
 def test_concurrent_words_and_memo_match_the_state_product():
-    # fresh trees, half of them wedges sharing subtree objects with the other
-    # half, so threads race to set the same lazily cached Dyck words
+    # fresh trees, half of them wedges sharing subtrees with the other half,
+    # so threads race to fill the same memo entries
     texts = [serialize(tree) for edges in range(7) for tree in enumerate_plane_trees(edges)]
     fresh = [parse_tree(text) for text in texts]
     pool = fresh + [wedge([a, b]) for a, b in zip(fresh, reversed(fresh))]

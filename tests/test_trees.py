@@ -18,7 +18,6 @@ from qtrees.trees import (
     edge_count,
     enumerate_plane_trees,
     format_addr,
-    leaf_weights,
     leaves,
     node_at,
     parse_delayed,
@@ -188,7 +187,6 @@ def test_parse_delayed_outcomes_are_pinned(text, expected):
 
 
 def test_deep_and_wide_trees_round_trip():
-    # Compared as text: tree equality still recurses.
     depth = 10_000
     path = "(" * depth + "." + ")" * depth
     tree = parse_tree(path)
@@ -205,10 +203,14 @@ def test_walks_take_any_depth():
     bottom = (0,) * depth
     assert edge_count(path) == depth
     assert leaves(path) == (bottom,)
-    assert leaf_weights(path) == [(bottom, 0)]
+    assert right_weight(path, bottom) == 0
     assert normalize_topological(path) == POINT
     assert not is_topological(path)
     assert serialize(permute_children(path, 1)) == serialize(path)
+    twin = parse_tree("(" * depth + "." + ")" * depth)
+    assert twin is not path and twin == path and hash(twin) == hash(path)
+    assert {path: 1}[twin] == 1 and {twin: 2}[path] == 2
+    assert parse_tree("(" * (depth - 1) + "." + ")" * (depth - 1)) != path
 
     tree = random_plane_tree(5000, random.Random(SEED))
     assert edge_count(tree) == 5000
@@ -218,10 +220,6 @@ def test_walks_take_any_depth():
     shuffled = permute_children(tree, SEED)
     assert edge_count(shuffled) == 5000
     assert sorted(map(len, leaves(shuffled))) == sorted(map(len, leaves(tree)))
-    weights = leaf_weights(tree)
-    assert [addr for addr, _ in weights] == list(leaves(tree))
-    for addr, rw in random.Random(SEED).sample(weights, 50):
-        assert rw == right_weight(tree, addr)
 
 
 def test_serialize_examples():
@@ -299,15 +297,6 @@ def test_rightmost_leaf_has_weight_zero():
                 addr = addr + (len(node.children) - 1,)
                 node = node.children[-1]
             assert right_weight(tree, addr) == 0
-
-
-def test_leaf_weights_agrees_with_right_weight():
-    for edges in range(7):
-        for tree in enumerate_plane_trees(edges):
-            batch = leaf_weights(tree)
-            assert [addr for addr, _ in batch] == list(leaves(tree))
-            for addr, weight in batch:
-                assert weight == right_weight(tree, addr)
 
 
 def test_wedge_shifts_left_factor_weights():
