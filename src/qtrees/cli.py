@@ -2,12 +2,12 @@
 
 Exit codes: 0 success, 1 a verified identity failed or a search found
 nothing, 2 usage or parse errors, a q-polynomial whose degree exceeds its
-cap (checked before q and q-delayed evaluate anything), or input past the
-recursion limit.  All output is deterministic given the flags and seed;
---format json emits a single JSON document on stdout.  The environment
+cap (checked before q, q-delayed and reduce evaluate anything), or input
+past the recursion limit.  All output is deterministic given the flags and
+seed; --format json emits a single JSON document on stdout.  The environment
 variable QTREES_HARD_CAP (an integer) raises the hard caps: the sizes for
-the verify/enumerate/search commands and the degree for q/q-delayed; any
-other value is a usage error.
+the verify/enumerate/search commands and the degree for q/q-delayed/reduce;
+any other value is a usage error.
 """
 
 from __future__ import annotations
@@ -74,11 +74,9 @@ def _emit_poly(poly: QPoly, fmt: str) -> None:
         print(str(poly))
 
 
-def _check_degree(tree: trees.PlaneTree) -> None:
-    """Refuse, before any evaluation, a tree whose q-polynomial has a degree
-    past the cap; the delayed polynomial of the tree has at most that degree."""
+def _check_degree(degree: int) -> None:
+    """Refuse, before any evaluation, an answer whose degree is past the cap."""
     cap = _cap("degree")
-    degree = invariant.q_degree(tree)
     if degree > cap:
         raise trees.BoundExceeded(
             f"degree {degree} of the q-polynomial exceeds hard cap {cap} (QTREES_HARD_CAP raises it)"
@@ -87,7 +85,7 @@ def _check_degree(tree: trees.PlaneTree) -> None:
 
 def _cmd_q(args) -> int:
     tree = parse_tree(args.tree)
-    _check_degree(tree)
+    _check_degree(invariant.q_degree(tree))
     if args.algo == "recursive":
         _emit_poly(invariant.q_poly(tree), args.format)
         return 0
@@ -118,15 +116,16 @@ def _cmd_q(args) -> int:
 
 def _cmd_q_delayed(args) -> int:
     delayed = parse_delayed(args.tree)
-    _check_degree(delayed.tree)
+    _check_degree(invariant.q_degree(delayed.tree))  # bounds the delayed degree too
     _emit_poly(invariant.q_poly_delayed(delayed), args.format)
     return 0
 
 
 def _cmd_reduce(args) -> int:
     tree = presimplicial.normalize_topological(parse_tree(args.tree))
-    value = presimplicial.reduce_to_point(tree)
     n = presimplicial.leaf_count(tree)
+    _check_degree(n * (n - 1) // 2)  # the degree of [n]_q!
+    value = presimplicial.reduce_to_point(tree)
     expected = q_factorial(n)
     match = value == expected
     if args.format == "json":

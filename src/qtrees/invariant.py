@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import presimplicial, qpoly, trees
+from . import qpoly, trees
 from .qpoly import ONE, QPoly, q_integer, q_multinomial
 from .trees import (
     BoundExceeded,
@@ -64,18 +64,11 @@ _QPOLY_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop every memo: the one shared by the plain and delayed recursion
-    and the lru_cache tables of qpoly, trees and presimplicial.  Results are
-    unaffected, only speed."""
+    """Drop both memos of the package: the one shared by the plain and
+    delayed recursion and the Gaussian binomials of qpoly.q_binomial.
+    Results are unaffected, only speed."""
     _QPOLY_MEMO.clear()
-    for cached in (
-        qpoly.q_factorial,
-        qpoly.q_binomial,
-        qpoly.cyclotomic,
-        trees._plane_trees,
-        presimplicial._top_trees,
-    ):
-        cached.cache_clear()
+    qpoly.q_binomial.cache_clear()
 
 
 def q_poly(tree: PlaneTree) -> QPoly:

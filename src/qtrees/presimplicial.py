@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Mapping, Union
 
 from .qpoly import ONE, QPoly, ZERO
@@ -108,16 +107,16 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def _top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
-    if leaf_total == 1:
-        return (POINT,)
-    out = []
-    for arity in range(2, leaf_total + 1):
-        for split in _compositions(leaf_total, arity):
-            for kids in itertools.product(*(_top_trees(c) for c in split)):
-                out.append(PlaneTree(kids))
-    return tuple(out)
+    levels = [(), (POINT,)]  # the trees of each leaf count, built bottom-up
+    for total in range(2, leaf_total + 1):
+        out = []
+        for arity in range(2, total + 1):
+            for split in _compositions(total, arity):
+                for kids in itertools.product(*(levels[c] for c in split)):
+                    out.append(PlaneTree(kids))
+        levels.append(tuple(out))
+    return levels[leaf_total]
 
 
 def enumerate_top_trees(leaf_total: int, bound: int = DEFAULT_TOP_BOUND) -> tuple[PlaneTree, ...]:

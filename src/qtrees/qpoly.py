@@ -200,29 +200,39 @@ def q_integer(n: int) -> QPoly:
     return QPoly((1,) * n)
 
 
-@lru_cache(maxsize=None)
 def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1..n; one for n = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n <= 1:
-        return ONE
-    return q_factorial(n - 1) * q_integer(n)
+    out = ONE
+    for m in range(2, n + 1):
+        out = out * q_integer(m)
+    return out
 
 
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> QPoly:
-    """Gaussian binomial by the q-Pascal recurrence; zero outside 0 <= k <= n.
+    """Gaussian binomial by the product formula; zero outside 0 <= k <= n.
 
-    C(n, k) = C(n-1, k-1) + q**k * C(n-1, k), staying in Z[q] throughout.
+    C(n, k) = prod_{i=1..k} (1 - q**(n-k+i)) / (1 - q**i), k = min(k, n - k).
+    Step i multiplies in place by its numerator factor from the top down,
+    then divides exactly by its denominator factor from the bottom up; every
+    partial product is a Gaussian binomial, C(n-k+i, i), so it stays in Z[q].
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    return q_binomial(n - 1, k - 1) + q_binomial(n - 1, k).shift(k)
+    k = min(k, n - k)
+    out = [1] + [0] * (k * (n - k + 1))
+    for i in range(1, k + 1):
+        m = n - k + i
+        top = (i - 1) * (n - k) + m  # degree of C(m - 1, i - 1) * (1 - q**m)
+        for j in range(top, m - 1, -1):
+            out[j] -= out[j - m]
+        for j in range(i, top + 1):
+            out[j] += out[j - i]
+    return QPoly(out)
 
 
 def q_multinomial(parts: Iterable[int]) -> QPoly:
@@ -243,15 +253,37 @@ def q_multinomial(parts: Iterable[int]) -> QPoly:
     return out
 
 
-@lru_cache(maxsize=None)
 def cyclotomic(d: int) -> QPoly:
-    """The d-th cyclotomic polynomial, by exact division of q**d - 1."""
+    """The d-th cyclotomic polynomial: from phi_1 = q - 1, phi_mp(q) =
+    phi_m(q**p) / phi_m(q) for each distinct prime p of d reaches phi_r, r
+    the radical of d, and phi_d(q) = phi_r(q**(d/r))."""
     if d < 1:
         raise ValueError("d must be positive")
-    out = QPoly((-1,) + (0,) * (d - 1) + (1,))
-    for e in range(1, d):
-        if d % e == 0:
-            out = out.divexact(cyclotomic(e))
+    out, rad = QPoly((-1, 1)), 1
+    for p in _primes(d):
+        out = _stretch(out, p).divexact(out)
+        rad *= p
+    return _stretch(out, d // rad)
+
+
+def _stretch(poly: QPoly, s: int) -> QPoly:
+    """poly(q**s)."""
+    out = [0] * (poly.degree * s + 1)
+    out[::s] = poly.coeffs
+    return QPoly(out)
+
+
+def _primes(d: int) -> list[int]:
+    """The distinct primes dividing d, ascending."""
+    out, p = [], 2
+    while p * p <= d:
+        if d % p == 0:
+            out.append(p)
+            while d % p == 0:
+                d //= p
+        p += 1
+    if d > 1:
+        out.append(d)
     return out
 
 
@@ -262,18 +294,9 @@ class CyclotomicFactorization(NamedTuple):
 
 
 def _totient(d: int) -> int:
-    out, rem, p = 1, d, 2
-    while p * p <= rem:
-        if rem % p == 0:
-            pk = 1
-            while rem % p == 0:
-                rem //= p
-                pk *= p
-            out *= pk - pk // p
-        p += 1
-    if rem > 1:
-        out *= rem - 1
-    return out
+    for p in _primes(d):
+        d = d // p * (p - 1)
+    return d
 
 
 def cyclotomic_factor(poly: QPoly) -> CyclotomicFactorization:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -357,16 +356,16 @@ def reroot_across_edge(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
 # -- enumeration and randomization --------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _plane_trees(edges: int) -> tuple[PlaneTree, ...]:
-    if edges == 0:
-        return (POINT,)
-    out = []
-    for first in range(edges):
-        for head in _plane_trees(first):
-            for rest in _plane_trees(edges - 1 - first):
-                out.append(PlaneTree((head,) + rest.children))
-    return tuple(out)
+    levels = [(POINT,)]  # the trees of each edge count, built bottom-up
+    for size in range(1, edges + 1):
+        out = []
+        for first in range(size):
+            for head in levels[first]:
+                for rest in levels[size - 1 - first]:
+                    out.append(PlaneTree((head,) + rest.children))
+        levels.append(tuple(out))
+    return levels[edges]
 
 
 def enumerate_plane_trees(edges: int, bound: int = DEFAULT_PLANE_BOUND) -> tuple[PlaneTree, ...]:

@@ -22,14 +22,15 @@ __all__ = ["wedge", "state", "reroot", "block", "presimplicial", "double_boundar
 def wedge(max_edges: int) -> tuple[bool, dict]:
     """Q(S v T) = [a+b choose a]_q Q(S) Q(T) on every ordered pair of plane
     trees with a + b <= max_edges edges."""
+    levels = [trees.enumerate_plane_trees(size, bound=max_edges) for size in range(max_edges + 1)]
     pairs = 0
     violations = 0
     for left_edges in range(max_edges + 1):
         for right_edges in range(max_edges - left_edges + 1):
             factor = q_binomial(left_edges + right_edges, left_edges)
-            for left in trees.enumerate_plane_trees(left_edges, bound=max_edges):
+            for left in levels[left_edges]:
                 left_poly = invariant.q_poly(left)
-                for right in trees.enumerate_plane_trees(right_edges, bound=max_edges):
+                for right in levels[right_edges]:
                     pairs += 1
                     glued = invariant.q_poly(trees.wedge([left, right]))
                     if glued != factor * left_poly * invariant.q_poly(right):

@@ -403,10 +403,17 @@ def test_deep_tree_exits_cleanly(capsys, command):
 
 @pytest.mark.parametrize(
     "argv",
-    [["q", "--algo", "recursive"], ["q", "--algo", "state"], ["q", "--algo", "both"], ["q-delayed"]],
+    [
+        ["q", "--algo", "recursive"],
+        ["q", "--algo", "state"],
+        ["q", "--algo", "both"],
+        ["q-delayed"],
+        ["reduce"],
+    ],
 )
 def test_degree_preflight_refuses_a_wide_star(capsys, argv):
-    # [1200]_q! has degree 1200 * 1199 / 2; every evaluator would take minutes
+    # [1200]_q! has degree 1200 * 1199 / 2; every evaluator would take
+    # minutes, and so would the reduction, whose answer it is
     wide = "(" + "." * 1200 + ")"
     start = time.perf_counter()
     code, out, err = run(capsys, argv[0], wide, *argv[1:])
@@ -415,11 +422,11 @@ def test_degree_preflight_refuses_a_wide_star(capsys, argv):
     assert err == "error: degree 719400 of the q-polynomial exceeds hard cap 20000 (QTREES_HARD_CAP raises it)\n"
 
 
-@pytest.mark.parametrize("command", ["q", "q-delayed"])
+@pytest.mark.parametrize("command", ["q", "q-delayed", "reduce"])
 def test_degree_cap_is_inclusive_and_raised_by_the_env(capsys, monkeypatch, command):
     monkeypatch.setitem(cli._HARD_CAPS, "degree", 5)
     assert run(capsys, command, "(...)")[0] == 0  # [3]_q! has degree 3
-    assert run(capsys, command, "(..(.))")[0] == 0  # degree 5
+    assert run(capsys, command, "(..(.))")[0] == 0  # degree 5; reduce normalizes it to (...)
     code, out, err = run(capsys, command, "(....)")  # [4]_q! has degree 6
     assert (code, out) == (2, "")
     assert "degree 6" in err
@@ -429,6 +436,19 @@ def test_degree_cap_is_inclusive_and_raised_by_the_env(capsys, monkeypatch, comm
     code, out, err = run(capsys, command, "(..)")
     assert (code, out) == (2, "")
     assert "QTREES_HARD_CAP" in err
+
+
+@pytest.mark.parametrize("algo", ["state", "both"])
+def test_deep_tree_state_product(capsys, algo):
+    # a root with a leaf beside a 2,000-level path: the state product needs
+    # the Gaussian binomial C(2002, 1), which is built without recursing
+    deep = "(." + "(" * 2000 + "." + ")" * 2000 + ")"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "q", deep, "--algo", algo)
+    assert time.perf_counter() - start < 2
+    assert (code, err) == (0, "")
+    recursive = run(capsys, "q", deep)[1]
+    assert out == (recursive if algo == "state" else f"recursive: {recursive}state: {recursive}")
 
 
 def test_deep_path_reduces(capsys):

@@ -334,13 +334,7 @@ def test_clear_caches_keeps_results():
     assert q_poly(tree) == before
     # every memo table of the package is warmed, then emptied
     tables = lru_tables()
-    assert sorted(tables) == [
-        "qtrees.presimplicial._top_trees",
-        "qtrees.qpoly.cyclotomic",
-        "qtrees.qpoly.q_binomial",
-        "qtrees.qpoly.q_factorial",
-        "qtrees.trees._plane_trees",
-    ]
+    assert sorted(tables) == ["qtrees.qpoly.q_binomial"]
     warm = (
         q_factorial(5),
         q_binomial(6, 2),

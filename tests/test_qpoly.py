@@ -166,6 +166,16 @@ def test_q_binomial_matches_factorial_quotient():
             assert q_binomial(n, k) == quotient
 
 
+def test_q_binomial_matches_q_pascal():
+    # independent route: the q-Pascal recurrence
+    # C(n, k) = C(n-1, k-1) + q**k * C(n-1, k), built here row by row
+    row = [ONE]  # C(n, 0), ..., C(n, n)
+    for n in range(41):
+        for k in range(-1, n + 2):
+            assert q_binomial(n, k) == (row[k] if 0 <= k <= n else ZERO)
+        row = [ONE] + [row[k - 1] + row[k].shift(k) for k in range(1, n + 1)] + [ONE]
+
+
 def test_q_multinomial_basics():
     assert q_multinomial(()) == ONE
     assert q_multinomial((7,)) == ONE
@@ -197,7 +207,9 @@ def test_cyclotomic_small():
 
 
 def test_cyclotomic_product_over_divisors():
-    for n in range(1, 31):
+    # up to 100, so that indices with a repeated prime factor (36, 60, 72,
+    # 90) go through the substitution q -> q**(d / radical)
+    for n in range(1, 101):
         product = ONE
         for d in range(1, n + 1):
             if n % d == 0:

@@ -23,9 +23,8 @@ def self_calling_functions() -> list[str]:
 
 
 def test_self_calling_functions_stay_few():
-    # Recursion limits the depth of input a function accepts; the tree walks
-    # and the leaf-removal recursion run on explicit stacks.  The five left
-    # recurse on a size or an index through an lru_cache: trees._plane_trees,
-    # presimplicial._top_trees, qpoly.q_factorial, q_binomial and cyclotomic.
-    found = self_calling_functions()
-    assert len(found) <= 5, found
+    # Recursion limits the depth of input a function accepts, so no function
+    # calls itself: the tree walks and the leaf-removal recursion run on
+    # explicit stacks, the enumerations build their levels bottom-up, and
+    # q_factorial, q_binomial and cyclotomic are loops.
+    assert self_calling_functions() == []
