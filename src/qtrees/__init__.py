@@ -64,9 +64,7 @@ from .invariant import (
 )
 from .presimplicial import (
     CHERRY,
-    IdentityReport,
     QChain,
-    check_identities,
     degeneracy,
     enumerate_top_trees,
     face,

@@ -7,7 +7,8 @@ past the recursion limit.  All output is deterministic given the flags and
 seed; --format json emits a single JSON document on stdout.  The environment
 variable QTREES_HARD_CAP (an integer) raises the hard caps: the sizes for
 the verify/enumerate/search commands and the degree for q/q-delayed/reduce;
-any other value is a usage error.
+any other value is a usage error.  These caps are the only size limits: the
+library computes any size it is asked for.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ _HARD_CAPS = {
     "reroot": 9,
     "block": 12,
     "presimplicial": 7,
-    "enumerate-plane": trees.DEFAULT_PLANE_BOUND,
-    "enumerate-topological": presimplicial.DEFAULT_TOP_BOUND,
-    "search": invariant.DEFAULT_SEARCH_BOUND,
+    "enumerate-plane": 10,
+    "enumerate-topological": 7,
+    "search": 6,
     "degree": 20_000,
 }
 
@@ -156,9 +157,9 @@ def _cmd_enumerate(args) -> int:
         print(f"error: size {args.size} exceeds hard cap {cap}", file=sys.stderr)
         return 2
     if args.kind == "plane":
-        found = trees.enumerate_plane_trees(args.size, bound=cap)
+        found = trees.enumerate_plane_trees(args.size)
     else:
-        found = presimplicial.enumerate_top_trees(args.size, bound=cap)
+        found = presimplicial.enumerate_top_trees(args.size)
     listing = [serialize(t) for t in found]
     if args.format == "json":
         print(json.dumps({"kind": args.kind, "size": args.size, "count": len(listing), "trees": listing}))
@@ -180,7 +181,7 @@ def _cmd_search_delayed(args) -> int:
         print(f"error: --max-edges {args.max_edges} exceeds hard cap {cap}", file=sys.stderr)
         return 2
     target = QPoly(coeffs)
-    hits = invariant.search_delayed(target, args.max_edges, bound=cap)
+    hits = invariant.search_delayed(target, args.max_edges)
     rendered = [trees.serialize_delayed(h) for h in hits]
     if args.format == "json":
         print(

@@ -17,7 +17,6 @@ from typing import NamedTuple
 from . import qpoly, trees
 from .qpoly import ONE, QPoly, q_integer, q_multinomial
 from .trees import (
-    BoundExceeded,
     DelayedTree,
     PlaneTree,
     RootHasNoEdge,
@@ -46,11 +45,8 @@ __all__ = [
     "assemble_blocks",
     "sample_block_specs",
     "search_delayed",
-    "DEFAULT_SEARCH_BOUND",
     "clear_caches",
 ]
-
-DEFAULT_SEARCH_BOUND = 6
 
 
 class InadmissibleDelays(ValueError):
@@ -323,9 +319,7 @@ def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[
 # -- search ----------------------------------------------------------------------
 
 
-def search_delayed(
-    target: QPoly, max_edges: int, bound: int = DEFAULT_SEARCH_BOUND
-) -> list[DelayedTree]:
+def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     """All delayed trees with at most max_edges edges whose delayed
     q-polynomial equals the target, in a fixed order.
 
@@ -334,8 +328,6 @@ def search_delayed(
     """
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
-    if max_edges > bound:
-        raise BoundExceeded(f"edge bound {max_edges} exceeds bound {bound}")
     hits: list[DelayedTree] = []
     for edges in range(max_edges + 1):
         top_delay = max(edges, 1)

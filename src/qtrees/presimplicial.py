@@ -5,18 +5,17 @@ Topological means no vertex has exactly one child; subdivision points are
 smoothed away.  A tree with n + 1 leaves sits in level n and carries faces
 d_0..d_n (remove the i-th leaf, then smooth) and degeneracies s_0..s_n
 (replace the i-th leaf by a two-leaf cherry).  The point counts its root as
-its single leaf, so the cherry can be planted on it.
+its single leaf, so the cherry can be planted on it.  The exhaustive checks
+of the face/degeneracy relations live in ``qtrees.verify``.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Union
 
 from .qpoly import ONE, QPoly, ZERO
 from .trees import (
-    BoundExceeded,
     PlaneTree,
     POINT,
     _postorder,
@@ -28,7 +27,6 @@ from .trees import (
 
 __all__ = [
     "CHERRY",
-    "DEFAULT_TOP_BOUND",
     "normalize_topological",
     "is_topological",
     "ordered_leaves",
@@ -36,16 +34,11 @@ __all__ = [
     "face",
     "degeneracy",
     "enumerate_top_trees",
-    "check_identities",
-    "IdentityReport",
-    "IdentityViolation",
     "QChain",
     "q_boundary",
     "q_boundary_at",
     "reduce_to_point",
 ]
-
-DEFAULT_TOP_BOUND = 7
 
 CHERRY = PlaneTree((POINT, POINT))
 
@@ -119,125 +112,12 @@ def _top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
     return levels[leaf_total]
 
 
-def enumerate_top_trees(leaf_total: int, bound: int = DEFAULT_TOP_BOUND) -> tuple[PlaneTree, ...]:
+def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
     """All topological rooted plane trees with exactly the given number of
     leaves, each once, in a fixed order (arity, then leaf split)."""
     if leaf_total < 1:
         raise ValueError("leaf count must be positive")
-    if leaf_total > bound:
-        raise BoundExceeded(f"leaf count {leaf_total} exceeds bound {bound}")
     return _top_trees(leaf_total)
-
-
-@dataclass
-class IdentityViolation:
-    relation: str
-    tree: str
-    indices: tuple[int, ...]
-    lhs: str
-    rhs: str
-
-
-@dataclass
-class IdentityReport:
-    """Outcome of the exhaustive face/degeneracy identity check.
-
-    checked counts verified instances per relation family; violations must
-    stay empty.  The double-degeneracy square s_i s_i = s_{i+1} s_i is the
-    one simplicial relation that genuinely fails here, so a counterexample
-    witness is searched for and recorded rather than treated as an error.
-    """
-
-    max_leaves: int
-    checked: dict[str, int] = field(default_factory=dict)
-    violations: list[IdentityViolation] = field(default_factory=list)
-    double_degeneracy_witness: tuple[str, int, str, str] | None = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations and self.double_degeneracy_witness is not None
-
-    def as_dict(self) -> dict:
-        return {
-            "max_leaves": self.max_leaves,
-            "checked": dict(self.checked),
-            "violations": [vars(v) for v in self.violations],
-            "double_degeneracy_witness": self.double_degeneracy_witness,
-        }
-
-
-def check_identities(max_leaves: int, bound: int = DEFAULT_TOP_BOUND) -> IdentityReport:
-    """Exhaustively verify the face/degeneracy relations on all topological
-    trees with up to max_leaves leaves.
-
-    Verified families: faces commute (d_i d_j = d_{j-1} d_i for i < j),
-    degeneracies commute (s_i s_j = s_{j+1} s_i for i < j), faces move past
-    degeneracies (d_i s_j = s_{j-1} d_i for i < j and d_i s_j = s_j d_{i-1}
-    for i > j + 1), and the cancellations d_i s_i = d_{i+1} s_i = id.
-    """
-    if max_leaves < 1:
-        raise ValueError("leaf count must be positive")
-    if max_leaves > bound:
-        raise BoundExceeded(f"leaf count {max_leaves} exceeds bound {bound}")
-    report = IdentityReport(max_leaves=max_leaves)
-    checked = {"face_face": 0, "deg_deg": 0, "face_deg": 0, "face_cancel": 0}
-
-    def offend(relation: str, tree: PlaneTree, indices: tuple[int, ...], lhs, rhs) -> None:
-        report.violations.append(
-            IdentityViolation(relation, serialize(tree), indices, serialize(lhs), serialize(rhs))
-        )
-
-    for level_leaves in range(1, max_leaves + 1):
-        top_index = level_leaves - 1
-        for tree in enumerate_top_trees(level_leaves, bound=bound):
-            for j in range(top_index + 1):
-                for i in range(j):
-                    if top_index >= 2:
-                        a = face(face(tree, j), i)
-                        b = face(face(tree, i), j - 1)
-                        checked["face_face"] += 1
-                        if a != b:
-                            offend("face_face", tree, (i, j), a, b)
-                    a = degeneracy(degeneracy(tree, j), i)
-                    b = degeneracy(degeneracy(tree, i), j + 1)
-                    checked["deg_deg"] += 1
-                    if a != b:
-                        offend("deg_deg", tree, (i, j), a, b)
-            for j in range(top_index + 1):
-                planted = degeneracy(tree, j)
-                for i in range(top_index + 2):
-                    if i < j:
-                        a = face(planted, i)
-                        b = degeneracy(face(tree, i), j - 1)
-                    elif i > j + 1:
-                        a = face(planted, i)
-                        b = degeneracy(face(tree, i - 1), j)
-                    else:
-                        continue
-                    checked["face_deg"] += 1
-                    if a != b:
-                        offend("face_deg", tree, (i, j), a, b)
-            for i in range(top_index + 1):
-                planted = degeneracy(tree, i)
-                a = face(planted, i)
-                b = face(planted, i + 1)
-                checked["face_cancel"] += 1
-                if a != tree:
-                    offend("face_cancel", tree, (i, i), a, tree)
-                if b != tree:
-                    offend("face_cancel", tree, (i, i + 1), b, tree)
-                if report.double_degeneracy_witness is None:
-                    double = degeneracy(planted, i)
-                    shifted = degeneracy(planted, i + 1)
-                    if double != shifted:
-                        report.double_degeneracy_witness = (
-                            serialize(tree),
-                            i,
-                            serialize(double),
-                            serialize(shifted),
-                        )
-    report.checked = checked
-    return report
 
 
 # -- chains and the q-boundary ---------------------------------------------------

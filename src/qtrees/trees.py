@@ -29,7 +29,6 @@ __all__ = [
     "InvalidAddress",
     "RootHasNoEdge",
     "BoundExceeded",
-    "DEFAULT_PLANE_BOUND",
     "parse_tree",
     "parse_delayed",
     "serialize",
@@ -51,8 +50,6 @@ __all__ = [
 ]
 
 VertexAddr = tuple  # sequence of 0-based child indices, () = root
-
-DEFAULT_PLANE_BOUND = 10
 
 
 class ParseError(ValueError):
@@ -80,7 +77,7 @@ class RootHasNoEdge(ValueError):
 
 
 class BoundExceeded(ValueError):
-    """A requested size exceeds the configured safety bound."""
+    """A requested size or degree exceeds a hard cap of the command line."""
 
 
 class PlaneTree:
@@ -368,13 +365,11 @@ def _plane_trees(edges: int) -> tuple[PlaneTree, ...]:
     return levels[edges]
 
 
-def enumerate_plane_trees(edges: int, bound: int = DEFAULT_PLANE_BOUND) -> tuple[PlaneTree, ...]:
+def enumerate_plane_trees(edges: int) -> tuple[PlaneTree, ...]:
     """All plane rooted trees with exactly the given edge count, each once,
     in a fixed order (first-child subtree size ascending)."""
     if edges < 0:
         raise ValueError("edge count must be nonnegative")
-    if edges > bound:
-        raise BoundExceeded(f"edge count {edges} exceeds bound {bound}")
     return _plane_trees(edges)
 
 
@@ -440,7 +435,7 @@ class DelayedTree:
         if set(got) != want:
             raise ValueError("delay keys must be exactly the leaf addresses")
         for value in got.values():
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError("delays must be positive integers")
         object.__setattr__(self, "delays", MappingProxyType(got))
 

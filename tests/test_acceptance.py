@@ -10,7 +10,7 @@ import time
 
 from qtrees import verify
 from qtrees.invariant import q_poly, sample_block_specs, search_delayed
-from qtrees.presimplicial import check_identities, enumerate_top_trees
+from qtrees.presimplicial import enumerate_top_trees
 from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q_factorial
 from qtrees.trees import enumerate_plane_trees, random_plane_tree, star
 
@@ -116,11 +116,12 @@ def test_criterion_6_delayed_examples_and_cyclotomic_structure():
 
 def test_criterion_7_presimplicial_relations():
     start = time.perf_counter()
-    report_67 = check_identities(6)
+    holds, summary = verify.identities(6)
     trees_checked = sum(len(enumerate_top_trees(total)) for total in range(1, 7))
     ok = (
-        report_67.violations == []
-        and report_67.double_degeneracy_witness is not None
+        holds
+        and summary["violations"] == []
+        and summary["double_degeneracy_witness"] is not None
         and trees_checked == 258
     )
     report(

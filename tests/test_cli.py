@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 import time
@@ -198,8 +199,8 @@ def test_verify_bound_guard(capsys):
 def test_verify_hard_cap_reaches_every_family(
     capsys, monkeypatch, family, max_size, module, enumerator
 ):
-    # Past the library's default bound the check is the CLI cap alone; the
-    # enumeration is stubbed empty above size 2 so the run stays instant.
+    # The CLI cap is the only size check, so raising it reaches every family;
+    # the enumeration is stubbed empty above size 2 so the run stays instant.
     target = getattr(cli, module)
     real = getattr(target, enumerator)
     monkeypatch.setattr(target, enumerator, lambda n: real(n) if n <= 2 else ())
@@ -254,6 +255,32 @@ def test_verify_reports_failures(capsys, monkeypatch, family, module, name, fake
     assert run(capsys, "verify", family, "--max-size", "2")[0] == 1
 
 
+def test_verify_presimplicial_reports_violations(capsys, monkeypatch):
+    # s_1 plants twice (on leaf 1, then on leaf 0), which breaks the
+    # degeneracy relations; every violation record lands in the output.
+    real = cli.presimplicial.degeneracy
+    monkeypatch.setattr(
+        cli.presimplicial,
+        "degeneracy",
+        lambda tree, i: real(real(tree, i), 0) if i == 1 else real(tree, i),
+    )
+    code, out, err = run(capsys, "verify", "presimplicial", "--max-size", "4", "--format", "json")
+    assert (code, err) == (1, "")
+    assert hashlib.sha1(out.encode()).hexdigest() == "608382d2b55cd252ec771d325e6fe2d8c64bb06c"
+    summary = json.loads(out)["summary"]
+    assert len(summary["violations"]) == 126
+    assert summary["violations"][0] == {
+        "relation": "deg_deg",
+        "tree": "(..)",
+        "indices": [0, 1],
+        "lhs": "(((..).)(..))",
+        "rhs": "((..)(..))",
+    }
+    code, out, err = run(capsys, "verify", "presimplicial", "--max-size", "4")
+    assert (code, err) == (1, "")
+    assert out.splitlines()[0].endswith(", 126 violations")
+
+
 def test_verify_unknown_family(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"])
@@ -291,8 +318,11 @@ def test_search_delayed_json(capsys):
 
 
 def test_search_delayed_bound_guard(capsys):
-    code, _, err = run(capsys, "search-delayed", "--target", "1", "--max-edges", "9")
-    assert code == 2
+    assert run(capsys, "search-delayed", "--target", "1", "--max-edges", "9") == (
+        2,
+        "",
+        "error: --max-edges 9 exceeds hard cap 6\n",
+    )
 
 
 # -- reduce ----------------------------------------------------------------------------
@@ -364,8 +394,16 @@ def test_enumerate_point(capsys):
 
 
 def test_enumerate_bound(capsys):
-    code, _, err = run(capsys, "enumerate", "plane", "--size", "11")
-    assert code == 2
+    assert run(capsys, "enumerate", "plane", "--size", "11") == (
+        2,
+        "",
+        "error: size 11 exceeds hard cap 10\n",
+    )
+    assert run(capsys, "enumerate", "topological", "--size", "8") == (
+        2,
+        "",
+        "error: size 8 exceeds hard cap 7\n",
+    )
 
 
 def test_enumerate_json_roundtrip(capsys):

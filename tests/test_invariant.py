@@ -26,7 +26,6 @@ from qtrees.invariant import (
 from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q, q_binomial, q_factorial, to_json_coeffs
 from qtrees.trees import (
     POINT,
-    BoundExceeded,
     DelayedTree,
     RootHasNoEdge,
     enumerate_plane_trees,
@@ -311,8 +310,8 @@ def test_search_is_deterministic():
 
 
 def test_search_bound():
-    with pytest.raises(BoundExceeded):
-        search_delayed(ONE, 7)
+    with pytest.raises(ValueError):
+        search_delayed(ONE, -1)
 
 
 # -- caches ----------------------------------------------------------------------------------

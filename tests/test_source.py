@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import qtrees
@@ -28,3 +29,56 @@ def test_self_calling_functions_stay_few():
     # explicit stacks, the enumerations build their levels bottom-up, and
     # q_factorial, q_binomial and cyclotomic are loops.
     assert self_calling_functions() == []
+
+
+def test_exported_names_resolve():
+    # A name removed from a module must leave its __all__ and the package
+    # root with it.
+    for path in sorted(SOURCE.glob("*.py")):
+        module = importlib.import_module("qtrees" if path.stem == "__init__" else f"qtrees.{path.stem}")
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert missing == [], path.stem
+    tree = ast.parse((SOURCE / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported and all(hasattr(qtrees, name) for name in imported)
+
+
+def _modules_where(found) -> list[str]:
+    return sorted(
+        {
+            path.stem
+            for path in SOURCE.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if found(node)
+        }
+    )
+
+
+def _attr_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def test_size_caps_live_in_the_cli():
+    # The library computes any size it is asked for; only the command line
+    # refuses a size or a degree, and only it reads the environment.
+    raises_cap = _modules_where(
+        lambda node: isinstance(node, ast.Raise)
+        and node.exc is not None
+        and _attr_name(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+        == "BoundExceeded"
+    )
+    reads_env = _modules_where(
+        lambda node: isinstance(node, (ast.Name, ast.Attribute))
+        and _attr_name(node) in {"environ", "getenv"}
+    )
+    assert raises_cap == ["cli"]
+    assert reads_env == ["cli"]

@@ -6,7 +6,6 @@ import pytest
 from qtrees.presimplicial import is_topological, normalize_topological
 from qtrees.trees import (
     POINT,
-    BoundExceeded,
     DelayedTree,
     InvalidAddress,
     NotALeaf,
@@ -407,8 +406,6 @@ def test_enumeration_small_membership():
 
 
 def test_enumeration_bound():
-    with pytest.raises(BoundExceeded):
-        enumerate_plane_trees(11)
     with pytest.raises(ValueError):
         enumerate_plane_trees(-1)
 
@@ -510,6 +507,10 @@ def test_delayed_tree_validation():
         DelayedTree(CHERRY, {(0,): 1, (1,): 0})
     with pytest.raises(ValueError):
         DelayedTree(CHERRY, {(0,): 1, (1,): 1, (2,): 1})
+    # a bool is an int, but serialize_delayed would write "True", which
+    # parse_delayed rejects
+    with pytest.raises(ValueError, match="delays must be positive integers"):
+        DelayedTree(CHERRY, {(0,): True, (1,): 1})
 
 
 def test_serialize_delayed_roundtrip():
