@@ -145,7 +145,7 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
                 acc.extend([0] * (need - len(acc)))
             for j, c in enumerate(coeffs, rw):
                 acc[j] += c
-        memo[key] = QPoly(acc)
+        memo[key] = QPoly._trusted(acc)
     return memo[key]
 
 

@@ -207,6 +207,10 @@ def test_delayed_examples():
     assert q_poly_delayed(parse_delayed("(2 1)")) == ONE
     assert q_poly_delayed(parse_delayed("(1 2)")) == QPoly((0, 1))
     assert q_poly_delayed(parse_delayed("(2)")) == QPoly(())
+    # no leaf may move, at once or after a move: the zero polynomial,
+    # stored without trailing zeros
+    for text in ("(2)", "(2 3)", "((2) 3)", "(1 (3))", "(1 1 (4))"):
+        assert q_poly_delayed(parse_delayed(text)).coeffs == ()
     assert q_poly_delayed(parse_delayed(".")) == ONE
 
 

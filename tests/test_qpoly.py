@@ -1,9 +1,11 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qtrees import qpoly
 from qtrees.qpoly import (
     ONE,
     ZERO,
@@ -45,6 +47,24 @@ def test_rejects_non_integer_coefficients():
         QPoly((1.5,))
 
 
+def test_rejects_bool_coefficients():
+    # bool is a subclass of int, but True is no coefficient: it would be
+    # stored as True and written to JSON as true
+    for coeffs in ([True, 2], (1, False), [False]):
+        with pytest.raises(TypeError, match="got bool"):
+            QPoly(coeffs)
+    for op in (
+        lambda: q * True,
+        lambda: True * q,
+        lambda: q + False,
+        lambda: q - True,
+        lambda: q.divexact(True),
+        lambda: ONE.eval_int(True),
+    ):
+        with pytest.raises(TypeError):
+            op()
+
+
 # -- arithmetic ---------------------------------------------------------------
 
 
@@ -59,6 +79,98 @@ def test_mul():
     assert QPoly((1, 1)) * QPoly((1, 1, 1)) == QPoly((1, 2, 2, 1))
     assert QPoly((1, 1)) * QPoly((1, 1, 1)) == q_factorial(3)
     assert QPoly((3, 7, 2)) * ZERO == ZERO
+
+
+def schoolbook(a, b):
+    # independent oracle: the convolution of two coefficient lists
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def check_product(a, b):
+    # the product, either way round, against the oracle, and normalised
+    want = schoolbook(a, b)
+    for x, y in ((a, b), (b, a)):
+        got = QPoly(x) * QPoly(y)
+        assert got.coeffs == want
+        assert not got.coeffs or got.coeffs[-1] != 0
+
+
+def nonnegative(rng, n, bits):
+    out = [rng.getrandbits(bits) for _ in range(n)]
+    out[-1] |= 1
+    return out
+
+
+def test_mul_kronecker_crossover(monkeypatch):
+    # lengths on both sides of the crossover; the Kronecker path runs
+    # exactly when both operands reach it
+    calls = []
+    real = qpoly._kronecker_mul
+    monkeypatch.setattr(qpoly, "_kronecker_mul", lambda a, b: calls.append(1) or real(a, b))
+    rng = random.Random(7)
+    k = qpoly._KRONECKER_MIN
+    for la in (k - 1, k, k + 1):
+        for lb in (k - 1, k, k + 1):
+            for bits in (1, 20, 70):
+                calls.clear()
+                check_product(nonnegative(rng, la, bits), nonnegative(rng, lb, bits))
+                assert len(calls) == (2 if min(la, lb) >= k else 0)
+
+
+def test_mul_kronecker_unbalanced():
+    rng = random.Random(11)
+    check_product(nonnegative(rng, 1, 30), nonnegative(rng, 500, 30))
+    check_product(nonnegative(rng, 8, 30), nonnegative(rng, 2000, 30))
+    check_product([1] * 8, [1] * 2000)
+
+
+def test_mul_kronecker_wide_coefficients():
+    rng = random.Random(13)
+    above_64 = [2**64 + rng.getrandbits(64) for _ in range(20)]
+    check_product(above_64, nonnegative(rng, 12, 64))
+    check_product(above_64, above_64)
+    near_1000 = [2**1000 - 1 - rng.getrandbits(40) for _ in range(16)]
+    check_product(near_1000, near_1000)
+    check_product(near_1000, nonnegative(rng, 30, 3))
+    check_product([2**1000 - 1] * 9, [2**1000 - 1] * 9)
+
+
+def test_mul_kronecker_zero_coefficients():
+    rng = random.Random(17)
+    sparse = [0, 0, 5, 0, 0, 0, 1, 0, 0, 2**70, 0, 3]
+    check_product(sparse, sparse)
+    check_product(sparse, nonnegative(rng, 10, 8))
+    # leading zeros are a factor q**k; the product carries both shifts
+    shifted = [0] * 9 + nonnegative(rng, 10, 16)
+    check_product(shifted, [0] * 4 + nonnegative(rng, 9, 16))
+    check_product([1] + [0] * 30 + [1], [1] + [0] * 20 + [1])
+
+
+def test_mul_signed_operands():
+    rng = random.Random(19)
+    for la, lb in ((9, 9), (8, 40), (30, 25)):
+        a = [rng.randrange(-(2**80), 2**80) for _ in range(la)]
+        b = [rng.randrange(-9, 10) for _ in range(lb - 1)] + [-1]
+        check_product(a, b)
+        check_product(a, [abs(c) for c in b])
+    check_product([-1, 1] + [0] * 10, [1] * 12)
+
+
+@given(
+    st.lists(st.integers(0, 2**70), max_size=40),
+    st.lists(st.integers(-(2**70), 2**70), max_size=40),
+)
+def test_mul_matches_schoolbook(a_coeffs, b_coeffs):
+    check_product(a_coeffs, [abs(c) for c in b_coeffs])
+    check_product(a_coeffs, b_coeffs)
 
 
 def test_int_coercion_and_sub():
@@ -150,6 +262,13 @@ def test_q_binomial_symmetry_and_palindrome():
             b = q_binomial(n, k)
             assert b == q_binomial(n, n - k)
             assert b.is_palindromic()
+
+
+def test_q_binomial_is_normalised():
+    for n in range(30):
+        for k in range(-1, n + 2):
+            cs = q_binomial(n, k).coeffs
+            assert cs == () if k in (-1, n + 1) else cs[0] == cs[-1] == 1
 
 
 def test_q_binomial_counts_at_one():
