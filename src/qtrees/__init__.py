@@ -53,7 +53,6 @@ from .invariant import (
     InadmissibleDelays,
     RerootCheck,
     assemble_blocks,
-    boltzmann_weight,
     check_reroot,
     q_poly,
     q_poly_block,

@@ -3,12 +3,14 @@
 Exit codes: 0 success, 1 a verified identity failed or a search found
 nothing, 2 usage or parse errors, a q-polynomial whose degree exceeds its
 cap (checked before q, q-delayed and reduce evaluate anything), or input
-past the recursion limit.  All output is deterministic given the flags and
-seed; --format json emits a single JSON document on stdout.  The environment
-variable QTREES_HARD_CAP (an integer) raises the hard caps: the sizes for
-the verify/enumerate/search commands and the degree for q/q-delayed/reduce;
-any other value is a usage error.  These caps are the only size limits: the
-library computes any size it is asked for.
+past the recursion limit, 141 the reader of stdout closed it early (the
+code a shell reports for a process that SIGPIPE ended).  All output is
+deterministic given the flags and seed; --format json emits a single JSON
+document on stdout.  The environment variable QTREES_HARD_CAP (an integer)
+raises the hard caps: the sizes for the verify/enumerate/search commands and
+the degree for q/q-delayed/reduce; any other value is a usage error.  These
+caps are the only size limits: the library computes any size it is asked
+for.
 """
 
 from __future__ import annotations
@@ -309,7 +311,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away, as with `| head`.  Point stdout at
+        # devnull so that the flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except ValueError as exc:  # ParseError and BoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
         return 2

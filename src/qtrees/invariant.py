@@ -24,7 +24,6 @@ from .trees import (
     edge_count,
     enumerate_plane_trees,
     leaves,
-    node_at,
     random_plane_tree,
     reroot_across_edge,
     side_edge_counts,
@@ -35,7 +34,6 @@ __all__ = [
     "q_poly",
     "q_poly_state",
     "q_degree",
-    "boltzmann_weight",
     "check_reroot",
     "RerootCheck",
     "q_poly_delayed",
@@ -163,7 +161,8 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
         del values[cut:]
         out = q_multinomial(tuple(edge_count(c) + 1 for c in node.children))
         for value in kids:
-            out = out * value
+            if value != ONE:  # a leaf or a path: multiplying by 1 is a full pass
+                out = out * value
         values.append(out)
     return values[0]
 
@@ -177,13 +176,6 @@ def q_degree(tree: PlaneTree) -> int:
     # the edge counts of all subtrees, the root's included, sum to the
     # vertex counts of the subtrees below the root
     return edges * (edges + 1) // 2 - sum(edge_count(node) for node in trees._postorder(tree))
-
-
-def boltzmann_weight(tree: PlaneTree, addr: tuple) -> QPoly:
-    """Weight of one vertex in the state product: the Gaussian multinomial
-    of its child subtree sizes.  Leaves weigh 1."""
-    node = node_at(tree, addr)
-    return q_multinomial(tuple(edge_count(c) + 1 for c in node.children))
 
 
 class RerootCheck(NamedTuple):

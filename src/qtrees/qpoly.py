@@ -2,7 +2,9 @@
 
 A polynomial is a dense ascending tuple of arbitrary-precision integer
 coefficients; the zero polynomial is the empty tuple.  Everything here is
-exact: no floats, no modular reduction, no silent overflow.
+exact: no floats, no modular reduction, no silent overflow.  Every Gaussian
+coefficient comes from the one loop in q_multinomial: q_binomial and
+q_factorial are calls into it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ __all__ = [
     "cyclotomic_factor",
     "CyclotomicFactorization",
     "to_json_coeffs",
-    "from_json_coeffs",
     "to_latex",
 ]
 
@@ -137,18 +138,6 @@ class QPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out, base = ONE, self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
-
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k."""
         if k < 0:
@@ -195,9 +184,6 @@ class QPoly:
             acc = acc * x + c
         return acc
 
-    def is_palindromic(self) -> bool:
-        return self.coeffs == self.coeffs[::-1]
-
 
 def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Coefficients of a * b, both nonnegative, by Kronecker substitution
@@ -237,63 +223,51 @@ def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1..n; one for n = 0."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return _product([q_integer(m) for m in range(2, n + 1)])
-
-
-def _product(factors: list[QPoly]) -> QPoly:
-    """Product of the factors, multiplied in pairs level by level so that
-    the two operands of each product are alike in length and coefficient
-    size.  Kronecker substitution gains most there; a running product times
-    one short factor with small coefficients is where it gains nothing."""
-    while len(factors) > 1:
-        paired = [x * y for x, y in zip(factors[::2], factors[1::2])]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0] if factors else ONE
+    return q_multinomial((1,) * n)
 
 
 @lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> QPoly:
-    """Gaussian binomial by the product formula; zero outside 0 <= k <= n.
-
-    C(n, k) = prod_{i=1..k} (1 - q**(n-k+i)) / (1 - q**i), k = min(k, n - k).
-    Step i multiplies in place by its numerator factor from the top down,
-    then divides exactly by its denominator factor from the bottom up; every
-    partial product is a Gaussian binomial, C(n-k+i, i), so it stays in Z[q].
-    """
+    """Gaussian binomial; zero outside 0 <= k <= n.  Cached, because the
+    wedge identity reads the same few binomials for many pairs of trees."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     if k < 0 or k > n:
         return ZERO
-    k = min(k, n - k)
-    out = [1] + [0] * (k * (n - k + 1))
-    for i in range(1, k + 1):
-        m = n - k + i
-        top = (i - 1) * (n - k) + m  # degree of C(m - 1, i - 1) * (1 - q**m)
-        for j in range(top, m - 1, -1):
-            out[j] -= out[j - m]
-        for j in range(i, top + 1):
-            out[j] += out[j - i]
-    return QPoly._trusted(out)
+    return q_multinomial((k, n - k))
 
 
 def q_multinomial(parts: Iterable[int]) -> QPoly:
-    """Gaussian multinomial as a telescoping product of Gaussian binomials.
+    """Gaussian multinomial of the parts; symmetric in them, and 1 for
+    empty or single-part input.
 
-    For parts (a1, ..., ak) this is
-    binom(a1+a2, a2) * binom(a1+a2+a3, a3) * ... * binom(a1+...+ak, ak);
-    the result is symmetric in the parts.  Empty or single-part input gives 1.
+    With the parts sorted descending, a1 >= a2 >= ..., this is the product
+    over each later part a, t the sum of the parts before it, of
+    C(t + a, a) = prod_{i=1..a} (1 - q**(t+i)) / (1 - q**i).  Each step
+    multiplies a coefficient list in place by its numerator factor from the
+    top down, then divides exactly by its denominator factor from the
+    bottom up; every partial result is a product of Gaussian binomials, so
+    it stays in Z[q].  Taking the largest part first makes the fewest steps.
     """
-    factors = []
-    total = 0
-    for i, a in enumerate(parts):
-        if a < 0:
-            raise ValueError("parts must be nonnegative")
+    parts = sorted(parts, reverse=True)
+    if parts and parts[-1] < 0:
+        raise ValueError("parts must be nonnegative")
+    n = sum(parts)
+    # the result's degree, plus room for a numerator factor before its division
+    out = [1] + [0] * ((n * n - sum(a * a for a in parts)) // 2 + n)
+    top = 0  # degree of the product so far
+    total = parts[0] if parts else 0
+    for a in parts[1:]:
+        for i in range(1, a + 1):
+            m = total + i
+            top += m
+            for j in range(top, m - 1, -1):
+                out[j] -= out[j - m]
+            for j in range(i, top + 1):
+                out[j] += out[j - i]
+            top -= i
         total += a
-        if i:
-            factors.append(q_binomial(total, a))
-    return _product(factors)
+    return QPoly._trusted(out)
 
 
 def cyclotomic(d: int) -> QPoly:
@@ -382,11 +356,6 @@ def to_json_coeffs(poly: QPoly) -> list:
     """Ascending coefficients for JSON; entries outside the 53-bit safe
     integer range are rendered as strings."""
     return [c if abs(c) <= _JSON_SAFE_MAX else str(c) for c in poly.coeffs]
-
-
-def from_json_coeffs(values: Iterable) -> QPoly:
-    """Inverse of to_json_coeffs; accepts integers or decimal strings."""
-    return QPoly(int(v) for v in values)
 
 
 def to_latex(poly: QPoly) -> str:

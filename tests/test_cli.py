@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import qtrees
 from qtrees import cli
 from qtrees.invariant import RerootCheck
 from qtrees.qpoly import ONE, ZERO, QPoly
@@ -391,6 +395,34 @@ def test_enumerate_topological(capsys):
 def test_enumerate_point(capsys):
     code, out, _ = run(capsys, "enumerate", "topological", "--size", "1")
     assert (code, out) == (0, "1\n.\n")
+
+
+@pytest.mark.parametrize(
+    "argv,lines_read",
+    [
+        # ~290 kB, more than a pipe holds, so the writer is still writing
+        # when the reader closes
+        (["enumerate", "plane", "--size", "10"], 1),
+        # closed before the first write
+        (["verify", "presimplicial", "--max-size", "4"], 0),
+    ],
+)
+def test_reader_closing_the_pipe_prints_no_traceback(argv, lines_read):
+    src = str(Path(qtrees.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qtrees.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_enumerate_bound(capsys):

@@ -12,7 +12,6 @@ from qtrees.invariant import (
     BlockSpec,
     InadmissibleDelays,
     assemble_blocks,
-    boltzmann_weight,
     check_reroot,
     clear_caches,
     q_degree,
@@ -23,7 +22,7 @@ from qtrees.invariant import (
     sample_block_specs,
     search_delayed,
 )
-from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q, q_binomial, q_factorial, to_json_coeffs
+from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q, q_binomial, q_factorial, q_multinomial, to_json_coeffs
 from qtrees.trees import (
     POINT,
     DelayedTree,
@@ -88,7 +87,7 @@ def test_q_poly_path_is_one():
 def test_q_poly_wedge_of_stemmed_cherries():
     stemmed = parse_tree("((..))")
     glued = wedge([stemmed, stemmed])
-    assert q_poly(glued) == q_binomial(6, 3) * QPoly((1, 1)) ** 2
+    assert q_poly(glued) == q_binomial(6, 3) * QPoly((1, 1)) * QPoly((1, 1))
 
 
 def test_q_poly_shape():
@@ -97,7 +96,7 @@ def test_q_poly_shape():
             poly = q_poly(tree)
             assert poly.coeffs[0] == 1
             assert all(c >= 0 for c in poly.coeffs)
-            assert poly.is_palindromic()
+            assert poly.coeffs == poly.coeffs[::-1]
 
 
 def test_q_poly_counts_removal_sequences():
@@ -156,14 +155,19 @@ def test_state_product_matches_recursion():
         assert q_poly_state(tree) == q_poly(tree)
 
 
-def test_boltzmann_weight():
-    tree = parse_tree("(.(..))")
-    assert boltzmann_weight(tree, (0,)) == ONE
+def test_state_product_vertex_weights():
+    # a vertex weighs the Gaussian multinomial of its child subtree sizes,
+    # edges plus the hanging edge; a leaf or a path weighs 1
+    assert q_multinomial(()) == ONE
+    assert q_poly_state(parse_tree("(.(..))")) == q_multinomial((1, 3)) * q_multinomial((1, 1))
+    assert q_poly_state(parse_tree("((((..))))")) == 1 + q
     for rays in range(1, 6):
-        assert boltzmann_weight(star(rays), ()) == q_factorial(rays)
+        assert q_multinomial((1,) * rays) == q_factorial(rays)
+        assert q_poly_state(star(rays)) == q_factorial(rays)
     left, right = parse_tree("((..))"), parse_tree("((.))")
     glued = wedge([left, right])
-    assert boltzmann_weight(glued, ()) == q_binomial(5, 3)
+    assert q_multinomial((3, 2)) == q_binomial(5, 3)
+    assert q_poly_state(glued) == q_binomial(5, 3) * (1 + q)
 
 
 def test_embedding_invariance():

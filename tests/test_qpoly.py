@@ -1,11 +1,13 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qtrees import qpoly
+from qtrees.invariant import q_poly_state
 from qtrees.qpoly import (
     ONE,
     ZERO,
@@ -13,7 +15,6 @@ from qtrees.qpoly import (
     QPoly,
     cyclotomic,
     cyclotomic_factor,
-    from_json_coeffs,
     q,
     q_binomial,
     q_factorial,
@@ -22,6 +23,7 @@ from qtrees.qpoly import (
     to_json_coeffs,
     to_latex,
 )
+from qtrees.trees import star
 
 
 def int_binomial(n, k):
@@ -180,12 +182,6 @@ def test_int_coercion_and_sub():
     assert -q == QPoly((0, -1))
 
 
-def test_pow():
-    assert (1 + q) ** 0 == ONE
-    assert (1 + q) ** 2 == QPoly((1, 2, 1))
-    assert q**5 == QPoly((0, 0, 0, 0, 0, 1))
-
-
 def test_shift():
     assert QPoly((1, 1)).shift(2) == QPoly((0, 0, 1, 1))
     assert ZERO.shift(3) == ZERO
@@ -243,6 +239,26 @@ def test_q_factorial():
     assert q_factorial(0) == ONE
     assert q_factorial(2) == QPoly((1, 1))
     assert q_factorial(3) == QPoly((1, 2, 2, 1))
+    with pytest.raises(ValueError):
+        q_factorial(-1)
+
+
+def test_q_factorial_matches_running_product():
+    # independent route: [1]_q * [2]_q * ... * [n]_q, one factor at a time;
+    # from n = 8 on the products go by Kronecker substitution
+    product = ONE
+    for n in range(1, 31):
+        product = product * q_integer(n)
+        assert q_factorial(n) == product
+
+
+def test_q_factorial_of_200_and_the_200_leaf_star():
+    # at q = 1 each [m]_q is m, at q = 2 it is 2**m - 1
+    at_two = math.prod(2**m - 1 for m in range(1, 201))
+    for poly in (q_factorial(200), q_poly_state(star(200))):
+        assert poly.degree == 200 * 199 // 2
+        assert poly.eval_int(1) == math.factorial(200)
+        assert poly.eval_int(2) == at_two
 
 
 def test_q_binomial_values():
@@ -261,7 +277,7 @@ def test_q_binomial_symmetry_and_palindrome():
         for k in range(n + 1):
             b = q_binomial(n, k)
             assert b == q_binomial(n, n - k)
-            assert b.is_palindromic()
+            assert b.coeffs == b.coeffs[::-1]
 
 
 def test_q_binomial_is_normalised():
@@ -285,14 +301,21 @@ def test_q_binomial_matches_factorial_quotient():
             assert q_binomial(n, k) == quotient
 
 
+def q_pascal_rows(n_max):
+    # independent oracle: the q-Pascal recurrence
+    # C(n, k) = C(n-1, k-1) + q**k * C(n-1, k), built row by row;
+    # rows[n] is C(n, 0), ..., C(n, n)
+    rows = [[ONE]]
+    for n in range(1, n_max + 1):
+        row = rows[-1]
+        rows.append([ONE] + [row[k - 1] + row[k].shift(k) for k in range(1, n)] + [ONE])
+    return rows
+
+
 def test_q_binomial_matches_q_pascal():
-    # independent route: the q-Pascal recurrence
-    # C(n, k) = C(n-1, k-1) + q**k * C(n-1, k), built here row by row
-    row = [ONE]  # C(n, 0), ..., C(n, n)
-    for n in range(41):
+    for n, row in enumerate(q_pascal_rows(40)):
         for k in range(-1, n + 2):
             assert q_binomial(n, k) == (row[k] if 0 <= k <= n else ZERO)
-        row = [ONE] + [row[k - 1] + row[k].shift(k) for k in range(1, n + 1)] + [ONE]
 
 
 def test_q_multinomial_basics():
@@ -302,6 +325,19 @@ def test_q_multinomial_basics():
     assert q_multinomial((2, 2)) == q_binomial(4, 2)
     with pytest.raises(ValueError):
         q_multinomial((1, -2))
+
+
+def test_q_multinomial_matches_binomial_products():
+    # independent route: the telescoping product
+    # C(a1+a2, a2) * C(a1+a2+a3, a3) * ... of q-Pascal binomials
+    rows = q_pascal_rows(24)
+    pool = [*itertools.product(range(5), repeat=3), (1,) * 12, (7, 5, 3, 2, 1), (0, 9, 0, 4), (1, 2, 3, 4, 5, 6)]
+    for parts in pool:
+        product, total = ONE, parts[0]
+        for a in parts[1:]:
+            total += a
+            product = product * rows[total][a]
+        assert q_multinomial(parts) == product
 
 
 def test_q_multinomial_is_symmetric():
@@ -368,7 +404,8 @@ def test_cyclotomic_factor_reassembles(poly):
     k, factors, rem = cyclotomic_factor(poly)
     product = rem.shift(k)
     for d, mult in factors.items():
-        product = product * cyclotomic(d) ** mult
+        for _ in range(mult):
+            product = product * cyclotomic(d)
     assert product == poly
 
 
@@ -410,9 +447,9 @@ def test_latex_rendering():
 def test_json_coeffs_roundtrip():
     small = QPoly((1, -3, 7))
     assert to_json_coeffs(small) == [1, -3, 7]
-    assert from_json_coeffs(to_json_coeffs(small)) == small
+    assert QPoly(int(v) for v in to_json_coeffs(small)) == small
     big = q_factorial(25)
     encoded = to_json_coeffs(big)
     assert any(isinstance(c, str) for c in encoded)
     assert json.loads(json.dumps(encoded)) == encoded
-    assert from_json_coeffs(encoded) == big
+    assert QPoly(int(v) for v in encoded) == big
