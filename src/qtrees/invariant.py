@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import qpoly, trees
-from .qpoly import ONE, QPoly, q_integer, q_multinomial
+from .qpoly import ONE, ZERO, QPoly, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
@@ -55,13 +55,16 @@ class InadmissibleDelays(ValueError):
 # One memo for both games: plain states are keyed by the tree's Dyck word,
 # delayed states by (word, delays).
 _QPOLY_MEMO: dict = {}
+# The delayed search's value index per edge count (_value_index).
+_SEARCH_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop both memos of the package: the one shared by the plain and
-    delayed recursion and the Gaussian binomials of qpoly.q_binomial.
-    Results are unaffected, only speed."""
+    """Drop the three memos of the package: the one shared by the plain and
+    delayed recursion, the delayed search's value indexes and the Gaussian
+    binomials of qpoly.q_binomial.  Results are unaffected, only speed."""
     _QPOLY_MEMO.clear()
+    _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
 
 
@@ -311,22 +314,77 @@ def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[
 # -- search ----------------------------------------------------------------------
 
 
+def _may_finish(edges: int, labels: tuple[int, ...]) -> bool:
+    """The prune test of _value_index: False only for a label vector under
+    which the delayed game on a tree with the given edge count and
+    len(labels) leaves cannot finish."""
+    if not edges:
+        return True  # the point: no move is needed
+    n = len(labels)
+    return 1 in labels and all(d <= edges - n + j for j, d in enumerate(sorted(labels), 1))
+
+
+def _value_index(edges: int) -> dict[tuple[int, ...], list[tuple[PlaneTree, tuple[int, ...]]]]:
+    """Every delayed tree with the given edge count and delays in
+    1..max(edges, 1), as (tree, delay vector), keyed by the coefficients of
+    its delayed q-polynomial.  Each list runs in enumerate_plane_trees
+    order, then itertools.product order of the delay vectors.
+
+    A delay vector that fails _may_finish goes into the zero list
+    unevaluated.  Take a tree with e >= 1 edges and n leaves, delays sorted
+    as d_(1) <= ... <= d_(n).  A finished game makes e moves, and removes
+    each of the n leaves at its own move.  A leaf with delay d may move
+    first at move d: before move k its delay has dropped k - 1 times, to
+    max(d - k + 1, 1).  So the first move needs some delay 1, and the
+    n - j + 1 leaves with delay at least d_(j) leave at distinct moves in
+    d_(j)..e, which needs n - j + 1 <= e - d_(j) + 1, that is
+    d_(j) <= e - n + j.  A vector failing either test has no finished game
+    and the value 0.  The test depends on the edge and leaf counts only,
+    so it is worked out once per leaf count.
+
+    Indexes are kept in _SEARCH_MEMO and published there only once
+    complete, so a thread sees a whole index or none.
+    """
+    index = _SEARCH_MEMO.get(edges)
+    if index is not None:
+        return index
+    index = {}
+    vectors: dict[int, list[tuple[tuple[int, ...], bool]]] = {}  # leaf count -> (delays, may finish)
+    delays = range(1, max(edges, 1) + 1)
+    for tree in enumerate_plane_trees(edges):
+        word = dyck_word(tree)
+        count = (word & ~(word << 1)).bit_count()  # the leaves, as in _removal_sum
+        labelled = vectors.get(count)
+        if labelled is None:
+            labelled = vectors[count] = [
+                (labels, _may_finish(edges, labels)) for labels in itertools.product(delays, repeat=count)
+            ]
+        for labels, live in labelled:
+            coeffs = _removal_sum(word, labels).coeffs if live else ZERO.coeffs
+            index.setdefault(coeffs, []).append((tree, labels))
+    return _SEARCH_MEMO.setdefault(edges, index)
+
+
 def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     """All delayed trees with at most max_edges edges whose delayed
-    q-polynomial equals the target, in a fixed order.
+    q-polynomial equals the target, in a fixed order: by edge count, then
+    enumerate_plane_trees order, then itertools.product order of the delay
+    vectors.
 
     Delays range over 1..edge count: a larger label never acts before the
-    game ends, so it adds no new polynomials at fixed size.
+    game ends, so it adds no new polynomials at fixed size.  The first
+    search at each edge count sweeps it once into a value index
+    (_value_index); later searches look the target up.
     """
+    if not isinstance(target, QPoly):
+        raise TypeError(f"target must be a QPoly, got {type(target).__name__}")
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
     hits: list[DelayedTree] = []
     for edges in range(max_edges + 1):
-        top_delay = max(edges, 1)
-        for tree in enumerate_plane_trees(edges):
-            word = dyck_word(tree)
-            addrs = leaves(tree)
-            for combo in itertools.product(range(1, top_delay + 1), repeat=len(addrs)):
-                if _removal_sum(word, combo) == target:
-                    hits.append(DelayedTree(tree, dict(zip(addrs, combo))))
+        tree = None
+        for candidate, labels in _value_index(edges).get(target.coeffs, ()):
+            if candidate is not tree:  # a tree's vectors are listed together
+                tree, addrs = candidate, leaves(candidate)
+            hits.append(DelayedTree(tree, dict(zip(addrs, labels))))
     return hits

@@ -22,7 +22,7 @@ from qtrees.invariant import (
     sample_block_specs,
     search_delayed,
 )
-from qtrees.qpoly import ONE, QPoly, cyclotomic_factor, q, q_binomial, q_factorial, q_multinomial, to_json_coeffs
+from qtrees.qpoly import ONE, ZERO, QPoly, cyclotomic_factor, q, q_binomial, q_factorial, q_multinomial, to_json_coeffs
 from qtrees.trees import (
     POINT,
     DelayedTree,
@@ -322,6 +322,88 @@ def test_search_bound():
         search_delayed(ONE, -1)
 
 
+def test_search_refuses_a_target_that_is_not_a_qpoly():
+    for target in ((1, 1), [1, 1], 1, None):
+        with pytest.raises(TypeError):
+            search_delayed(target, 2)
+
+
+def delayed_candidates(max_edges):
+    # every labelled tree the search ranges over, in its order
+    for edges in range(max_edges + 1):
+        for tree in enumerate_plane_trees(edges):
+            addrs = leaves(tree)
+            for labels in itertools.product(range(1, max(edges, 1) + 1), repeat=len(addrs)):
+                yield edges, DelayedTree(tree, dict(zip(addrs, labels)))
+
+
+def test_prune_discards_only_zero_values():
+    discarded = kept = 0
+    for edges, delayed in delayed_candidates(5):
+        if invariant._may_finish(edges, delayed.delay_vector()):
+            kept += 1
+        else:
+            discarded += 1
+            assert q_poly_delayed(delayed) == ZERO, serialize_delayed(delayed)
+    assert (discarded, kept) == (6908, 6027)
+
+
+def search_oracle(max_edges):
+    # the search as one loop over the candidates, each evaluated and compared
+    scored = [(delayed, q_poly_delayed(delayed)) for _, delayed in delayed_candidates(max_edges)]
+
+    def search(target):
+        return [serialize_delayed(delayed) for delayed, value in scored if value == target]
+
+    return search, {value for _, value in scored}
+
+
+def found(target, max_edges):
+    return [serialize_delayed(hit) for hit in search_delayed(target, max_edges)]
+
+
+def test_search_matches_the_candidate_loop():
+    oracle, values = search_oracle(4)
+    assert len(values) == 65 and ZERO in values
+    clear_caches()
+    for target in sorted(values, key=lambda v: v.coeffs) + [QPoly((5,))]:
+        assert found(target, 4) == oracle(target), target
+    assert len(found(ZERO, 4)) == 490
+    assert found(QPoly((5,)), 4) == []
+
+
+def test_search_grows_its_index_one_edge_count_at_a_time():
+    targets = [ZERO, ONE, QPoly((1, 1)), QPoly((1, 2, 1, 1)), QPoly((5,))]
+    clear_caches()
+    cold = [found(target, 5) for target in targets]
+    clear_caches()
+    for target in targets:
+        search_delayed(target, 3)
+    assert [found(target, 5) for target in targets] == cold
+
+
+def test_search_results_do_not_alias_the_index():
+    target = QPoly((1, 1))
+    first = search_delayed(target, 3)
+    expected = [serialize_delayed(hit) for hit in first]
+    first.clear()
+    assert found(target, 3) == expected
+
+
+def test_concurrent_searches_match_sequential():
+    targets = [ZERO, ONE, QPoly((1, 1)), QPoly((1, 2, 1, 1)), QPoly((0, 1, 1, 2, 1)), QPoly((5,))] * 2
+    expected = [found(target, 5) for target in targets]
+    clear_caches()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            results = list(ex.map(lambda target: found(target, 5), targets, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert results == expected
+
+
 # -- caches ----------------------------------------------------------------------------------
 
 
@@ -350,11 +432,14 @@ def test_clear_caches_keeps_results():
         random_plane_tree(6, random.Random(1)),
         presimplicial.enumerate_top_trees(4),
         q_poly(star(3)),
+        found(QPoly((1, 1)), 3),
     )
     assert invariant._QPOLY_MEMO
+    assert sorted(invariant._SEARCH_MEMO) == [0, 1, 2, 3]
     assert all(table.cache_info().currsize for table in tables.values())
     clear_caches()
     assert not invariant._QPOLY_MEMO
+    assert not invariant._SEARCH_MEMO
     assert {name: table.cache_info().currsize for name, table in tables.items()} == dict.fromkeys(tables, 0)
     rerun = (
         q_factorial(5),
@@ -364,6 +449,7 @@ def test_clear_caches_keeps_results():
         random_plane_tree(6, random.Random(1)),
         presimplicial.enumerate_top_trees(4),
         q_poly(star(3)),
+        found(QPoly((1, 1)), 3),
     )
     assert rerun == warm
     # plain and delayed states share one memo and must stay apart
