@@ -37,11 +37,9 @@ from .trees import (
     leaves,
     parse_delayed,
     parse_tree,
-    permute_children,
     random_plane_tree,
     remove_leaf,
     reroot_across_edge,
-    right_weight,
     serialize,
     serialize_delayed,
     side_edge_counts,

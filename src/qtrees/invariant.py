@@ -1,10 +1,11 @@
 """The q-polynomial of a plane rooted tree.
 
-Two independent algorithms are provided: the defining leaf-removal
-recursion and the vertex-weight product.  On top of them sit the
-change-of-root identity check, the delayed-leaf variant with its block
-closed form, and a bounded search for delayed trees hitting a target
-polynomial.
+Three evaluators are provided.  The defining leaf-removal recursion and
+the vertex-weight product each take any tree; the closed block formula
+takes a wedge of constant-delay blocks, and the delayed recursion on the
+assembled tree checks it.  Around them sit the change-of-root identity
+check, the delayed-leaf variant, and a bounded search for delayed trees
+hitting a target polynomial.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .trees import (
     dyck_word,
     edge_count,
     enumerate_plane_trees,
-    leaves,
     random_plane_tree,
     reroot_across_edge,
     side_edge_counts,
@@ -216,7 +216,7 @@ def q_poly_delayed(delayed: DelayedTree) -> QPoly:
     parent becomes a delay-1 leaf.  The point gives 1; a nonpoint tree
     with no delay-1 leaf gives 0 (the sum is empty).
     """
-    return _removal_sum(dyck_word(delayed.tree), delayed.delay_vector())
+    return _removal_sum(dyck_word(delayed.tree), delayed.delays)
 
 
 # -- constant-delay blocks -------------------------------------------------------
@@ -276,10 +276,10 @@ def q_poly_block(spec: BlockSpec) -> QPoly:
 def assemble_blocks(spec: BlockSpec) -> DelayedTree:
     """Wedge the blocks and label each block's leaves with its delay."""
     tree = wedge([t for t, _ in spec.blocks])
-    vec: list[int] = []
+    labels: list[int] = []
     for t, s in spec.blocks:
-        vec.extend([s] * len(leaves(t)))
-    return DelayedTree(tree, dict(zip(leaves(tree), vec)))
+        labels += [s] * trees._leaf_count(dyck_word(t))
+    return DelayedTree(tree, labels)
 
 
 def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[BlockSpec]:
@@ -353,7 +353,7 @@ def _value_index(edges: int) -> dict[tuple[int, ...], list[tuple[PlaneTree, tupl
     delays = range(1, max(edges, 1) + 1)
     for tree in enumerate_plane_trees(edges):
         word = dyck_word(tree)
-        count = (word & ~(word << 1)).bit_count()  # the leaves, as in _removal_sum
+        count = trees._leaf_count(word)
         labelled = vectors.get(count)
         if labelled is None:
             labelled = vectors[count] = [
@@ -380,11 +380,8 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
         raise TypeError(f"target must be a QPoly, got {type(target).__name__}")
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
-    hits: list[DelayedTree] = []
-    for edges in range(max_edges + 1):
-        tree = None
-        for candidate, labels in _value_index(edges).get(target.coeffs, ()):
-            if candidate is not tree:  # a tree's vectors are listed together
-                tree, addrs = candidate, leaves(candidate)
-            hits.append(DelayedTree(tree, dict(zip(addrs, labels))))
-    return hits
+    return [
+        DelayedTree(tree, labels)
+        for edges in range(max_edges + 1)
+        for tree, labels in _value_index(edges).get(target.coeffs, ())
+    ]

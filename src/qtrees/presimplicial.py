@@ -18,8 +18,10 @@ from .qpoly import ONE, QPoly, ZERO
 from .trees import (
     PlaneTree,
     POINT,
+    _leaf_count,
     _postorder,
     _splice,
+    dyck_word,
     leaves,
     remove_leaf,
     serialize,
@@ -69,7 +71,8 @@ def ordered_leaves(tree: PlaneTree) -> tuple:
 
 
 def leaf_count(tree: PlaneTree) -> int:
-    return len(ordered_leaves(tree))
+    """Number of ordered_leaves, read off the Dyck word; the point counts 1."""
+    return _leaf_count(dyck_word(tree)) or 1
 
 
 def face(tree: PlaneTree, index: int) -> PlaneTree:

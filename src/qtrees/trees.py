@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 __all__ = [
     "PlaneTree",
@@ -38,15 +37,12 @@ __all__ = [
     "leaves",
     "dyck_word",
     "remove_leaf",
-    "right_weight",
     "wedge",
     "star",
     "side_edge_counts",
     "reroot_across_edge",
     "enumerate_plane_trees",
-    "permute_children",
     "random_plane_tree",
-    "format_addr",
 ]
 
 VertexAddr = tuple  # sequence of 0-based child indices, () = root
@@ -208,9 +204,15 @@ def node_at(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     node = tree
     for i in addr:
         if not 0 <= i < len(node.children):
-            raise InvalidAddress(f"no vertex at address {format_addr(addr)}")
+            raise InvalidAddress(f"no vertex at address {_format_addr(addr)}")
         node = node.children[i]
     return node
+
+
+def _format_addr(addr: VertexAddr) -> str:
+    """Dot-separated child indices, as error messages name a vertex below
+    the root."""
+    return ".".join(map(str, addr))
 
 
 def _preorder(tree: PlaneTree) -> Iterator[tuple[VertexAddr, PlaneTree]]:
@@ -257,13 +259,20 @@ def dyck_word(tree: PlaneTree) -> int:
     return tree._word
 
 
+def _leaf_count(word: int) -> int:
+    """Leaves of the tree with the given Dyck word: a leaf is a down-step
+    followed by an up-step, a set bit of word & ~(word << 1).  The point
+    (word 0) has none; its root is not a leaf."""
+    return (word & ~(word << 1)).bit_count()
+
+
 def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     """Delete a leaf and its edge.  No smoothing: a parent left childless
     becomes a new leaf."""
     if not addr:
         raise NotALeaf("the root is not a leaf")
     if node_at(tree, addr).children:
-        raise NotALeaf(f"vertex {format_addr(addr)} has children")
+        raise NotALeaf(f"vertex {_format_addr(addr)} has children")
     return _splice(tree, addr, ())
 
 
@@ -278,25 +287,6 @@ def _splice(tree: PlaneTree, addr: VertexAddr, replacement: tuple) -> PlaneTree:
     for node, i in zip(reversed(path), reversed(addr)):
         kids = (PlaneTree(node.children[:i] + kids + node.children[i + 1 :]),)
     return kids[0]
-
-
-def right_weight(tree: PlaneTree, addr: VertexAddr) -> int:
-    """Edges strictly to the right of the root-to-leaf path.
-
-    For each vertex on the path (the leaf excluded), every sibling subtree
-    with a larger child index counts with its connecting edge, i.e. its node
-    count.
-    """
-    node = node_at(tree, addr)
-    if node.children or not addr:
-        raise NotALeaf(f"vertex {format_addr(addr)} is not a leaf")
-    total = 0
-    cur = tree
-    for i in addr:
-        for sib in cur.children[i + 1 :]:
-            total += 1 + edge_count(sib)
-        cur = cur.children[i]
-    return total
 
 
 # -- surgery -----------------------------------------------------------------
@@ -400,51 +390,30 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
             stack[-1][1].append(node)
 
 
-def permute_children(tree: PlaneTree, seed: int) -> PlaneTree:
-    """Seeded reshuffle of the child order at every vertex, in left-to-right
-    post-order; the abstract rooted tree is unchanged."""
-    rng = random.Random(seed)
-    values: list[PlaneTree] = []  # the reshuffled subtrees not yet attached
-    for node in _postorder(tree):
-        cut = len(values) - len(node.children)
-        kids = values[cut:]
-        del values[cut:]
-        rng.shuffle(kids)
-        values.append(PlaneTree(kids))
-    return values[0]
-
-
-def format_addr(addr: VertexAddr) -> str:
-    """Dot-separated child indices; the root renders as an epsilon."""
-    return ".".join(str(i) for i in addr) or "ε"
-
-
 # -- delayed trees -------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class DelayedTree:
-    """A plane tree whose leaves carry positive integer delay labels."""
+    """A plane tree whose leaves carry positive integer delay labels, listed
+    in left-to-right leaf order.  The point has no leaves and no labels."""
 
     tree: PlaneTree
-    delays: Mapping[VertexAddr, int]
+    delays: tuple[int, ...]
 
     def __post_init__(self):
-        got = dict(self.delays)
-        want = set(leaves(self.tree))
-        if set(got) != want:
-            raise ValueError("delay keys must be exactly the leaf addresses")
-        for value in got.values():
+        if not isinstance(self.tree, PlaneTree):
+            raise TypeError(f"tree must be a PlaneTree, got {type(self.tree).__name__}")
+        if isinstance(self.delays, Mapping):
+            raise ValueError("delays must be labels in leaf order, not a mapping")
+        delays = tuple(self.delays)
+        leaf_total = _leaf_count(self.tree._word)
+        if len(delays) != leaf_total:
+            raise ValueError(f"need one delay per leaf: {leaf_total} leaves, {len(delays)} delays")
+        for value in delays:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError("delays must be positive integers")
-        object.__setattr__(self, "delays", MappingProxyType(got))
-
-    def delay_vector(self) -> tuple[int, ...]:
-        """Delays in left-to-right leaf order."""
-        return tuple(self.delays[a] for a in leaves(self.tree))
-
-    def __hash__(self):
-        return hash((self.tree, self.delay_vector()))
+        object.__setattr__(self, "delays", delays)
 
 
 def parse_delayed(text: str) -> DelayedTree:
@@ -454,9 +423,7 @@ def parse_delayed(text: str) -> DelayedTree:
     top level is the point, whose label is vacuous (the root is not a leaf).
     """
     node, delays = _parse(text, labelled=True)
-    if not node.children:
-        return DelayedTree(POINT, {})
-    return DelayedTree(node, dict(zip(leaves(node), delays)))
+    return DelayedTree(node, delays if node.children else ())
 
 
 def serialize_delayed(delayed: DelayedTree) -> str:
@@ -464,4 +431,4 @@ def serialize_delayed(delayed: DelayedTree) -> str:
     children; round-trips through parse_delayed."""
     if not delayed.tree.children:
         return "."
-    return _write(delayed.tree, map(str, delayed.delay_vector()), " ")
+    return _write(delayed.tree, map(str, delayed.delays), " ")

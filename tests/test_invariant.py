@@ -31,13 +31,14 @@ from qtrees.trees import (
     leaves,
     parse_delayed,
     parse_tree,
-    permute_children,
     random_plane_tree,
     serialize,
     serialize_delayed,
     star,
     wedge,
 )
+
+from test_trees import permute_children
 
 CHERRY = parse_tree("(..)")
 
@@ -108,7 +109,7 @@ def test_q_poly_counts_removal_sequences():
 def test_q_poly_takes_any_depth():
     path = parse_tree("(" * 10_000 + "." + ")" * 10_000)
     assert q_poly(path) == ONE
-    assert q_poly_delayed(DelayedTree(path, {(0,) * 10_000: 1})) == ONE
+    assert q_poly_delayed(DelayedTree(path, (1,))) == ONE
     stemmed_cherry = parse_tree("(" * 3_000 + ".." + ")" * 3_000)
     assert q_poly(stemmed_cherry) == 1 + q
 
@@ -125,7 +126,7 @@ def test_q_poly_builds_no_trees(monkeypatch):
     monkeypatch.setattr(trees.PlaneTree, "__init__", counted_init)
     clear_caches()
     assert q_poly(tree) == q_poly_state(tree)
-    assert q_poly_delayed(DelayedTree(tree, dict.fromkeys(leaves(tree), 1))) == q_poly(tree)
+    assert q_poly_delayed(DelayedTree(tree, (1,) * len(leaves(tree)))) == q_poly(tree)
     assert built == []
 
 
@@ -230,9 +231,8 @@ def test_delayed_values_are_pinned():
     lines = []
     for edges in range(6):
         for tree in enumerate_plane_trees(edges):
-            addrs = leaves(tree)
-            for combo in itertools.product(range(1, edges + 1), repeat=len(addrs)):
-                poly = q_poly_delayed(DelayedTree(tree, dict(zip(addrs, combo))))
+            for combo in itertools.product(range(1, edges + 1), repeat=len(leaves(tree))):
+                poly = q_poly_delayed(DelayedTree(tree, combo))
                 lines.append(json.dumps(to_json_coeffs(poly)))
     assert len(lines) == 12_935
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == DELAYED_SHA256
@@ -241,7 +241,7 @@ def test_delayed_values_are_pinned():
 def test_delayed_all_ones_degenerates_to_plain():
     for edges in range(8):
         for tree in enumerate_plane_trees(edges):
-            delayed = DelayedTree(tree, {addr: 1 for addr in leaves(tree)})
+            delayed = DelayedTree(tree, (1,) * len(leaves(tree)))
             assert q_poly_delayed(delayed) == q_poly(tree)
 
 
@@ -332,15 +332,14 @@ def delayed_candidates(max_edges):
     # every labelled tree the search ranges over, in its order
     for edges in range(max_edges + 1):
         for tree in enumerate_plane_trees(edges):
-            addrs = leaves(tree)
-            for labels in itertools.product(range(1, max(edges, 1) + 1), repeat=len(addrs)):
-                yield edges, DelayedTree(tree, dict(zip(addrs, labels)))
+            for labels in itertools.product(range(1, max(edges, 1) + 1), repeat=len(leaves(tree))):
+                yield edges, DelayedTree(tree, labels)
 
 
 def test_prune_discards_only_zero_values():
     discarded = kept = 0
     for edges, delayed in delayed_candidates(5):
-        if invariant._may_finish(edges, delayed.delay_vector()):
+        if invariant._may_finish(edges, delayed.delays):
             kept += 1
         else:
             discarded += 1

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from types import MappingProxyType
 
 import pytest
 
@@ -13,19 +14,17 @@ from qtrees.trees import (
     PlaneTree,
     RootHasNoEdge,
     ZeroDelay,
+    _postorder,
     dyck_word,
     edge_count,
     enumerate_plane_trees,
-    format_addr,
     leaves,
     node_at,
     parse_delayed,
     parse_tree,
-    permute_children,
     random_plane_tree,
     remove_leaf,
     reroot_across_edge,
-    right_weight,
     serialize,
     serialize_delayed,
     side_edge_counts,
@@ -35,6 +34,34 @@ from qtrees.trees import (
 
 CHERRY = parse_tree("(..)")
 SEED = 20140530
+
+
+def right_weight(tree, addr):
+    # r(T, v) by its definition, the oracle for the engine's popcount: the
+    # edges strictly right of the root-to-leaf path, i.e. the node counts of
+    # the later siblings of every vertex on the path (the leaf excluded)
+    if node_at(tree, addr).children or not addr:
+        raise NotALeaf(f"vertex {addr} is not a leaf")
+    total = 0
+    node = tree
+    for i in addr:
+        total += sum(1 + edge_count(sib) for sib in node.children[i + 1 :])
+        node = node.children[i]
+    return total
+
+
+def permute_children(tree, seed):
+    # seeded reshuffle of the child order at every vertex, in left-to-right
+    # post-order; the abstract rooted tree is unchanged
+    rng = random.Random(seed)
+    values = []  # the reshuffled subtrees not yet attached
+    for node in _postorder(tree):
+        cut = len(values) - len(node.children)
+        kids = values[cut:]
+        del values[cut:]
+        rng.shuffle(kids)
+        values.append(PlaneTree(kids))
+    return values[0]
 
 
 def catalan_numbers(top):
@@ -171,7 +198,7 @@ def parse_outcome(parse, text):
     except ParseError as exc:
         return ("raises", type(exc).__name__, str(exc), exc.offset)
     if isinstance(got, DelayedTree):
-        return ("parses", serialize(got.tree), got.delay_vector())
+        return ("parses", serialize(got.tree), got.delays)
     return ("parses", serialize(got))
 
 
@@ -461,9 +488,11 @@ def test_seeded_draws_are_pinned():
         assert [serialize(permute_children(parse_tree(text), seed)) for seed in range(3)] == by_seed
 
 
-def test_format_addr():
-    assert format_addr(()) == "ε"
-    assert format_addr((1, 0)) == "1.0"
+def test_address_errors_name_the_vertex():
+    with pytest.raises(InvalidAddress, match=r"^no vertex at address 1\.0$"):
+        node_at(CHERRY, (1, 0))
+    with pytest.raises(NotALeaf, match=r"^vertex 1 has children$"):
+        remove_leaf(parse_tree("(.(..))"), (1,))
 
 
 # -- delayed trees -----------------------------------------------------------------
@@ -472,23 +501,23 @@ def test_format_addr():
 def test_parse_delayed_examples():
     d = parse_delayed("(1 2)")
     assert d.tree == CHERRY
-    assert dict(d.delays) == {(0,): 1, (1,): 2}
-    assert parse_delayed("(. .)") == DelayedTree(CHERRY, {(0,): 1, (1,): 1})
+    assert d.delays == (1, 2)
+    assert parse_delayed("(. .)") == DelayedTree(CHERRY, (1, 1))
     d = parse_delayed("(3 (1 1) 2)")
     assert serialize(d.tree) == "(.(..).)"
-    assert d.delay_vector() == (3, 1, 1, 2)
+    assert d.delays == (3, 1, 1, 2)
 
 
 def test_parse_delayed_tokenization():
-    assert parse_delayed("(12)").delay_vector() == (12,)
-    assert parse_delayed("(1.)").delay_vector() == (1, 1)
-    assert parse_delayed("(1(2 3)4)").delay_vector() == (1, 2, 3, 4)
+    assert parse_delayed("(12)").delays == (12,)
+    assert parse_delayed("(1.)").delays == (1, 1)
+    assert parse_delayed("(1(2 3)4)").delays == (1, 2, 3, 4)
 
 
 def test_parse_delayed_point():
-    assert parse_delayed(".") == DelayedTree(POINT, {})
+    assert parse_delayed(".") == DelayedTree(POINT, ())
     # a label on a bare root is vacuous: the root is not a leaf
-    assert parse_delayed("7") == DelayedTree(POINT, {})
+    assert parse_delayed("7") == DelayedTree(POINT, ())
 
 
 def test_parse_delayed_errors():
@@ -501,16 +530,46 @@ def test_parse_delayed_errors():
 
 
 def test_delayed_tree_validation():
-    with pytest.raises(ValueError):
-        DelayedTree(CHERRY, {(0,): 1})
-    with pytest.raises(ValueError):
-        DelayedTree(CHERRY, {(0,): 1, (1,): 0})
-    with pytest.raises(ValueError):
-        DelayedTree(CHERRY, {(0,): 1, (1,): 1, (2,): 1})
+    with pytest.raises(ValueError, match="one delay per leaf"):
+        DelayedTree(CHERRY, (1,))
+    with pytest.raises(ValueError, match="one delay per leaf"):
+        DelayedTree(CHERRY, (1, 1, 1))
+    with pytest.raises(ValueError, match="one delay per leaf"):
+        DelayedTree(POINT, (1,))
+    for labels in [(1, 0), (1, -2), (1, 1.0), (1, "2")]:
+        with pytest.raises(ValueError, match="delays must be positive integers"):
+            DelayedTree(CHERRY, labels)
     # a bool is an int, but serialize_delayed would write "True", which
     # parse_delayed rejects
     with pytest.raises(ValueError, match="delays must be positive integers"):
-        DelayedTree(CHERRY, {(0,): True, (1,): 1})
+        DelayedTree(CHERRY, (True, 1))
+
+
+def test_delayed_tree_refuses_the_address_mapping():
+    # the address -> label form is refused, not read as its keys
+    old_forms = [
+        (CHERRY, {(0,): 1, (1,): 2}),
+        (CHERRY, MappingProxyType({(0,): 1, (1,): 1})),
+        (POINT, {}),
+    ]
+    for tree, old in old_forms:
+        with pytest.raises(ValueError, match="not a mapping"):
+            DelayedTree(tree, old)
+
+
+def test_delayed_tree_needs_a_plane_tree():
+    for tree in ["(1 2)", None, (POINT, POINT)]:
+        with pytest.raises(TypeError, match="tree must be a PlaneTree"):
+            DelayedTree(tree, ())
+
+
+def test_delayed_tree_is_a_value():
+    parsed = parse_delayed("(3 (1 1) 2)")
+    built = DelayedTree(parse_tree("(.(..).)"), [3, 1, 1, 2])
+    assert built.delays == (3, 1, 1, 2)
+    assert built == parsed and hash(built) == hash(parsed)
+    assert built in {parsed}
+    assert len({built, parsed, parse_delayed("(3 (1 1) 1)")}) == 2
 
 
 def test_serialize_delayed_roundtrip():
