@@ -61,11 +61,9 @@ from .invariant import (
 )
 from .presimplicial import (
     CHERRY,
-    QChain,
     degeneracy,
     enumerate_top_trees,
     face,
-    is_topological,
     leaf_count,
     normalize_topological,
     q_boundary,

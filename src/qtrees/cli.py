@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 a verified identity failed or a search found
 nothing, 2 usage or parse errors, a q-polynomial whose degree exceeds its
-cap (checked before q, q-delayed and reduce evaluate anything), or input
-past the recursion limit, 141 the reader of stdout closed it early (the
-code a shell reports for a process that SIGPIPE ended).  All output is
-deterministic given the flags and seed; --format json emits a single JSON
-document on stdout.  The environment variable QTREES_HARD_CAP (an integer)
-raises the hard caps: the sizes for the verify/enumerate/search commands and
-the degree for q/q-delayed/reduce; any other value is a usage error.  These
-caps are the only size limits: the library computes any size it is asked
-for.
+cap (checked before q, q-delayed and reduce evaluate anything), 141 the
+reader of stdout closed it early (the code a shell reports for a process
+that SIGPIPE ended).  All output is deterministic given the flags and seed;
+--format json emits a single JSON document on stdout.  The environment
+variable QTREES_HARD_CAP (an integer) raises the hard caps: the sizes for
+the verify/enumerate/search commands and the degree for q/q-delayed/reduce;
+any other value is a usage error.  These caps are the only size limits: the
+library computes any size it is asked for.
 """
 
 from __future__ import annotations
@@ -173,8 +172,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_search_delayed(args) -> int:
+    text = args.target.strip()
+    if text[:1] == "[" and text[-1:] == "]":
+        text = text[1:-1]
     try:
-        coeffs = [int(part) for part in args.target.replace("[", "").replace("]", "").split(",")]
+        coeffs = [int(part) for part in text.split(",")]
     except ValueError:
         print(f"error: target must be comma-separated integers, got {args.target!r}", file=sys.stderr)
         return 2
@@ -322,9 +324,6 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except ValueError as exc:  # ParseError and BoundExceeded included
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: input too deep or too large for the recursive algorithms", file=sys.stderr)
         return 2
 
 

@@ -232,7 +232,13 @@ class BlockSpec:
     blocks: tuple[tuple[PlaneTree, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple((t, int(s)) for t, s in self.blocks))
+        blocks = tuple((tree, delay) for tree, delay in self.blocks)
+        for tree, delay in blocks:
+            if not isinstance(tree, PlaneTree):
+                raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
+            if not isinstance(delay, int) or isinstance(delay, bool) or delay < 1:
+                raise ValueError("delays must be positive integers")
+        object.__setattr__(self, "blocks", blocks)
 
 
 def _validated_right_to_left(spec: BlockSpec) -> list[tuple[PlaneTree, int]]:

@@ -12,7 +12,7 @@ of the face/degeneracy relations live in ``qtrees.verify``.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 from .qpoly import ONE, QPoly, ZERO
 from .trees import (
@@ -24,19 +24,15 @@ from .trees import (
     dyck_word,
     leaves,
     remove_leaf,
-    serialize,
 )
 
 __all__ = [
     "CHERRY",
     "normalize_topological",
-    "is_topological",
-    "ordered_leaves",
     "leaf_count",
     "face",
     "degeneracy",
     "enumerate_top_trees",
-    "QChain",
     "q_boundary",
     "q_boundary_at",
     "reduce_to_point",
@@ -58,20 +54,8 @@ def normalize_topological(tree: PlaneTree) -> PlaneTree:
     return values[0]
 
 
-def is_topological(tree: PlaneTree) -> bool:
-    """True when no vertex has exactly one child."""
-    return all(len(node.children) != 1 for node in _postorder(tree))
-
-
-def ordered_leaves(tree: PlaneTree) -> tuple:
-    """Leaf addresses left to right; the point's root is its own leaf."""
-    if not tree.children:
-        return ((),)
-    return leaves(tree)
-
-
 def leaf_count(tree: PlaneTree) -> int:
-    """Number of ordered_leaves, read off the Dyck word; the point counts 1."""
+    """Number of leaves, read off the Dyck word; the point counts 1."""
     return _leaf_count(dyck_word(tree)) or 1
 
 
@@ -87,8 +71,8 @@ def face(tree: PlaneTree, index: int) -> PlaneTree:
 
 def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
     """Plant a cherry on the index-th leaf.  Climbs one level; the result
-    is topological by construction."""
-    addrs = ordered_leaves(tree)
+    is topological by construction.  The point's root is its own leaf."""
+    addrs = leaves(tree) if tree.children else ((),)
     if not 0 <= index < len(addrs):
         raise IndexError(f"leaf index {index} out of range 0..{len(addrs) - 1}")
     return _splice(tree, addrs[index], (CHERRY,))
@@ -124,55 +108,28 @@ def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
 
 
 # -- chains and the q-boundary ---------------------------------------------------
+# A chain, a finitely supported Z[q]-combination of trees, is a mapping from
+# PlaneTree to a QPoly or int coefficient; results never store a zero.
 
 
-class QChain:
-    """A finitely supported Z[q]-combination of trees; zero coefficients are
-    never stored."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Union[Mapping, Iterable] = ()):
-        data = dict(terms)
-        clean: dict[PlaneTree, QPoly] = {}
-        for tree, coeff in data.items():
-            if isinstance(coeff, int):
-                coeff = QPoly((coeff,))
-            if not isinstance(tree, PlaneTree) or not isinstance(coeff, QPoly):
-                raise TypeError("terms must map PlaneTree to QPoly or int")
-            if coeff:
-                clean[tree] = coeff
-        self.terms = clean
-
-    def coefficient(self, tree: PlaneTree) -> QPoly:
-        return self.terms.get(tree, ZERO)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other: object):
-        if not isinstance(other, QChain):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __add__(self, other: "QChain") -> "QChain":
-        acc = dict(self.terms)
-        for tree, coeff in other.terms.items():
-            acc[tree] = acc.get(tree, ZERO) + coeff
-        return QChain(acc)
-
-    def __repr__(self):
-        body = " + ".join(
-            f"({coeff})*{serialize(tree)}"
-            for tree, coeff in sorted(self.terms.items(), key=lambda kv: serialize(kv[0]))
-        )
-        return f"QChain({body or '0'})"
+def _chain_items(chain: Mapping, q_value: int = 0) -> list:
+    """The (tree, coefficient) pairs of a chain, after refusing with
+    TypeError a key that is not a PlaneTree, a coefficient that is not a
+    QPoly or an int, and a q_value that is not an int (a bool is neither)."""
+    if not isinstance(q_value, int) or isinstance(q_value, bool):
+        raise TypeError(f"q_value must be an int, got {type(q_value).__name__}")
+    items = list(dict(chain).items())
+    for tree, coeff in items:
+        if not isinstance(tree, PlaneTree) or isinstance(coeff, bool) or not isinstance(coeff, (QPoly, int)):
+            raise TypeError("terms must map PlaneTree to QPoly or int")
+    return items
 
 
 def _face_sum(items: Iterable, weight_at) -> dict:
     """Sum over (tree, coeff) items and leaf indices i of weight_at(coeff, i)
     times d_i(tree), walking each tree's leaves once.  The point and zero
-    coefficients contribute nothing; keys keep first-insertion order."""
+    coefficients contribute nothing; keys keep first-insertion order and
+    terms that sum to zero are dropped."""
     acc: dict = {}
     for tree, coeff in items:
         if not tree.children or not coeff:
@@ -181,29 +138,25 @@ def _face_sum(items: Iterable, weight_at) -> dict:
             piece = normalize_topological(remove_leaf(tree, addr))
             term = weight_at(coeff, i)
             acc[piece] = acc[piece] + term if piece in acc else term
-    return acc
+    return {piece: coeff for piece, coeff in acc.items() if coeff}
 
 
-def q_boundary(chain: QChain) -> QChain:
+def q_boundary(chain: Mapping) -> dict[PlaneTree, QPoly]:
     """Linear extension of T -> sum over leaf indices i of q**i * d_i(T);
-    the point maps to zero."""
-    return QChain(_face_sum(chain.terms.items(), QPoly.shift))
+    the point maps to zero.  An int coefficient is a constant polynomial."""
+    polys = ((tree, QPoly((c,)) if isinstance(c, int) else c) for tree, c in _chain_items(chain))
+    return _face_sum(polys, QPoly.shift)
 
 
-def q_boundary_at(chain, q_value: int) -> dict[PlaneTree, int]:
-    """The boundary with q specialized to an integer.
-
-    Accepts a QChain or a plain mapping of trees to integers and returns an
-    integer-weighted chain as a dict.  At q = -1 this is the alternating
-    face sum and squares to zero; at generic integers it does not.
-    """
-    items = chain.terms.items() if isinstance(chain, QChain) else dict(chain).items()
+def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
+    """The boundary with q specialized to an integer, as a chain with int
+    coefficients.  At q = -1 this is the alternating face sum and squares
+    to zero; at generic integers it does not."""
     weights = (
-        (tree, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else int(coeff))
-        for tree, coeff in items
+        (tree, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff)
+        for tree, coeff in _chain_items(chain, q_value)
     )
-    acc = _face_sum(weights, lambda weight, i: weight * q_value**i)
-    return {tree: w for tree, w in acc.items() if w}
+    return _face_sum(weights, lambda weight, i: weight * q_value**i)
 
 
 def reduce_to_point(tree: PlaneTree) -> QPoly:
@@ -213,9 +166,11 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
     Each rewrite strictly lowers the leaf count, so the process terminates;
     the result for a tree with n leaves is the q-factorial of n.
     """
+    if not isinstance(tree, PlaneTree):
+        raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
+    chain = {tree: ONE}
     point_coeff = ZERO
-    chain = QChain({tree: ONE})
     while chain:
-        point_coeff = point_coeff + chain.coefficient(POINT)
-        chain = q_boundary(chain)
+        point_coeff = point_coeff + chain.get(POINT, ZERO)
+        chain = _face_sum(chain.items(), QPoly.shift)
     return point_coeff

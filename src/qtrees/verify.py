@@ -2,11 +2,12 @@
 
 Each family runs one set of exact cross-checks and returns ``(ok,
 summary)``, where summary is the dict of counts that ``qtrees verify
---format json`` prints.  Sizes are exhaustive bounds, in edges for the
-plane-tree families and in leaves for the topological ones.  Nothing here
-caps a size: each family checks every tree up to the size it is given, and
-the CLI's hard caps are the only gate.  Sampled inputs (random trees, block
-specs) are built by the caller.
+--format json`` prints; ``double_boundary`` and ``reduction``, parts of the
+presimplicial family, return ``(checked, failures)`` counts instead.  Sizes
+are exhaustive bounds, in edges for the plane-tree families and in leaves
+for the topological ones.  Nothing here caps a size: each family checks
+every tree up to the size it is given, and the CLI's hard caps are the only
+gate.  Sampled inputs (random trees, block specs) are built by the caller.
 """
 
 from __future__ import annotations

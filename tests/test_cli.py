@@ -311,6 +311,18 @@ def test_search_delayed_bad_target(capsys):
     assert code == 2
 
 
+def test_search_delayed_target_brackets(capsys):
+    # one surrounding pair of brackets is stripped; any other bracket is an error
+    bare = run(capsys, "search-delayed", "--target", "1,2,1,1", "--max-edges", "4")
+    assert run(capsys, "search-delayed", "--target", " [1,2,1,1] ", "--max-edges", "4") == bare
+    for target in ("1]2", "1,[1", "[1,1", "[[1,1]]"):
+        assert run(capsys, "search-delayed", "--target", target, "--max-edges", "2") == (
+            2,
+            "",
+            f"error: target must be comma-separated integers, got {target!r}\n",
+        )
+
+
 def test_search_delayed_json(capsys):
     code, out, _ = run(
         capsys, "search-delayed", "--target", "0,1,1,2,1", "--max-edges", "4", "--format", "json"

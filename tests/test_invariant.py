@@ -293,6 +293,16 @@ def test_block_rejects_inadmissible_delays():
         )  # delays must grow right to left: 2 < 3
 
 
+def test_block_spec_refuses_bad_trees_and_delays():
+    edge = parse_tree("(.)")
+    for delay in (1.7, True, "2", 0, -1):
+        with pytest.raises(ValueError, match="delays must be positive integers"):
+            BlockSpec(((edge, delay), (edge, 1)))
+    with pytest.raises(TypeError, match="tree must be a PlaneTree"):
+        BlockSpec((("(.)", 2), (edge, 1)))
+    assert BlockSpec([[edge, 2], (edge, 1)]).blocks == ((edge, 2), (edge, 1))
+
+
 def test_assemble_blocks():
     spec = BlockSpec(((CHERRY, 2), (parse_tree("(.)"), 1)))
     delayed = assemble_blocks(spec)

@@ -3,14 +3,11 @@ import pytest
 from qtrees import verify
 from qtrees.presimplicial import (
     CHERRY,
-    QChain,
     degeneracy,
     enumerate_top_trees,
     face,
-    is_topological,
     leaf_count,
     normalize_topological,
-    ordered_leaves,
     q_boundary,
     q_boundary_at,
     reduce_to_point,
@@ -27,6 +24,17 @@ def schroeder_numbers(top):
         assert numerator % n == 0
         values.append(numerator // n)
     return values
+
+
+def is_topological(tree):
+    # oracle for normalize_topological: no vertex has exactly one child
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if len(node.children) == 1:
+            return False
+        stack.extend(node.children)
+    return True
 
 
 def basis(max_leaves):
@@ -57,7 +65,6 @@ def test_normalize_is_idempotent_and_topological():
 
 
 def test_leaf_conventions():
-    assert ordered_leaves(POINT) == ((),)
     assert leaf_count(POINT) == 1
     assert leaf_count(CHERRY) == 2
     assert leaf_count(star(4)) == 4
@@ -150,25 +157,36 @@ def test_double_degeneracy_witness_is_the_point():
 # -- chains and boundaries ----------------------------------------------------------------
 
 
-def test_qchain_normalization():
-    chain = QChain({POINT: QPoly(()), CHERRY: 2})
-    assert chain.terms == {CHERRY: QPoly((2,))}
-    assert QChain() == QChain({POINT: 0})
-    assert not QChain()
-    assert QChain({POINT: 1}) + QChain({POINT: QPoly((-1,))}) == QChain()
+def test_chains_are_dicts_of_int_or_qpoly_coefficients():
+    # an int is a constant polynomial; zero inputs and zero sums leave no term
+    assert q_boundary({CHERRY: 2, star(3): QPoly(()), POINT: 5}) == {POINT: QPoly((2, 2))}
+    cancelling = {star(3): 1, parse_tree("(.(..))"): QPoly((-1,)), CHERRY: 1}
+    assert q_boundary(cancelling) == {POINT: QPoly((1, 1))}
+    assert q_boundary_at({CHERRY: QPoly((1, 1)), star(3): 0}, -1) == {}
+    assert q_boundary_at({CHERRY: 3, star(3): QPoly((0, 1))}, 2) == {POINT: 9, CHERRY: 14}
+    for chain in ({CHERRY: 1.5}, {CHERRY: True}, {CHERRY: "3"}, {"(..)": 1}):
+        with pytest.raises(TypeError, match="terms must map PlaneTree to QPoly or int"):
+            q_boundary(chain)
+        with pytest.raises(TypeError, match="terms must map PlaneTree to QPoly or int"):
+            q_boundary_at(chain, 2)
+    for q_value in (2.0, True, "2"):
+        with pytest.raises(TypeError, match="q_value must be an int"):
+            q_boundary_at({CHERRY: 1}, q_value)
+    with pytest.raises(TypeError, match="tree must be a PlaneTree"):
+        reduce_to_point("(..)")
 
 
 def test_q_boundary_examples():
-    assert q_boundary(QChain({CHERRY: 1})) == QChain({POINT: QPoly((1, 1))})
-    assert q_boundary(QChain({POINT: 1})) == QChain()
-    assert q_boundary(QChain({star(3): 1})) == QChain({CHERRY: QPoly((1, 1, 1))})
+    assert q_boundary({CHERRY: 1}) == {POINT: QPoly((1, 1))}
+    assert q_boundary({POINT: 1}) == {}
+    assert q_boundary({star(3): 1}) == {CHERRY: QPoly((1, 1, 1))}
 
 
 def test_q_boundary_is_linear():
-    chain = QChain({star(3): QPoly((0, 1)), CHERRY: 3})
+    chain = {star(3): QPoly((0, 1)), CHERRY: 3}
     out = q_boundary(chain)
-    assert out.coefficient(CHERRY) == QPoly((0, 1, 1, 1))
-    assert out.coefficient(POINT) == QPoly((3, 3))
+    assert out[CHERRY] == QPoly((0, 1, 1, 1))
+    assert out[POINT] == QPoly((3, 3))
 
 
 def test_alternating_boundary_squares_to_zero():
@@ -178,7 +196,7 @@ def test_alternating_boundary_squares_to_zero():
 
 
 def test_generic_boundary_does_not_square_to_zero():
-    once = q_boundary_at(QChain({star(3): 1}), 2)
+    once = q_boundary_at({star(3): QPoly((1,))}, 2)
     assert once == {CHERRY: 7}
     assert q_boundary_at(once, 2) == {POINT: 21}
 
@@ -192,7 +210,7 @@ def test_boundaries_are_face_sums():
         expected = {}
         for i, piece in enumerate(faces):
             expected[piece] = expected.get(piece, QPoly(())) + QPoly((0,) * i + (1,))
-        assert q_boundary(QChain({tree: ONE})) == QChain(expected)
+        assert list(q_boundary({tree: ONE}).items()) == list(expected.items())
         for q_value in (-1, 2, 3):
             weights = {}
             for i, piece in enumerate(faces):

@@ -4,7 +4,7 @@ from types import MappingProxyType
 
 import pytest
 
-from qtrees.presimplicial import is_topological, normalize_topological
+from qtrees.presimplicial import normalize_topological
 from qtrees.trees import (
     POINT,
     DelayedTree,
@@ -31,6 +31,8 @@ from qtrees.trees import (
     star,
     wedge,
 )
+
+from test_presimplicial import is_topological
 
 CHERRY = parse_tree("(..)")
 SEED = 20140530
