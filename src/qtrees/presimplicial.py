@@ -14,17 +14,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping
 
-from .qpoly import ONE, QPoly, ZERO
-from .trees import (
-    PlaneTree,
-    POINT,
-    _leaf_count,
-    _postorder,
-    _splice,
-    dyck_word,
-    leaves,
-    remove_leaf,
-)
+from .qpoly import QPoly
+from .trees import PlaneTree, POINT, _leaf_count, dyck_word
 
 __all__ = [
     "CHERRY",
@@ -41,41 +32,165 @@ __all__ = [
 CHERRY = PlaneTree((POINT, POINT))
 
 
+# -- the maps on Dyck words --------------------------------------------------------
+# Faces, degeneracies and smoothing run on a tree's Dyck word packed in one int
+# (trees.dyck_word: read from the most significant bit, 1 steps down an edge,
+# 0 steps back up, the point is 0).  A leaf is a 1 followed by a 0; with its
+# 1 at bit j the leaf owns bits j and j - 1.  A PlaneTree is built only for
+# a value handed back to the caller.
+
+
+def _checked_word(tree: PlaneTree) -> int:
+    """The tree's Dyck word, after refusing a tree that is not a PlaneTree."""
+    if not isinstance(tree, PlaneTree):
+        raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
+    return dyck_word(tree)
+
+
+def _check_index(index: int, total: int) -> None:
+    """Refuse a leaf index that is not an int (a bool is none) or is out of
+    range for total leaves."""
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise TypeError(f"leaf index must be an int, got {type(index).__name__}")
+    if not 0 <= index < total:
+        raise IndexError(f"leaf index {index} out of range 0..{total - 1}")
+
+
+def _tree_of(word: int) -> PlaneTree:
+    """The PlaneTree with the given Dyck word, built on an explicit stack."""
+    if not word:
+        return POINT
+    kids: list[PlaneTree] = []  # children so far of the innermost open vertex
+    outer: list[list[PlaneTree]] = []  # the same for each vertex around it
+    for step in bin(word)[2:]:
+        if step == "1":
+            outer.append(kids)
+            kids = []
+        else:
+            node = PlaneTree(kids) if kids else POINT
+            kids = outer.pop()
+            kids.append(node)
+    return PlaneTree(kids)
+
+
+def _pairs(word: int) -> tuple[str, list[int], list[int]]:
+    """The nonzero word's steps as a string, steps[p] being bit top - p for
+    top the highest bit; the position of each step's partner; and where
+    each only child steps down.  One explicit-stack scan."""
+    steps = bin(word)[2:]
+    match = [0] * len(steps)
+    opened = []
+    only = []
+    closed = -1  # where the vertex that closed last stepped down
+    for p, step in enumerate(steps):
+        if step == "1":
+            opened.append(p)
+            continue
+        q = opened.pop()
+        match[q] = p
+        match[p] = q
+        if closed == q + 1:  # its first child closed just before it: an only child
+            only.append(closed)
+        closed = q
+    if match[0] == len(steps) - 1:  # the root's one child
+        only.append(0)
+    return steps, match, only
+
+
+def _smooth(word: int) -> int:
+    """The word with every unary vertex smoothed away, a unary root handing
+    the root over to its child: each only child's pair of steps is deleted,
+    its children going to its parent."""
+    if not word:
+        return 0
+    steps, match, only = _pairs(word)
+    if not only:
+        return word
+    drop = set(only).union(match[q] for q in only)
+    kept = "".join(step for p, step in enumerate(steps) if p not in drop)
+    return int(kept, 2) if kept else 0
+
+
+def _leaf_cuts(word: int) -> tuple[list[tuple[int, ...]], bool]:
+    """For each leaf of the tree with the given nonzero word, left to right,
+    the bits, highest first, whose deletion leaves its face; and whether the
+    tree is topological.
+
+    Removing a leaf leaves its parent unary exactly when the parent had two
+    children, and in a topological tree that is the only smoothing a face
+    needs: the sibling's pair goes too (for the root, the pair around
+    everything that is left).  In any other tree a face is the leaf's pair
+    alone, to be smoothed whole.
+    """
+    steps, match, only = _pairs(word)
+    size = len(steps)
+    top = size - 1
+    cuts = []
+    p = steps.find("10")
+    while p >= 0:
+        j = top - p
+        cut = (j, j - 1)
+        after = p + 2
+        if only:
+            pass
+        elif p and steps[p - 1] == "0":  # a sibling ends just before the leaf
+            first = match[p - 1]
+            if (not first or steps[first - 1] == "1") and (after == size or steps[after] == "0"):
+                cut = (top - first, j + 1, j, j - 1)
+        else:  # the leaf is a first child, so a sibling starts after it
+            last = match[after]
+            if last == top or steps[last + 1] == "0":
+                cut = (j, j - 1, top - after, top - last)
+        cuts.append(cut)
+        p = steps.find("10", after)
+    return cuts, not only
+
+
+def _cut(word: int, bits: tuple[int, ...]) -> int:
+    """The word with the given bits deleted, highest first, so that each
+    deletion leaves the lower indices in place."""
+    for b in bits:
+        word = ((word >> (b + 1)) << b) | (word & ((1 << b) - 1))
+    return word
+
+
 def normalize_topological(tree: PlaneTree) -> PlaneTree:
     """Smooth away every vertex with exactly one child; a unary root hands
     the root over to its child.  Idempotent."""
-    values: list[PlaneTree] = []  # the smoothed subtrees not yet attached
-    for node in _postorder(tree):
-        if len(node.children) != 1:  # a unary vertex keeps its child's value
-            cut = len(values) - len(node.children)
-            kids = tuple(values[cut:])
-            del values[cut:]
-            values.append(node if kids == node.children else PlaneTree(kids))
-    return values[0]
+    word = _checked_word(tree)
+    smooth = _smooth(word)
+    return tree if smooth == word else _tree_of(smooth)
 
 
 def leaf_count(tree: PlaneTree) -> int:
     """Number of leaves, read off the Dyck word; the point counts 1."""
-    return _leaf_count(dyck_word(tree)) or 1
+    return _leaf_count(_checked_word(tree)) or 1
 
 
 def face(tree: PlaneTree, index: int) -> PlaneTree:
     """Remove the index-th leaf and smooth.  Drops one level."""
-    if not tree.children:
+    word = _checked_word(tree)
+    if not word:
         raise ValueError("the point has no faces")
-    addrs = leaves(tree)
-    if not 0 <= index < len(addrs):
-        raise IndexError(f"leaf index {index} out of range 0..{len(addrs) - 1}")
-    return normalize_topological(remove_leaf(tree, addrs[index]))
+    cuts, topological = _leaf_cuts(word)
+    _check_index(index, len(cuts))
+    piece = _cut(word, cuts[index])
+    return _tree_of(piece if topological else _smooth(piece))
 
 
 def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
     """Plant a cherry on the index-th leaf.  Climbs one level; the result
     is topological by construction.  The point's root is its own leaf."""
-    addrs = leaves(tree) if tree.children else ((),)
-    if not 0 <= index < len(addrs):
-        raise IndexError(f"leaf index {index} out of range 0..{len(addrs) - 1}")
-    return _splice(tree, addrs[index], (CHERRY,))
+    word = _checked_word(tree)
+    found = word & ~(word << 1)  # the leaves' down bits
+    _check_index(index, found.bit_count() or 1)
+    if not word:
+        return CHERRY
+    for _ in range(index):
+        found ^= 1 << (found.bit_length() - 1)
+    j = found.bit_length() - 1
+    # 1010 goes between the leaf's 1 and its 0
+    return _tree_of(((word >> j) << (j + 4)) | (0b1010 << j) | (word & ((1 << j) - 1)))
 
 
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -102,6 +217,8 @@ def _top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
 def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
     """All topological rooted plane trees with exactly the given number of
     leaves, each once, in a fixed order (arity, then leaf split)."""
+    if not isinstance(leaf_total, int) or isinstance(leaf_total, bool):
+        raise TypeError(f"leaf count must be an int, got {type(leaf_total).__name__}")
     if leaf_total < 1:
         raise ValueError("leaf count must be positive")
     return _top_trees(leaf_total)
@@ -113,7 +230,7 @@ def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
 
 
 def _chain_items(chain: Mapping, q_value: int = 0) -> list:
-    """The (tree, coefficient) pairs of a chain, after refusing with
+    """The (Dyck word, coefficient) pairs of a chain, after refusing with
     TypeError a key that is not a PlaneTree, a coefficient that is not a
     QPoly or an int, and a q_value that is not an int (a bool is neither)."""
     if not isinstance(q_value, int) or isinstance(q_value, bool):
@@ -122,30 +239,47 @@ def _chain_items(chain: Mapping, q_value: int = 0) -> list:
     for tree, coeff in items:
         if not isinstance(tree, PlaneTree) or isinstance(coeff, bool) or not isinstance(coeff, (QPoly, int)):
             raise TypeError("terms must map PlaneTree to QPoly or int")
-    return items
+    return [(dyck_word(tree), coeff) for tree, coeff in items]
 
 
-def _face_sum(items: Iterable, weight_at) -> dict:
-    """Sum over (tree, coeff) items and leaf indices i of weight_at(coeff, i)
-    times d_i(tree), walking each tree's leaves once.  The point and zero
+def _face_sum(items: Iterable, add) -> dict:
+    """Sum over (word, coeff) items and leaf indices i of q**i coeff
+    d_i(word), each term folded into its face's total by add(total, coeff,
+    i), total None for a face not seen before.  The point and zero
     coefficients contribute nothing; keys keep first-insertion order and
-    terms that sum to zero are dropped."""
+    totals that come to zero are dropped."""
     acc: dict = {}
-    for tree, coeff in items:
-        if not tree.children or not coeff:
+    for word, coeff in items:
+        if not word or not coeff:
             continue
-        for i, addr in enumerate(leaves(tree)):
-            piece = normalize_topological(remove_leaf(tree, addr))
-            term = weight_at(coeff, i)
-            acc[piece] = acc[piece] + term if piece in acc else term
-    return {piece: coeff for piece, coeff in acc.items() if coeff}
+        cuts, topological = _leaf_cuts(word)
+        for i, bits in enumerate(cuts):
+            piece = _cut(word, bits)
+            if not topological:
+                piece = _smooth(piece)
+            acc[piece] = add(acc.get(piece), coeff, i)
+    return {piece: total for piece, total in acc.items() if total}
+
+
+def _add_shifted(total: list | None, coeffs: list, shift: int) -> list:
+    """total + q**shift * coeffs on ascending coefficient lists, adding into
+    total in place; None starts a new list."""
+    if total is None:
+        return [0] * shift + coeffs
+    short = shift + len(coeffs) - len(total)
+    if short > 0:
+        total += [0] * short
+    for j, c in enumerate(coeffs, shift):
+        total[j] += c
+    return total
 
 
 def q_boundary(chain: Mapping) -> dict[PlaneTree, QPoly]:
     """Linear extension of T -> sum over leaf indices i of q**i * d_i(T);
     the point maps to zero.  An int coefficient is a constant polynomial."""
-    polys = ((tree, QPoly((c,)) if isinstance(c, int) else c) for tree, c in _chain_items(chain))
-    return _face_sum(polys, QPoly.shift)
+    polys = ((word, QPoly((c,)) if isinstance(c, int) else c) for word, c in _chain_items(chain))
+    sums = _face_sum(polys, lambda total, poly, i: poly.shift(i) if total is None else total + poly.shift(i))
+    return {_tree_of(word): poly for word, poly in sums.items()}
 
 
 def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
@@ -153,10 +287,11 @@ def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
     coefficients.  At q = -1 this is the alternating face sum and squares
     to zero; at generic integers it does not."""
     weights = (
-        (tree, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff)
-        for tree, coeff in _chain_items(chain, q_value)
+        (word, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff)
+        for word, coeff in _chain_items(chain, q_value)
     )
-    return _face_sum(weights, lambda weight, i: weight * q_value**i)
+    sums = _face_sum(weights, lambda total, weight, i: (total or 0) + weight * q_value**i)
+    return {_tree_of(word): weight for word, weight in sums.items()}
 
 
 def reduce_to_point(tree: PlaneTree) -> QPoly:
@@ -164,13 +299,14 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
     tree into its q-boundary.
 
     Each rewrite strictly lowers the leaf count, so the process terminates;
-    the result for a tree with n leaves is the q-factorial of n.
+    the result for a tree with n leaves is the q-factorial of n.  The rounds
+    run on Dyck words with coefficient lists, which stay nonzero: every
+    coefficient is a sum of powers of q.
     """
-    if not isinstance(tree, PlaneTree):
-        raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
-    chain = {tree: ONE}
-    point_coeff = ZERO
+    chain = {_checked_word(tree): [1]}
+    point: list[int] = []
     while chain:
-        point_coeff = point_coeff + chain.get(POINT, ZERO)
-        chain = _face_sum(chain.items(), QPoly.shift)
-    return point_coeff
+        if 0 in chain:
+            _add_shifted(point, chain[0], 0)
+        chain = _face_sum(chain.items(), _add_shifted)
+    return QPoly._trusted(point)

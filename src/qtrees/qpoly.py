@@ -144,7 +144,7 @@ class QPoly:
             raise ValueError("negative shift")
         if not self.coeffs or k == 0:
             return self
-        return QPoly((0,) * k + self.coeffs)
+        return QPoly._trusted([0] * k + list(self.coeffs))
 
     def divexact(self, divisor) -> "QPoly":
         """Exact quotient in Z[q]; raises NotDivisible when none exists."""

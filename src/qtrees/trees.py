@@ -366,7 +366,10 @@ def enumerate_plane_trees(edges: int) -> tuple[PlaneTree, ...]:
 def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
     """Uniformly random plane tree with the given edge count.  An open vertex
     with e edges left hangs first of them below its next child with
-    probability C(first) C(e - 1 - first) / C(e), C the Catalan numbers."""
+    probability C(first) C(e - 1 - first) / C(e), C the Catalan numbers:
+    first is the least index whose prefix sum of these terms exceeds a
+    uniform draw below C(e).  The terms are symmetric and their mass sits
+    at both ends, so the search walks in from both ends at once."""
     catalan = [1]
     for n in range(edges):
         catalan.append(catalan[-1] * 2 * (2 * n + 1) // (n + 2))
@@ -375,11 +378,17 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
         remaining, kids = stack[-1]
         if remaining:
             r = rng.randrange(catalan[remaining])
-            acc = 0
-            for first in range(remaining):
-                acc += catalan[first] * catalan[remaining - 1 - first]
-                if r < acc:
-                    break
+            first, last = 0, remaining - 1
+            term = catalan[last]
+            below, above = term, catalan[remaining] - term  # prefix sums through first and through last - 1
+            while below <= r < above:
+                first += 1
+                last -= 1
+                term = catalan[first] * catalan[last]
+                below += term
+                above -= term
+            if r >= below:
+                first = last
             stack[-1][0] = remaining - 1 - first
             stack.append([first, []])
         else:

@@ -13,7 +13,18 @@ from qtrees.presimplicial import (
     reduce_to_point,
 )
 from qtrees.qpoly import ONE, QPoly, q_factorial
-from qtrees.trees import POINT, parse_tree, serialize, star
+from qtrees.trees import (
+    POINT,
+    PlaneTree,
+    _postorder,
+    _splice,
+    enumerate_plane_trees,
+    leaves,
+    parse_tree,
+    remove_leaf,
+    serialize,
+    star,
+)
 
 
 def schroeder_numbers(top):
@@ -37,6 +48,19 @@ def is_topological(tree):
     return True
 
 
+def smoothed(tree):
+    # oracle for normalize_topological on PlaneTrees: a unary vertex takes
+    # its child's smoothed subtree, bottom-up
+    values = []
+    for node in _postorder(tree):
+        if len(node.children) != 1:
+            cut = len(values) - len(node.children)
+            kids = tuple(values[cut:])
+            del values[cut:]
+            values.append(PlaneTree(kids))
+    return values[0]
+
+
 def basis(max_leaves):
     for total in range(1, max_leaves + 1):
         for tree in enumerate_top_trees(total):
@@ -55,8 +79,6 @@ def test_normalize_examples():
 
 
 def test_normalize_is_idempotent_and_topological():
-    from qtrees.trees import enumerate_plane_trees
-
     for edges in range(6):
         for tree in enumerate_plane_trees(edges):
             once = normalize_topological(tree)
@@ -89,6 +111,63 @@ def test_degeneracy_examples():
     assert degeneracy(CHERRY, 1) == parse_tree("(.(..))")
     with pytest.raises(IndexError):
         degeneracy(CHERRY, 2)
+
+
+def test_faces_smooth_after_removing_the_leaf():
+    # the unary vertex left by removing its only child becomes a leaf, so
+    # face 1 is the cherry, not a face of the normalization (..)
+    tree = parse_tree("(.(.))")
+    assert face(tree, 0) == POINT
+    assert face(tree, 1) == CHERRY
+    assert normalize_topological(tree) == CHERRY
+    assert q_boundary({tree: 1}) == {POINT: ONE, CHERRY: QPoly((0, 1))}
+    assert q_boundary_at({tree: 1}, -1) == {POINT: 1, CHERRY: -1}
+
+
+def test_maps_match_the_tree_oracles_on_every_plane_tree():
+    # every plane tree with at most 9 edges, the non-topological ones too,
+    # against smoothing, leaf removal and splicing on PlaneTrees
+    for tree in (t for edges in range(10) for t in enumerate_plane_trees(edges)):
+        assert normalize_topological(tree) == smoothed(tree)
+        addrs = leaves(tree)
+        faces = [smoothed(remove_leaf(tree, addr)) for addr in addrs]
+        assert [face(tree, i) for i in range(len(addrs))] == faces
+        planted = [_splice(tree, addr, (CHERRY,)) for addr in addrs or [()]]
+        assert [degeneracy(tree, i) for i in range(len(planted))] == planted
+        expected = {}
+        for i, piece in enumerate(faces):
+            expected[piece] = expected.get(piece, QPoly(())) + QPoly((0,) * i + (1,))
+        assert list(q_boundary({tree: ONE}).items()) == [(t, c) for t, c in expected.items() if c]
+        for q_value in (-1, 3):
+            weights = {}
+            for i, piece in enumerate(faces):
+                weights[piece] = weights.get(piece, 0) + q_value**i
+            got = q_boundary_at({tree: 1}, q_value)
+            assert list(got.items()) == [(t, w) for t, w in weights.items() if w]
+
+
+def test_maps_refuse_what_is_not_a_tree_or_an_index():
+    for call in (
+        lambda: face("(..)", 0),
+        lambda: degeneracy("(..)", 0),
+        lambda: normalize_topological("(..)"),
+        lambda: leaf_count("(..)"),
+        lambda: reduce_to_point("(..)"),
+    ):
+        with pytest.raises(TypeError, match=r"^tree must be a PlaneTree, got str$"):
+            call()
+    for index, name in ((True, "bool"), (1.0, "float"), ("1", "str")):
+        with pytest.raises(TypeError, match=rf"^leaf index must be an int, got {name}$"):
+            face(CHERRY, index)
+        with pytest.raises(TypeError, match=rf"^leaf index must be an int, got {name}$"):
+            degeneracy(CHERRY, index)
+    with pytest.raises(IndexError, match=r"^leaf index -1 out of range 0\.\.1$"):
+        face(CHERRY, -1)
+    with pytest.raises(IndexError, match=r"^leaf index 1 out of range 0\.\.0$"):
+        degeneracy(POINT, 1)
+    for size, name in ((True, "bool"), (2.0, "float")):
+        with pytest.raises(TypeError, match=rf"^leaf count must be an int, got {name}$"):
+            enumerate_top_trees(size)
 
 
 def test_face_cancels_degeneracy():

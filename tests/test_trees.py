@@ -4,7 +4,8 @@ from types import MappingProxyType
 
 import pytest
 
-from qtrees.presimplicial import normalize_topological
+from qtrees.presimplicial import degeneracy, face, leaf_count, normalize_topological, reduce_to_point
+from qtrees.qpoly import ONE, QPoly
 from qtrees.trees import (
     POINT,
     DelayedTree,
@@ -15,6 +16,7 @@ from qtrees.trees import (
     RootHasNoEdge,
     ZeroDelay,
     _postorder,
+    _splice,
     dyck_word,
     edge_count,
     enumerate_plane_trees,
@@ -32,7 +34,7 @@ from qtrees.trees import (
     wedge,
 )
 
-from test_presimplicial import is_topological
+from test_presimplicial import is_topological, smoothed
 
 CHERRY = parse_tree("(..)")
 SEED = 20140530
@@ -239,12 +241,23 @@ def test_walks_take_any_depth():
     assert twin is not path and twin == path and hash(twin) == hash(path)
     assert {path: 1}[twin] == 1 and {twin: 2}[path] == 2
     assert parse_tree("(" * (depth - 1) + "." + ")" * (depth - 1)) != path
+    assert face(path, 0) == POINT
+    planted = degeneracy(path, 0)
+    assert dyck_word(planted) == ((1 << depth) - 1) << (depth + 4) | 0b1010 << depth
+    assert reduce_to_point(path) == ONE
+    assert reduce_to_point(planted) == QPoly((1, 1))
 
     tree = random_plane_tree(5000, random.Random(SEED))
     assert edge_count(tree) == 5000
     smooth = normalize_topological(tree)
     assert is_topological(smooth)
     assert len(leaves(smooth)) == len(leaves(tree))
+    addrs = leaves(tree)
+    middle = len(addrs) // 2
+    assert face(tree, middle) == smoothed(remove_leaf(tree, addrs[middle]))
+    assert face(smooth, middle) == smoothed(remove_leaf(smooth, leaves(smooth)[middle]))
+    assert degeneracy(tree, middle) == _splice(tree, addrs[middle], (CHERRY,))
+    assert leaf_count(degeneracy(smooth, middle)) == leaf_count(smooth) + 1
     shuffled = permute_children(tree, SEED)
     assert edge_count(shuffled) == 5000
     assert sorted(map(len, leaves(shuffled))) == sorted(map(len, leaves(tree)))
