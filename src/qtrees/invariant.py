@@ -155,19 +155,21 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
 
     Each vertex contributes the Gaussian multinomial of the sizes (edges
     plus the hanging edge) of its child subtrees; leaves contribute 1.
-    Agrees with q_poly on every tree.
+    Agrees with q_poly on every tree.  One pass over the Dyck word, the
+    root's own steps added around it, finishes each vertex at its step up.
     """
-    values: list[QPoly] = []  # value per subtree not yet attached
-    for node in trees._postorder(tree):
-        cut = len(values) - len(node.children)
-        kids = values[cut:]
-        del values[cut:]
-        out = q_multinomial(tuple(edge_count(c) + 1 for c in node.children))
-        for value in kids:
+    stack: list[list] = [[]]  # per open vertex: where it stepped down, then its children's (size, value)
+    for p, step in enumerate("1" + trees._steps(dyck_word(tree)) + "0"):
+        if step == "1":
+            stack.append([p])
+            continue
+        down, *kids = stack.pop()
+        out = q_multinomial(tuple(size for size, _ in kids))
+        for _, value in kids:
             if value != ONE:  # a leaf or a path: multiplying by 1 is a full pass
                 out = out * value
-        values.append(out)
-    return values[0]
+        stack[-1].append(((p - down + 1) // 2, out))
+    return stack[0][0][1]
 
 
 def q_degree(tree: PlaneTree) -> int:
@@ -176,9 +178,11 @@ def q_degree(tree: PlaneTree) -> int:
     bounds the delayed polynomial of the tree too, which sums a subset of
     the same removal sequences."""
     edges = edge_count(tree)
-    # the edge counts of all subtrees, the root's included, sum to the
-    # vertex counts of the subtrees below the root
-    return edges * (edges + 1) // 2 - sum(edge_count(node) for node in trees._postorder(tree))
+    # the vertex counts of the subtrees below the root sum to the depths of
+    # the vertices below the root, the heights the steps down reach
+    steps = trees._steps(dyck_word(tree))
+    heights = itertools.accumulate(1 if step == "1" else -1 for step in steps)
+    return edges * (edges + 1) // 2 - sum(h for h, step in zip(heights, steps) if step == "1")
 
 
 class RerootCheck(NamedTuple):

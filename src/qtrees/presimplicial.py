@@ -15,7 +15,7 @@ import itertools
 from typing import Iterable, Mapping
 
 from .qpoly import QPoly
-from .trees import PlaneTree, POINT, _leaf_count, dyck_word
+from .trees import PlaneTree, _leaf_count, _pairs, _planted, dyck_word
 
 __all__ = [
     "CHERRY",
@@ -29,7 +29,7 @@ __all__ = [
     "reduce_to_point",
 ]
 
-CHERRY = PlaneTree((POINT, POINT))
+CHERRY = PlaneTree._of(0b1010)
 
 
 # -- the maps on Dyck words --------------------------------------------------------
@@ -56,59 +56,16 @@ def _check_index(index: int, total: int) -> None:
         raise IndexError(f"leaf index {index} out of range 0..{total - 1}")
 
 
-def _tree_of(word: int) -> PlaneTree:
-    """The PlaneTree with the given Dyck word, built on an explicit stack."""
-    if not word:
-        return POINT
-    kids: list[PlaneTree] = []  # children so far of the innermost open vertex
-    outer: list[list[PlaneTree]] = []  # the same for each vertex around it
-    for step in bin(word)[2:]:
-        if step == "1":
-            outer.append(kids)
-            kids = []
-        else:
-            node = PlaneTree(kids) if kids else POINT
-            kids = outer.pop()
-            kids.append(node)
-    return PlaneTree(kids)
-
-
-def _pairs(word: int) -> tuple[str, list[int], list[int]]:
-    """The nonzero word's steps as a string, steps[p] being bit top - p for
-    top the highest bit; the position of each step's partner; and where
-    each only child steps down.  One explicit-stack scan."""
-    steps = bin(word)[2:]
-    match = [0] * len(steps)
-    opened = []
-    only = []
-    closed = -1  # where the vertex that closed last stepped down
-    for p, step in enumerate(steps):
-        if step == "1":
-            opened.append(p)
-            continue
-        q = opened.pop()
-        match[q] = p
-        match[p] = q
-        if closed == q + 1:  # its first child closed just before it: an only child
-            only.append(closed)
-        closed = q
-    if match[0] == len(steps) - 1:  # the root's one child
-        only.append(0)
-    return steps, match, only
-
-
 def _smooth(word: int) -> int:
     """The word with every unary vertex smoothed away, a unary root handing
     the root over to its child: each only child's pair of steps is deleted,
     its children going to its parent."""
-    if not word:
-        return 0
     steps, match, only = _pairs(word)
     if not only:
         return word
     drop = set(only).union(match[q] for q in only)
     kept = "".join(step for p, step in enumerate(steps) if p not in drop)
-    return int(kept, 2) if kept else 0
+    return int(kept or "0", 2)
 
 
 def _leaf_cuts(word: int) -> tuple[list[tuple[int, ...]], bool]:
@@ -159,7 +116,7 @@ def normalize_topological(tree: PlaneTree) -> PlaneTree:
     the root over to its child.  Idempotent."""
     word = _checked_word(tree)
     smooth = _smooth(word)
-    return tree if smooth == word else _tree_of(smooth)
+    return tree if smooth == word else PlaneTree._of(smooth)
 
 
 def leaf_count(tree: PlaneTree) -> int:
@@ -175,7 +132,7 @@ def face(tree: PlaneTree, index: int) -> PlaneTree:
     cuts, topological = _leaf_cuts(word)
     _check_index(index, len(cuts))
     piece = _cut(word, cuts[index])
-    return _tree_of(piece if topological else _smooth(piece))
+    return PlaneTree._of(piece if topological else _smooth(piece))
 
 
 def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
@@ -190,7 +147,7 @@ def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
         found ^= 1 << (found.bit_length() - 1)
     j = found.bit_length() - 1
     # 1010 goes between the leaf's 1 and its 0
-    return _tree_of(((word >> j) << (j + 4)) | (0b1010 << j) | (word & ((1 << j) - 1)))
+    return PlaneTree._of(((word >> j) << (j + 4)) | (0b1010 << j) | (word & ((1 << j) - 1)))
 
 
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -203,15 +160,14 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
-    levels = [(), (POINT,)]  # the trees of each leaf count, built bottom-up
+    levels = [(), (0,)]  # the Dyck words of each leaf count, built bottom-up
     for total in range(2, leaf_total + 1):
         out = []
         for arity in range(2, total + 1):
             for split in _compositions(total, arity):
-                for kids in itertools.product(*(levels[c] for c in split)):
-                    out.append(PlaneTree(kids))
-        levels.append(tuple(out))
-    return levels[leaf_total]
+                out += map(_planted, itertools.product(*(levels[c] for c in split)))
+        levels.append(out)
+    return tuple(map(PlaneTree._of, levels[leaf_total]))
 
 
 def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
@@ -279,7 +235,7 @@ def q_boundary(chain: Mapping) -> dict[PlaneTree, QPoly]:
     the point maps to zero.  An int coefficient is a constant polynomial."""
     polys = ((word, QPoly((c,)) if isinstance(c, int) else c) for word, c in _chain_items(chain))
     sums = _face_sum(polys, lambda total, poly, i: poly.shift(i) if total is None else total + poly.shift(i))
-    return {_tree_of(word): poly for word, poly in sums.items()}
+    return {PlaneTree._of(word): poly for word, poly in sums.items()}
 
 
 def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
@@ -291,7 +247,7 @@ def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
         for word, coeff in _chain_items(chain, q_value)
     )
     sums = _face_sum(weights, lambda total, weight, i: (total or 0) + weight * q_value**i)
-    return {_tree_of(word): weight for word, weight in sums.items()}
+    return {PlaneTree._of(word): weight for word, weight in sums.items()}
 
 
 def reduce_to_point(tree: PlaneTree) -> QPoly:

@@ -252,11 +252,13 @@ def q_multinomial(parts: Iterable[int]) -> QPoly:
     parts = sorted(parts, reverse=True)
     if parts and parts[-1] < 0:
         raise ValueError("parts must be nonnegative")
+    if len(parts) < 2 or not parts[1]:  # at most one part is nonzero
+        return ONE
     n = sum(parts)
     # the result's degree, plus room for a numerator factor before its division
     out = [1] + [0] * ((n * n - sum(a * a for a in parts)) // 2 + n)
     top = 0  # degree of the product so far
-    total = parts[0] if parts else 0
+    total = parts[0]
     for a in parts[1:]:
         for i in range(1, a + 1):
             m = total + i

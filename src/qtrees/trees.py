@@ -7,14 +7,14 @@ leaves admitted: each leaf is a positive integer label in ASCII digits, "."
 meaning 1.
 
 A vertex is addressed by the sequence of 0-based child indices walked from
-the root; the empty address is the root itself.
+the root; the empty address is the root itself.  A tree is held as its Dyck
+word alone (see dyck_word), and every walk is a scan of the word.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
 __all__ = [
@@ -77,28 +77,50 @@ class BoundExceeded(ValueError):
 
 
 class PlaneTree:
-    """A plane rooted tree: an immutable ordered tuple of child subtrees.
-
-    A node with no children is a leaf; the whole value is the subtree rooted
-    at that node.  Its identity is its Dyck word (see dyck_word), built from
-    the children's words at construction: equality and the hash read it, so
-    trees of any depth compare and work as dictionary keys.
+    """A plane rooted tree, held as its Dyck word (see dyck_word) and the
+    word's hash: the subtree rooted at one vertex, a leaf if it has no
+    children.  Equality and the hash read the word, so trees of any depth
+    compare and work as dictionary keys.  PlaneTree(children) builds a tree
+    from its child subtrees, left to right; the package builds every tree
+    from its word with _of, and every walk reads the word.
     """
 
-    __slots__ = ("children", "_hash", "_word")
+    __slots__ = ("_word", "_hash", "_kids")
 
     def __init__(self, children: Iterable["PlaneTree"] = ()):
-        kids = tuple(children)
-        word = 0
-        for c in kids:
+        words = []
+        for c in children:
             if not isinstance(c, PlaneTree):
                 raise TypeError("children must be PlaneTree values")
-            k = c._word
-            n = k.bit_length()
-            word = (word << (n + 2)) | (1 << (n + 1)) | (k << 1)  # 1, kid's word, 0
-        self.children = kids
-        self._word = word
-        self._hash = hash(word)
+            words.append(c._word)
+        word = _planted(words)
+        self._word, self._hash, self._kids = word, hash(word), None
+
+    @classmethod
+    def _of(cls, word: int) -> "PlaneTree":
+        """The tree with the given Dyck word, which must be one."""
+        tree = object.__new__(cls)
+        tree._word, tree._hash, tree._kids = word, hash(word), None
+        return tree
+
+    @property
+    def children(self) -> tuple["PlaneTree", ...]:
+        """The child subtrees, left to right.  The first read decodes the
+        whole subtree in one scan of the word and keeps each vertex's
+        children on its node, so a walk over them stays linear."""
+        if self._kids is None:
+            steps = _steps(self._word)
+            stack: list[list] = [[]]  # where each open vertex stepped down, then its children so far
+            for p, step in enumerate(steps):
+                if step == "1":
+                    stack.append([p])
+                else:
+                    down, *kids = stack.pop()
+                    node = PlaneTree._of(int(steps[down + 1 : p] or "0", 2))
+                    node._kids = tuple(kids)
+                    stack[-1].append(node)
+            self._kids = tuple(stack[0])
+        return self._kids
 
     def __eq__(self, other: object):
         if not isinstance(other, PlaneTree):
@@ -112,16 +134,88 @@ class PlaneTree:
         return f"PlaneTree({serialize(self)!r})"
 
 
-POINT = PlaneTree()
+def _planted(words: Iterable[int]) -> int:
+    """The Dyck word of the tree whose root has children with the given
+    words, left to right."""
+    word = 0
+    for k in words:
+        n = k.bit_length()
+        word = (word << (n + 2)) | (1 << (n + 1)) | (k << 1)  # 1, the child's word, 0
+    return word
+
+
+POINT = PlaneTree._of(0)
+
+
+def _steps(word: int) -> str:
+    """The Dyck word as a string of steps, highest bit first: "1" steps
+    down an edge, "0" back up, and a leaf is a "10".  The root owns no
+    step; a vertex below it owns its step down and that step's partner,
+    the step back up, with its subtree's steps between them."""
+    return bin(word)[2:] if word else ""
+
+
+def _pairs(word: int) -> tuple[str, list[int], list[int]]:
+    """The word's steps, the position of each step's partner, and where
+    each only child steps down, found in one explicit-stack scan."""
+    steps = _steps(word)
+    match = [0] * len(steps)
+    opened = []
+    only = []
+    closed = -1  # where the vertex that closed last stepped down
+    for p, step in enumerate(steps):
+        if step == "1":
+            opened.append(p)
+            continue
+        q = opened.pop()
+        match[q] = p
+        match[p] = q
+        if closed == q + 1:  # its first child closed just before it: an only child
+            only.append(closed)
+        closed = q
+    if match and match[0] == len(steps) - 1:  # the root's one child
+        only.append(0)
+    return steps, match, only
+
+
+def _spans(tree: PlaneTree, addr: VertexAddr) -> tuple[str, list[tuple[int, int]]]:
+    """The tree's steps and, for the root and each vertex on the way to the
+    addressed one, the positions of its steps down and back up (-1 and the
+    step count for the root), from one forward walk over the matched
+    steps.  Raises InvalidAddress for an address that leaves the tree."""
+    steps, match, _ = _pairs(tree._word)
+    spans = [(-1, len(steps))]
+    for i in addr:
+        down, up = spans[-1]
+        child = down + 1  # the first child steps down just after its parent
+        while i > 0 and child < up:
+            child = match[child] + 1  # the next sibling
+            i -= 1
+        if i < 0 or child >= up:
+            raise InvalidAddress(f"no vertex at address {'.'.join(map(str, addr))}")
+        spans.append((child, match[child]))
+    return steps, spans
+
+
+def _addresses(tree: PlaneTree, leaves_only: bool) -> list[VertexAddr]:
+    """The address of every vertex below the root, or of every leaf, in
+    pre-order, from one forward walk over the tree's steps."""
+    steps = _steps(tree._word)
+    out = []
+    path: list[int] = []  # the child index of each open vertex below the root
+    index = 0  # the index of the next child of the innermost open vertex
+    for p, step in enumerate(steps):
+        if step == "1":
+            path.append(index)
+            index = 0
+            if not leaves_only or steps[p + 1] == "0":
+                out.append(tuple(path))
+        else:
+            index = path.pop() + 1
+    return out
 
 
 # -- text grammar ------------------------------------------------------------
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
 
 
 def parse_tree(text: str) -> PlaneTree:
@@ -129,71 +223,56 @@ def parse_tree(text: str) -> PlaneTree:
     return _parse(text, labelled=False)[0]
 
 
+_BRACKETS = str.maketrans("10", "()")  # steps written as text
+
+
 def _parse(text: str, labelled: bool) -> tuple[PlaneTree, list[int]]:
-    """The tree and its leaf labels, left to right, read with an explicit
-    stack so nesting depth is unbounded.  labelled admits integer leaves
-    (the delayed grammar); a "." leaf is labelled 1 in both grammars."""
+    """The tree and its leaf labels, left to right.  labelled admits
+    integer leaves (the delayed grammar); a "." leaf is labelled 1 in both
+    grammars.  The text is read as steps, "(" down, ")" up and a leaf both,
+    with a depth count, so any nesting parses; inside the root's own two
+    steps they are the Dyck word."""
     end = len(text)
     labels: list[int] = []
-    stack: list[list[PlaneTree]] = [[]]  # the result, then the kids of each open "("
+    steps: list[str] = []
+    depth = 0  # parentheses open
+    opened = done = False  # the last token was "(", the tree is complete
     pos = 0
-    while True:
-        pos = _skip_ws(text, pos)
-        if len(stack) == 1 and stack[0]:
-            if pos != end:
-                raise ParseError("trailing input", pos)
-            return stack[0][0], labels
-        if pos >= end:
-            raise ParseError("unbalanced '('" if len(stack) > 1 else "unexpected end of input", pos)
+    while pos < end:
         ch = text[pos]
-        if ch == ")" and len(stack) > 1:
-            kids = stack.pop()
-            if not kids:
-                raise ParseError("empty node", pos)
-            stack[-1].append(PlaneTree(kids))
-            pos += 1
-        elif ch == "(":
-            stack.append([])
-            pos += 1
-        elif ch == ".":
-            stack[-1].append(POINT)
-            labels.append(1)
-            pos += 1
-        elif labelled and "0" <= ch <= "9":
-            start = pos
-            while pos < end and "0" <= text[pos] <= "9":
+        pos += 1
+        if ch.isspace():
+            continue
+        if done:
+            raise ParseError("trailing input", pos - 1)
+        if ch == "(":
+            steps.append("1")
+            depth += 1
+        elif ch == ")" and depth:
+            if opened:
+                raise ParseError("empty node", pos - 1)
+            steps.append("0")
+            depth -= 1
+        elif ch == "." or labelled and "0" <= ch <= "9":
+            start = pos - 1
+            while ch != "." and pos < end and "0" <= text[pos] <= "9":
                 pos += 1
-            labels.append(int(text[start:pos]))
-            if labels[-1] == 0:
+            labels.append(int(text[start:pos]) if ch != "." else 1)
+            if not labels[-1]:
                 raise ZeroDelay("zero delay", start)
-            stack[-1].append(POINT)
+            steps.append("10")
         else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
+            raise ParseError(f"unexpected character {ch!r}", pos - 1)
+        opened = ch == "("
+        done = not depth
+    if not done:
+        raise ParseError("unbalanced '('" if depth else "unexpected end of input", end)
+    return PlaneTree._of(int("".join(steps)[1:-1] or "0", 2)), labels
 
 
 def serialize(tree: PlaneTree) -> str:
     """Canonical text, whitespace-free; round-trips through parse_tree."""
-    return _write(tree, itertools.repeat("."), "")
-
-
-def _write(tree: PlaneTree, leaf_texts: Iterator[str], sep: str) -> str:
-    """Tree text with each leaf written as the next of leaf_texts and sep
-    between siblings, built with an explicit stack."""
-    out: list[str] = []
-    todo: list = [tree]  # trees still to write, and literal text
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif item.children:
-            out.append("(")
-            todo.append(")")
-            for kid in reversed(item.children):
-                todo += (kid, sep)
-            todo.pop()  # no separator before the first child
-        else:
-            out.append(next(leaf_texts))
-    return "".join(out)
+    return "(" + _steps(tree._word).replace("10", ".").translate(_BRACKETS) + ")" if tree._word else "."
 
 
 # -- structure queries -------------------------------------------------------
@@ -201,43 +280,9 @@ def _write(tree: PlaneTree, leaf_texts: Iterator[str], sep: str) -> str:
 
 def node_at(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     """Subtree rooted at the addressed vertex."""
-    node = tree
-    for i in addr:
-        if not 0 <= i < len(node.children):
-            raise InvalidAddress(f"no vertex at address {_format_addr(addr)}")
-        node = node.children[i]
-    return node
-
-
-def _format_addr(addr: VertexAddr) -> str:
-    """Dot-separated child indices, as error messages name a vertex below
-    the root."""
-    return ".".join(map(str, addr))
-
-
-def _preorder(tree: PlaneTree) -> Iterator[tuple[VertexAddr, PlaneTree]]:
-    """(address, subtree) for every vertex, root first, siblings left to right."""
-    stack = [((), tree)]
-    while stack:
-        addr, node = item = stack.pop()
-        yield item
-        kids = node.children
-        i = len(kids)
-        while i:  # right to left, so the leftmost child comes out first
-            i -= 1
-            stack.append((addr + (i,), kids[i]))
-
-
-def _postorder(tree: PlaneTree) -> list[PlaneTree]:
-    """Every subtree, children before parents, siblings left to right."""
-    out = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(node.children)
-    out.reverse()  # a right-first pre-order, reversed
-    return out
+    steps, spans = _spans(tree, addr)
+    down, up = spans[-1]
+    return PlaneTree._of(int(steps[down + 1 : up] or "0", 2))
 
 
 def edge_count(tree: PlaneTree) -> int:
@@ -247,7 +292,7 @@ def edge_count(tree: PlaneTree) -> int:
 
 def leaves(tree: PlaneTree) -> tuple[VertexAddr, ...]:
     """Addresses of all childless non-root vertices, left to right."""
-    return tuple(addr for addr, node in _preorder(tree) if addr and not node.children)
+    return tuple(_addresses(tree, leaves_only=True))
 
 
 def dyck_word(tree: PlaneTree) -> int:
@@ -271,22 +316,11 @@ def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     becomes a new leaf."""
     if not addr:
         raise NotALeaf("the root is not a leaf")
-    if node_at(tree, addr).children:
-        raise NotALeaf(f"vertex {_format_addr(addr)} has children")
-    return _splice(tree, addr, ())
-
-
-def _splice(tree: PlaneTree, addr: VertexAddr, replacement: tuple) -> PlaneTree:
-    """The tree with the subtree at a valid address replaced by the trees in
-    replacement (none deletes it; exactly one at the root).  The path is
-    rebuilt bottom-up, without recursion."""
-    path = [tree]
-    for i in addr[:-1]:
-        path.append(path[-1].children[i])
-    kids = replacement
-    for node, i in zip(reversed(path), reversed(addr)):
-        kids = (PlaneTree(node.children[:i] + kids + node.children[i + 1 :]),)
-    return kids[0]
+    steps, spans = _spans(tree, addr)
+    down, up = spans[-1]
+    if up != down + 1:
+        raise NotALeaf(f"vertex {'.'.join(map(str, addr))} has children")
+    return PlaneTree._of(int(steps[:down] + steps[up + 1 :] or "0", 2))
 
 
 # -- surgery -----------------------------------------------------------------
@@ -297,14 +331,14 @@ def wedge(parts: Iterable[PlaneTree]) -> PlaneTree:
     ps = tuple(parts)
     if not ps:
         raise ValueError("wedge of no trees")
-    return PlaneTree(tuple(itertools.chain.from_iterable(p.children for p in ps)))
+    return PlaneTree._of(int("".join(_steps(p._word) for p in ps) or "0", 2))
 
 
 def star(rays: int) -> PlaneTree:
     """Root with the given number of leaf children; 0 gives the point."""
     if rays < 0:
         raise ValueError("ray count must be nonnegative")
-    return PlaneTree((POINT,) * rays)
+    return PlaneTree._of(int("10" * rays or "0", 2))
 
 
 def side_edge_counts(tree: PlaneTree, addr: VertexAddr) -> tuple[int, int]:
@@ -321,38 +355,34 @@ def reroot_across_edge(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
 
     The former parent chain is reversed: each former parent is attached as
     the last child of its former child.  The abstract (unordered) rooted
-    tree is unchanged.
+    tree is unchanged.  So the new root's steps are its own, then one more
+    child's: each former parent's other children, from the nearest up.
     """
     if not addr:
         raise RootHasNoEdge("the root has no incoming edge")
-    node_at(tree, addr)  # validate the address
-    spine = []
-    cur = tree
-    for i in addr:
-        spine.append((cur, i))
-        cur = cur.children[i]
-    hanging = None
-    for node, i in spine:
-        rest = node.children[:i] + node.children[i + 1 :]
-        if hanging is not None:
-            rest = rest + (hanging,)
-        hanging = PlaneTree(rest)
-    return PlaneTree(cur.children + (hanging,))
+    steps, spans = _spans(tree, addr)
+    down, up = spans[-1]
+    out = [steps[down + 1 : up]]
+    for (above, back), (down, up) in zip(reversed(spans[:-1]), reversed(spans[1:])):
+        out += ("1", steps[above + 1 : down], steps[up + 1 : back])
+    out.append("0" * len(addr))
+    return PlaneTree._of(int("".join(out), 2))
 
 
 # -- enumeration and randomization --------------------------------------------
 
 
 def _plane_trees(edges: int) -> tuple[PlaneTree, ...]:
-    levels = [(POINT,)]  # the trees of each edge count, built bottom-up
+    levels = [[0]]  # the Dyck words of each edge count, built bottom-up
     for size in range(1, edges + 1):
         out = []
         for first in range(size):
+            rest_bits = 2 * (size - 1 - first)
             for head in levels[first]:
-                for rest in levels[size - 1 - first]:
-                    out.append(PlaneTree((head,) + rest.children))
-        levels.append(tuple(out))
-    return levels[edges]
+                planted = _planted((head,)) << rest_bits
+                out += [planted | rest for rest in levels[size - 1 - first]]
+        levels.append(out)
+    return tuple(map(PlaneTree._of, levels[edges]))
 
 
 def enumerate_plane_trees(edges: int) -> tuple[PlaneTree, ...]:
@@ -369,13 +399,15 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
     probability C(first) C(e - 1 - first) / C(e), C the Catalan numbers:
     first is the least index whose prefix sum of these terms exceeds a
     uniform draw below C(e).  The terms are symmetric and their mass sits
-    at both ends, so the search walks in from both ends at once."""
+    at both ends, so the search walks in from both ends at once.  The
+    steps are written as the vertices open and close."""
     catalan = [1]
     for n in range(edges):
         catalan.append(catalan[-1] * 2 * (2 * n + 1) // (n + 2))
-    stack: list = [[edges, []]]  # open vertices: [edges left, children so far]
-    while True:
-        remaining, kids = stack[-1]
+    steps: list[str] = []
+    stack = [edges]  # edges left to hang below each open vertex
+    while stack:
+        remaining = stack[-1]
         if remaining:
             r = rng.randrange(catalan[remaining])
             first, last = 0, remaining - 1
@@ -389,14 +421,14 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
                 above -= term
             if r >= below:
                 first = last
-            stack[-1][0] = remaining - 1 - first
-            stack.append([first, []])
+            stack[-1] = remaining - 1 - first
+            stack.append(first)
+            steps.append("1")
         else:
             stack.pop()
-            node = PlaneTree(kids) if kids else POINT
-            if not stack:
-                return node
-            stack[-1][1].append(node)
+            steps.append("0")
+    steps.pop()  # the root's own, which owns no step
+    return PlaneTree._of(int("".join(steps) or "0", 2))
 
 
 # -- delayed trees -------------------------------------------------------------
@@ -432,12 +464,18 @@ def parse_delayed(text: str) -> DelayedTree:
     top level is the point, whose label is vacuous (the root is not a leaf).
     """
     node, delays = _parse(text, labelled=True)
-    return DelayedTree(node, delays if node.children else ())
+    return DelayedTree(node, delays if node._word else ())
 
 
 def serialize_delayed(delayed: DelayedTree) -> str:
     """Canonical delayed text: integer leaves, single spaces between
-    children; round-trips through parse_delayed."""
-    if not delayed.tree.children:
+    children; round-trips through parse_delayed.  Siblings meet where a
+    step up is followed by a step down."""
+    word = delayed.tree._word
+    if not word:
         return "."
-    return _write(delayed.tree, map(str, delayed.delays), " ")
+    pieces = _steps(word).replace("01", "0 1").split("10")  # a leaf between each two
+    out = [pieces[0].translate(_BRACKETS)]
+    for label, piece in zip(delayed.delays, pieces[1:]):
+        out += (str(label), piece.translate(_BRACKETS))
+    return "(" + "".join(out) + ")"

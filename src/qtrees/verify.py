@@ -70,11 +70,10 @@ def reroot(max_edges: int) -> tuple[bool, dict]:
     violations = 0
     for size in range(max_edges + 1):
         for tree in trees.enumerate_plane_trees(size):
-            for addr, _ in trees._preorder(tree):
-                if addr:  # the root has no edge above it
-                    edges += 1
-                    if not invariant.check_reroot(tree, addr).holds:
-                        violations += 1
+            for addr in trees._addresses(tree, leaves_only=False):
+                edges += 1
+                if not invariant.check_reroot(tree, addr).holds:
+                    violations += 1
     return violations == 0, {"edges": edges, "violations": violations}
 
 

@@ -22,7 +22,18 @@ from qtrees.invariant import (
     sample_block_specs,
     search_delayed,
 )
-from qtrees.qpoly import ONE, ZERO, QPoly, cyclotomic_factor, q, q_binomial, q_factorial, q_multinomial, to_json_coeffs
+from qtrees.qpoly import (
+    ONE,
+    ZERO,
+    QPoly,
+    cyclotomic_factor,
+    q,
+    q_binomial,
+    q_factorial,
+    q_integer,
+    q_multinomial,
+    to_json_coeffs,
+)
 from qtrees.trees import (
     POINT,
     DelayedTree,
@@ -118,15 +129,27 @@ def test_q_poly_builds_no_trees(monkeypatch):
     tree = parse_tree("((..)(.(..))..)")
     built = []
     init = trees.PlaneTree.__init__
+    of = trees.PlaneTree._of.__func__
 
     def counted_init(self, *args):
         built.append(self)
         init(self, *args)
 
+    def counted_of(cls, word):
+        built.append(word)
+        return of(cls, word)
+
+    # count both ways to build a tree: from children, and from a Dyck word
     monkeypatch.setattr(trees.PlaneTree, "__init__", counted_init)
+    monkeypatch.setattr(trees.PlaneTree, "_of", classmethod(counted_of))
+    trees.PlaneTree((POINT,))
+    trees.remove_leaf(tree, (0, 0))
+    assert len(built) == 2
+    built.clear()
     clear_caches()
     assert q_poly(tree) == q_poly_state(tree)
     assert q_poly_delayed(DelayedTree(tree, (1,) * len(leaves(tree)))) == q_poly(tree)
+    assert q_degree(tree) == q_poly(tree).degree
     assert built == []
 
 
@@ -144,6 +167,14 @@ def test_q_degree_is_the_degree_of_q_poly():
 def test_state_product_base_cases():
     assert q_poly_state(POINT) == ONE
     assert q_poly_state(star(3)) == q_factorial(3)
+
+
+def test_state_product_takes_a_deep_path():
+    # every vertex of a path has one child, whose Gaussian multinomial is 1
+    depth = 40_000
+    path = "(" * depth + "." + ")" * depth
+    assert q_poly_state(parse_tree(path)) == ONE
+    assert q_poly_state(parse_tree("(." + path + ")")) == q_integer(depth + 2)
 
 
 def test_state_product_matches_recursion():

@@ -16,8 +16,6 @@ from qtrees.qpoly import ONE, QPoly, q_factorial
 from qtrees.trees import (
     POINT,
     PlaneTree,
-    _postorder,
-    _splice,
     enumerate_plane_trees,
     leaves,
     parse_tree,
@@ -48,11 +46,37 @@ def is_topological(tree):
     return True
 
 
+def postorder(tree):
+    # every subtree, children before parents, siblings left to right: a
+    # right-first pre-order, reversed
+    out = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(node.children)
+    out.reverse()
+    return out
+
+
+def splice(tree, addr, replacement):
+    # the tree with the subtree at a valid address replaced by the trees in
+    # replacement (none deletes it, exactly one at the root), the
+    # root-to-vertex path rebuilt bottom-up from child tuples
+    path = [tree]
+    for i in addr[:-1]:
+        path.append(path[-1].children[i])
+    kids = replacement
+    for node, i in zip(reversed(path), reversed(addr)):
+        kids = (PlaneTree(node.children[:i] + kids + node.children[i + 1 :]),)
+    return kids[0]
+
+
 def smoothed(tree):
     # oracle for normalize_topological on PlaneTrees: a unary vertex takes
     # its child's smoothed subtree, bottom-up
     values = []
-    for node in _postorder(tree):
+    for node in postorder(tree):
         if len(node.children) != 1:
             cut = len(values) - len(node.children)
             kids = tuple(values[cut:])
@@ -132,7 +156,7 @@ def test_maps_match_the_tree_oracles_on_every_plane_tree():
         addrs = leaves(tree)
         faces = [smoothed(remove_leaf(tree, addr)) for addr in addrs]
         assert [face(tree, i) for i in range(len(addrs))] == faces
-        planted = [_splice(tree, addr, (CHERRY,)) for addr in addrs or [()]]
+        planted = [splice(tree, addr, (CHERRY,)) for addr in addrs or [()]]
         assert [degeneracy(tree, i) for i in range(len(planted))] == planted
         expected = {}
         for i, piece in enumerate(faces):

@@ -327,6 +327,18 @@ def test_q_multinomial_basics():
         q_multinomial((1, -2))
 
 
+def test_q_multinomial_with_one_nonzero_part_is_one():
+    # no coefficient list is built for these: a deep path's state product
+    # asks for one per vertex, with a part as large as the path is long
+    for k in (0, 1, 7, 100_000):
+        assert q_multinomial((k,)) == ONE
+        assert q_multinomial((k, 0, 0)) == ONE
+        assert q_multinomial((0, k)) == ONE
+    assert q_multinomial((0, 0)) == ONE
+    with pytest.raises(ValueError):
+        q_multinomial((5, -1))
+
+
 def test_q_multinomial_matches_binomial_products():
     # independent route: the telescoping product
     # C(a1+a2, a2) * C(a1+a2+a3, a3) * ... of q-Pascal binomials

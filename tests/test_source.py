@@ -82,3 +82,11 @@ def test_size_caps_live_in_the_cli():
     )
     assert raises_cap == ["cli"]
     assert reads_env == ["cli"]
+
+
+def test_walks_read_the_word():
+    # Every walk over a tree runs on its Dyck word: no module reads
+    # .children, which decodes the child subtrees for callers outside the
+    # package.  The property itself reads the word.
+    assert isinstance(vars(qtrees.trees.PlaneTree)["children"], property)
+    assert _modules_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "children") == []

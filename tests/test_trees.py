@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from types import MappingProxyType
 
 import pytest
@@ -15,8 +16,6 @@ from qtrees.trees import (
     PlaneTree,
     RootHasNoEdge,
     ZeroDelay,
-    _postorder,
-    _splice,
     dyck_word,
     edge_count,
     enumerate_plane_trees,
@@ -34,7 +33,7 @@ from qtrees.trees import (
     wedge,
 )
 
-from test_presimplicial import is_topological, smoothed
+from test_presimplicial import is_topological, postorder, smoothed, splice
 
 CHERRY = parse_tree("(..)")
 SEED = 20140530
@@ -59,7 +58,7 @@ def permute_children(tree, seed):
     # post-order; the abstract rooted tree is unchanged
     rng = random.Random(seed)
     values = []  # the reshuffled subtrees not yet attached
-    for node in _postorder(tree):
+    for node in postorder(tree):
         cut = len(values) - len(node.children)
         kids = values[cut:]
         del values[cut:]
@@ -227,6 +226,36 @@ def test_deep_and_wide_trees_round_trip():
     assert serialize(parse_tree(wide)) == wide
 
 
+def test_a_deep_path_takes_linear_memory():
+    # a tree holds its Dyck word alone: 80,000 bits for this path, where a
+    # word on every vertex would hold 40,000 of up to that length
+    depth = 40_000
+    text = "(" * depth + "." + ")" * depth
+    tracemalloc.start()
+    try:
+        tree = parse_tree(text)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1_000_000
+    assert serialize(tree) == text
+    bottom = (0,) * depth
+    assert leaves(tree) == (bottom,)
+    assert remove_leaf(tree, bottom) == parse_tree(text[1:-1])
+    assert node_at(tree, bottom[:-1]) == parse_tree("(.)")
+
+
+def test_children_decode_on_first_read():
+    tree = parse_tree("((..)(.(..))..)")
+    kids = tree.children
+    assert [serialize(kid) for kid in kids] == ["(..)", "(.(..))", ".", "."]
+    assert tree.children is kids and kids[1].children[1].children == (POINT, POINT)
+    assert PlaneTree(kids) == tree and PlaneTree(kids).children == kids
+    assert POINT.children == () and PlaneTree().children == ()
+    with pytest.raises(TypeError, match="children must be PlaneTree values"):
+        PlaneTree([POINT, "."])
+
+
 def test_walks_take_any_depth():
     depth = 10_000
     path = parse_tree("(" * depth + "." + ")" * depth)
@@ -256,7 +285,7 @@ def test_walks_take_any_depth():
     middle = len(addrs) // 2
     assert face(tree, middle) == smoothed(remove_leaf(tree, addrs[middle]))
     assert face(smooth, middle) == smoothed(remove_leaf(smooth, leaves(smooth)[middle]))
-    assert degeneracy(tree, middle) == _splice(tree, addrs[middle], (CHERRY,))
+    assert degeneracy(tree, middle) == splice(tree, addrs[middle], (CHERRY,))
     assert leaf_count(degeneracy(smooth, middle)) == leaf_count(smooth) + 1
     shuffled = permute_children(tree, SEED)
     assert edge_count(shuffled) == 5000
