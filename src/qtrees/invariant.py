@@ -11,12 +11,15 @@ hitting a target polynomial.
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from operator import add
 from typing import NamedTuple
 
 from . import qpoly, trees
-from .qpoly import ONE, ZERO, QPoly, q_integer, q_multinomial
+from .qpoly import ONE, QPoly, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
@@ -324,33 +327,18 @@ def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[
 # -- search ----------------------------------------------------------------------
 
 
-def _may_finish(edges: int, labels: tuple[int, ...]) -> bool:
-    """The prune test of _value_index: False only for a label vector under
-    which the delayed game on a tree with the given edge count and
-    len(labels) leaves cannot finish."""
-    if not edges:
-        return True  # the point: no move is needed
-    n = len(labels)
-    return 1 in labels and all(d <= edges - n + j for j, d in enumerate(sorted(labels), 1))
-
-
 def _value_index(edges: int) -> dict[tuple[int, ...], list[tuple[PlaneTree, tuple[int, ...]]]]:
     """Every delayed tree with the given edge count and delays in
     1..max(edges, 1), as (tree, delay vector), keyed by the coefficients of
     its delayed q-polynomial.  Each list runs in enumerate_plane_trees
     order, then itertools.product order of the delay vectors.
 
-    A delay vector that fails _may_finish goes into the zero list
-    unevaluated.  Take a tree with e >= 1 edges and n leaves, delays sorted
-    as d_(1) <= ... <= d_(n).  A finished game makes e moves, and removes
-    each of the n leaves at its own move.  A leaf with delay d may move
-    first at move d: before move k its delay has dropped k - 1 times, to
-    max(d - k + 1, 1).  So the first move needs some delay 1, and the
-    n - j + 1 leaves with delay at least d_(j) leave at distinct moves in
-    d_(j)..e, which needs n - j + 1 <= e - d_(j) + 1, that is
-    d_(j) <= e - n + j.  A vector failing either test has no finished game
-    and the value 0.  The test depends on the edge and leaf counts only,
-    so it is worked out once per leaf count.
+    One pass over each tree's removal sequences gives its value under every
+    delay vector at once (_delayed_values), so no vector is evaluated alone
+    and none needs pruning.  The values come packed into ints, one field of
+    `width` bits per coefficient: a coefficient counts removal sequences of
+    the tree, at most edges! of them, so edges!.bit_length() bits hold it.
+    Each distinct packed value is decoded once, after the last tree.
 
     Indexes are kept in _SEARCH_MEMO and published there only once
     complete, so a thread sees a whole index or none.
@@ -358,21 +346,91 @@ def _value_index(edges: int) -> dict[tuple[int, ...], list[tuple[PlaneTree, tupl
     index = _SEARCH_MEMO.get(edges)
     if index is not None:
         return index
-    index = {}
-    vectors: dict[int, list[tuple[tuple[int, ...], bool]]] = {}  # leaf count -> (delays, may finish)
-    delays = range(1, max(edges, 1) + 1)
+    side = max(edges, 1)
+    width = math.factorial(edges).bit_length()
+    vectors: dict[int, list[tuple[int, ...]]] = {}  # leaf count -> delay vectors in product order
+    by_packed: defaultdict[int, list[tuple[PlaneTree, tuple[int, ...]]]] = defaultdict(list)
     for tree in enumerate_plane_trees(edges):
         word = dyck_word(tree)
         count = trees._leaf_count(word)
         labelled = vectors.get(count)
         if labelled is None:
-            labelled = vectors[count] = [
-                (labels, _may_finish(edges, labels)) for labels in itertools.product(delays, repeat=count)
-            ]
-        for labels, live in labelled:
-            coeffs = _removal_sum(word, labels).coeffs if live else ZERO.coeffs
-            index.setdefault(coeffs, []).append((tree, labels))
+            labelled = vectors[count] = list(itertools.product(range(1, side + 1), repeat=count))
+        for packed, labels in zip(_delayed_values(word, count, side, width), labelled):
+            by_packed[packed].append((tree, labels))
+    mask = (1 << width) - 1
+    index = {}
+    for packed, hits in by_packed.items():
+        coeffs = []
+        while packed:
+            coeffs.append(packed & mask)
+            packed >>= width
+        index[tuple(coeffs)] = hits
     return _SEARCH_MEMO.setdefault(edges, index)
+
+
+def _delayed_values(word: int, leaves: int, side: int, width: int) -> list[int]:
+    """The delayed values of the tree with the given Dyck word and leaf
+    count under every delay vector in (1..side)**leaves, in
+    itertools.product order, each packed as sum c_k << (k * width) for
+    the coefficient c_k of q**k.  side must be at least the edge count.
+
+    Under the delayed rule a leaf labelled d may move at move k exactly
+    when k >= d: before move k its delay has dropped k - 1 times, to
+    max(d - k + 1, 1), and a parent exposed as a new leaf may move at once.
+    So a removal sequence is a game under delays d exactly when each
+    original leaf v leaves at a move t(v) >= d_v, and its weight
+    q**(sum of r(v)) does not depend on d.  The walk adds each sequence's
+    weight to the cell of a grid at its removal times t, one axis per
+    original leaf, the leftmost leaf's axis the most significant; suffix
+    sums along every axis then leave the value for delays d in cell d.
+    The sequences are walked as in _removal_sum, on an explicit stack,
+    with the ids of the original leaves left to right, -1 for an exposed
+    parent.
+    """
+    edges = word.bit_count()
+    grid = [0] * side**leaves
+    place = [side ** (leaves - 1 - i) for i in range(leaves)]
+    stack = [(word, tuple(range(leaves)), 0, 0)]  # word, leaf ids, cell, weight
+    while stack:
+        word, ids, cell, weight = stack.pop()
+        if not word:
+            grid[cell] += 1 << (weight * width)
+            continue
+        move = edges - word.bit_count()  # moves made so far: the cell coordinate of this one
+        found = word & ~(word << 1)
+        i = -1
+        while found:
+            j = found.bit_length() - 1
+            found ^= 1 << j
+            i += 1
+            low = word & ((1 << (j - 1)) - 1)
+            rest = ((word >> (j + 1)) << (j - 1)) | low
+            leaf = ids[i]
+            if (word >> (j + 1)) & 1 and not (word >> (j - 2)) & 1:
+                next_ids = ids[:i] + (-1,) + ids[i + 1 :]  # the parent is exposed as a new leaf
+            else:
+                next_ids = ids[:i] + ids[i + 1 :]
+            moved = cell + move * place[leaf] if leaf >= 0 else cell
+            stack.append((rest, next_ids, moved, weight + low.bit_count()))
+    # suffix sums along each axis: the cells whose coordinate on it is c take
+    # in those at c + 1, for c from side - 2 down; they form `stride` runs a
+    # period apart or size // period blocks of `stride` cells, so slice
+    # whichever way needs fewer slices
+    size = len(grid)
+    stride = 1
+    while stride < size:
+        period = stride * side
+        for lo in range(period - 2 * stride, -1, -stride):
+            hi = lo + stride
+            if stride <= size // period:
+                for r in range(stride):
+                    grid[lo + r :: period] = map(add, grid[lo + r :: period], grid[hi + r :: period])
+            else:
+                for b in range(0, size, period):
+                    grid[b + lo : b + hi] = map(add, grid[b + lo : b + hi], grid[b + hi : b + hi + stride])
+        stride = period
+    return grid
 
 
 def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
@@ -383,8 +441,10 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
 
     Delays range over 1..edge count: a larger label never acts before the
     game ends, so it adds no new polynomials at fixed size.  The first
-    search at each edge count sweeps it once into a value index
-    (_value_index); later searches look the target up.
+    search at each edge count builds its value index (_value_index) from
+    one walk over each tree's removal sequences, which values every delay
+    vector of the tree at once; later searches look the target up.  The
+    search leaves nothing in the leaf-removal memo.
     """
     if not isinstance(target, QPoly):
         raise TypeError(f"target must be a QPoly, got {type(target).__name__}")

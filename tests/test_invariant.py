@@ -377,15 +377,73 @@ def delayed_candidates(max_edges):
                 yield edges, DelayedTree(tree, labels)
 
 
+def may_finish(edges, labels):
+    """False only for a label vector under which the delayed game on a tree
+    with the given edge count and len(labels) leaves cannot finish.
+
+    Take a tree with e >= 1 edges and n leaves, delays sorted as
+    d_(1) <= ... <= d_(n).  A finished game makes e moves, and removes each
+    of the n leaves at its own move.  A leaf with delay d may move first at
+    move d: before move k its delay has dropped k - 1 times, to
+    max(d - k + 1, 1).  So the first move needs some delay 1, and the
+    n - j + 1 leaves with delay at least d_(j) leave at distinct moves in
+    d_(j)..e, which needs n - j + 1 <= e - d_(j) + 1, that is
+    d_(j) <= e - n + j.  A vector failing either test has no finished game
+    and the value 0."""
+    if not edges:
+        return True  # the point: no move is needed
+    n = len(labels)
+    return 1 in labels and all(d <= edges - n + j for j, d in enumerate(sorted(labels), 1))
+
+
+def indexed_values(max_edges):
+    # the search's value index turned around: (tree, labels) -> coefficients
+    return {
+        (tree, labels): coeffs
+        for edges in range(max_edges + 1)
+        for coeffs, hits in invariant._value_index(edges).items()
+        for tree, labels in hits
+    }
+
+
 def test_prune_discards_only_zero_values():
+    values = indexed_values(5)
     discarded = kept = 0
     for edges, delayed in delayed_candidates(5):
-        if invariant._may_finish(edges, delayed.delays):
+        if may_finish(edges, delayed.delays):
             kept += 1
         else:
             discarded += 1
-            assert q_poly_delayed(delayed) == ZERO, serialize_delayed(delayed)
+            assert values[delayed.tree, delayed.delays] == ZERO.coeffs, serialize_delayed(delayed)
     assert (discarded, kept) == (6908, 6027)
+    assert len(values) == discarded + kept
+
+
+def test_value_index_matches_the_recursion():
+    # the index's values come from removal-time grids; the recursion plays
+    # each game on its own
+    clear_caches()
+    values = indexed_values(6)
+    assert len(values) == 252_377
+    for edges in range(7):
+        for tree in enumerate_plane_trees(edges):
+            word = trees.dyck_word(tree)
+            for labels in itertools.product(range(1, max(edges, 1) + 1), repeat=len(leaves(tree))):
+                value = values[tree, labels]
+                if may_finish(edges, labels):
+                    assert value == invariant._removal_sum(word, labels).coeffs, (tree, labels)
+                else:
+                    assert value == ZERO.coeffs, (tree, labels)
+            assert values[tree, (1,) * len(leaves(tree))] == q_poly(tree).coeffs, tree
+
+
+def test_search_leaves_the_recursion_memo_empty():
+    # the value index is built without the leaf-removal recursion, so a
+    # cold search stores no delayed states
+    clear_caches()
+    assert len(search_delayed(ONE, 6)) == 197
+    assert not invariant._QPOLY_MEMO
+    assert sorted(invariant._SEARCH_MEMO) == list(range(7))
 
 
 def search_oracle(max_edges):
