@@ -31,9 +31,9 @@ _HARD_CAPS = {
     "state": 10,
     "reroot": 9,
     "block": 12,
-    "presimplicial": 7,
+    "presimplicial": 8,
     "enumerate-plane": 10,
-    "enumerate-topological": 7,
+    "enumerate-topological": 8,
     "search": 6,
     "degree": 20_000,
 }

@@ -135,19 +135,37 @@ def face(tree: PlaneTree, index: int) -> PlaneTree:
     return PlaneTree._of(piece if topological else _smooth(piece))
 
 
+def _faces(word: int) -> list[int]:
+    """The words of d_0, d_1, ... of the tree with the given word, in index
+    order; the point has none."""
+    if not word:
+        return []
+    cuts, topological = _leaf_cuts(word)
+    pieces = [_cut(word, bits) for bits in cuts]
+    return pieces if topological else list(map(_smooth, pieces))
+
+
+def _degeneracies(word: int) -> list[int]:
+    """The words of s_0, s_1, ... of the tree with the given word, in index
+    order: 1010 goes between each leaf's 1 and its 0, the point's root
+    being its one leaf."""
+    if not word:
+        return [dyck_word(CHERRY)]
+    out = []
+    found = word & ~(word << 1)  # the leaves' down bits
+    while found:
+        j = found.bit_length() - 1
+        out.append(((word >> j) << (j + 4)) | (0b1010 << j) | (word & ((1 << j) - 1)))
+        found ^= 1 << j
+    return out
+
+
 def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
     """Plant a cherry on the index-th leaf.  Climbs one level; the result
     is topological by construction.  The point's root is its own leaf."""
-    word = _checked_word(tree)
-    found = word & ~(word << 1)  # the leaves' down bits
-    _check_index(index, found.bit_count() or 1)
-    if not word:
-        return CHERRY
-    for _ in range(index):
-        found ^= 1 << (found.bit_length() - 1)
-    j = found.bit_length() - 1
-    # 1010 goes between the leaf's 1 and its 0
-    return PlaneTree._of(((word >> j) << (j + 4)) | (0b1010 << j) | (word & ((1 << j) - 1)))
+    planted = _degeneracies(_checked_word(tree))
+    _check_index(index, len(planted))
+    return PlaneTree._of(planted[index])
 
 
 def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
@@ -159,15 +177,16 @@ def _compositions(total: int, parts: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
-    levels = [(), (0,)]  # the Dyck words of each leaf count, built bottom-up
+def _top_trees(leaf_total: int) -> list[int]:
+    """The Dyck words of enumerate_top_trees(leaf_total), in its order."""
+    levels = [[], [0]]  # the words of each leaf count, built bottom-up
     for total in range(2, leaf_total + 1):
         out = []
         for arity in range(2, total + 1):
             for split in _compositions(total, arity):
                 out += map(_planted, itertools.product(*(levels[c] for c in split)))
         levels.append(out)
-    return tuple(map(PlaneTree._of, levels[leaf_total]))
+    return levels[leaf_total]
 
 
 def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
@@ -177,7 +196,7 @@ def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
         raise TypeError(f"leaf count must be an int, got {type(leaf_total).__name__}")
     if leaf_total < 1:
         raise ValueError("leaf count must be positive")
-    return _top_trees(leaf_total)
+    return tuple(map(PlaneTree._of, _top_trees(leaf_total)))
 
 
 # -- chains and the q-boundary ---------------------------------------------------
@@ -206,14 +225,9 @@ def _face_sum(items: Iterable, add) -> dict:
     totals that come to zero are dropped."""
     acc: dict = {}
     for word, coeff in items:
-        if not word or not coeff:
-            continue
-        cuts, topological = _leaf_cuts(word)
-        for i, bits in enumerate(cuts):
-            piece = _cut(word, bits)
-            if not topological:
-                piece = _smooth(piece)
-            acc[piece] = add(acc.get(piece), coeff, i)
+        if coeff:
+            for i, piece in enumerate(_faces(word)):
+                acc[piece] = add(acc.get(piece), coeff, i)
     return {piece: total for piece, total in acc.items() if total}
 
 

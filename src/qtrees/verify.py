@@ -126,70 +126,50 @@ def identities(max_leaves: int) -> tuple[bool, dict]:
     for i > j + 1), and the cancellations d_i s_i = d_{i+1} s_i = id.  The
     square s_i s_i = s_{i+1} s_i is the one simplicial relation that fails
     here, so a counterexample is searched for and recorded as the witness;
-    ok means no violation and a witness found.
+    ok means no violation and a witness found.  The relations are compared
+    on Dyck words; only violations and the witness are written as trees.
     """
     if max_leaves < 1:
         raise ValueError("leaf count must be positive")
-    face, degeneracy, serialize = _top.face, _top.degeneracy, trees.serialize
+    faces, degeneracies = _top._faces, _top._degeneracies
     checked = {"face_face": 0, "deg_deg": 0, "face_deg": 0, "face_cancel": 0}
     violations: list[dict] = []
     witness = None
 
-    def offend(relation: str, tree, indices: tuple[int, ...], lhs, rhs) -> None:
-        violations.append(
-            {
-                "relation": relation,
-                "tree": serialize(tree),
-                "indices": indices,
-                "lhs": serialize(lhs),
-                "rhs": serialize(rhs),
-            }
-        )
+    def show(word: int) -> str:
+        return trees.serialize(trees.PlaneTree._of(word))
+
+    def check(relation: str, tree: int, indices: tuple[int, int], lhs: int, rhs: int) -> None:
+        if lhs != rhs:
+            row = dict(relation=relation, tree=show(tree), indices=indices, lhs=show(lhs), rhs=show(rhs))
+            violations.append(row)
 
     for level_leaves in range(1, max_leaves + 1):
         top_index = level_leaves - 1
-        for tree in _top.enumerate_top_trees(level_leaves):
+        for tree in _top._top_trees(level_leaves):
+            # every map taken once per index; xy[b][a] is the word of x_a y_b(tree)
+            d, s = faces(tree), degeneracies(tree)
+            dd, sd = [faces(w) for w in d], [degeneracies(w) for w in d]
+            ds, ss = [faces(w) for w in s], [degeneracies(w) for w in s]
             for j in range(top_index + 1):
                 for i in range(j):
                     if top_index >= 2:
-                        a = face(face(tree, j), i)
-                        b = face(face(tree, i), j - 1)
                         checked["face_face"] += 1
-                        if a != b:
-                            offend("face_face", tree, (i, j), a, b)
-                    a = degeneracy(degeneracy(tree, j), i)
-                    b = degeneracy(degeneracy(tree, i), j + 1)
+                        check("face_face", tree, (i, j), dd[j][i], dd[i][j - 1])
                     checked["deg_deg"] += 1
-                    if a != b:
-                        offend("deg_deg", tree, (i, j), a, b)
+                    check("deg_deg", tree, (i, j), ss[j][i], ss[i][j + 1])
             for j in range(top_index + 1):
-                planted = degeneracy(tree, j)
                 for i in range(top_index + 2):
-                    if i < j:
-                        a = face(planted, i)
-                        b = degeneracy(face(tree, i), j - 1)
-                    elif i > j + 1:
-                        a = face(planted, i)
-                        b = degeneracy(face(tree, i - 1), j)
-                    else:
-                        continue
-                    checked["face_deg"] += 1
-                    if a != b:
-                        offend("face_deg", tree, (i, j), a, b)
+                    if i < j or i > j + 1:
+                        checked["face_deg"] += 1
+                        rhs = sd[i][j - 1] if i < j else sd[i - 1][j]
+                        check("face_deg", tree, (i, j), ds[j][i], rhs)
             for i in range(top_index + 1):
-                planted = degeneracy(tree, i)
-                a = face(planted, i)
-                b = face(planted, i + 1)
                 checked["face_cancel"] += 1
-                if a != tree:
-                    offend("face_cancel", tree, (i, i), a, tree)
-                if b != tree:
-                    offend("face_cancel", tree, (i, i + 1), b, tree)
-                if witness is None:
-                    double = degeneracy(planted, i)
-                    shifted = degeneracy(planted, i + 1)
-                    if double != shifted:
-                        witness = (serialize(tree), i, serialize(double), serialize(shifted))
+                check("face_cancel", tree, (i, i), ds[i][i], tree)
+                check("face_cancel", tree, (i, i + 1), ds[i][i + 1], tree)
+                if witness is None and ss[i][i] != ss[i][i + 1]:
+                    witness = (show(tree), i, show(ss[i][i]), show(ss[i][i + 1]))
     summary = {
         "max_leaves": max_leaves,
         "checked": checked,

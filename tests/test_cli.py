@@ -197,7 +197,7 @@ def test_verify_bound_guard(capsys):
         ("wedge", 11, "trees", "_plane_trees"),
         ("state", 11, "trees", "_plane_trees"),
         ("reroot", 11, "trees", "_plane_trees"),
-        ("presimplicial", 8, "presimplicial", "_top_trees"),
+        ("presimplicial", 9, "presimplicial", "_top_trees"),
     ],
 )
 def test_verify_hard_cap_reaches_every_family(
@@ -227,7 +227,7 @@ def test_verify_block_needs_two_edges(capsys, size):
 @pytest.mark.parametrize(
     "family,size,message",
     [
-        ("presimplicial", "0", "outside 1..7 for presimplicial: it needs at least 1 leaf"),
+        ("presimplicial", "0", "outside 1..8 for presimplicial: it needs at least 1 leaf"),
         ("block", "1", "outside 2..12 for block: it needs at least 2 edges"),
     ],
     ids=["presimplicial-0", "block-1"],
@@ -262,12 +262,15 @@ def test_verify_reports_failures(capsys, monkeypatch, family, module, name, fake
 def test_verify_presimplicial_reports_violations(capsys, monkeypatch):
     # s_1 plants twice (on leaf 1, then on leaf 0), which breaks the
     # degeneracy relations; every violation record lands in the output.
-    real = cli.presimplicial.degeneracy
-    monkeypatch.setattr(
-        cli.presimplicial,
-        "degeneracy",
-        lambda tree, i: real(real(tree, i), 0) if i == 1 else real(tree, i),
-    )
+    real = cli.presimplicial._degeneracies
+
+    def broken(word):
+        planted = real(word)
+        if len(planted) > 1:
+            planted[1] = real(planted[1])[0]
+        return planted
+
+    monkeypatch.setattr(cli.presimplicial, "_degeneracies", broken)
     code, out, err = run(capsys, "verify", "presimplicial", "--max-size", "4", "--format", "json")
     assert (code, err) == (1, "")
     assert hashlib.sha1(out.encode()).hexdigest() == "608382d2b55cd252ec771d325e6fe2d8c64bb06c"
@@ -443,10 +446,10 @@ def test_enumerate_bound(capsys):
         "",
         "error: size 11 exceeds hard cap 10\n",
     )
-    assert run(capsys, "enumerate", "topological", "--size", "8") == (
+    assert run(capsys, "enumerate", "topological", "--size", "9") == (
         2,
         "",
-        "error: size 8 exceeds hard cap 7\n",
+        "error: size 9 exceeds hard cap 8\n",
     )
 
 
@@ -458,12 +461,12 @@ def test_enumerate_json_roundtrip(capsys):
 
 
 def test_hard_cap_env_override(capsys, monkeypatch):
-    code, _, _ = run(capsys, "enumerate", "topological", "--size", "8")
+    code, _, _ = run(capsys, "enumerate", "topological", "--size", "9")
     assert code == 2
-    monkeypatch.setenv("QTREES_HARD_CAP", "8")
-    code, out, _ = run(capsys, "enumerate", "topological", "--size", "8")
+    monkeypatch.setenv("QTREES_HARD_CAP", "9")
+    code, out, _ = run(capsys, "enumerate", "topological", "--size", "9")
     assert code == 0
-    assert out.splitlines()[0] == "4279"
+    assert out.splitlines()[0] == "20793"
     monkeypatch.setenv("QTREES_HARD_CAP", "abc")
     code, out, err = run(capsys, "enumerate", "plane", "--size", "3")
     assert code == 2

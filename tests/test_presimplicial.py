@@ -3,6 +3,8 @@ import pytest
 from qtrees import verify
 from qtrees.presimplicial import (
     CHERRY,
+    _degeneracies,
+    _faces,
     degeneracy,
     enumerate_top_trees,
     face,
@@ -16,6 +18,7 @@ from qtrees.qpoly import ONE, QPoly, q_factorial
 from qtrees.trees import (
     POINT,
     PlaneTree,
+    dyck_word,
     enumerate_plane_trees,
     leaves,
     parse_tree,
@@ -150,14 +153,17 @@ def test_faces_smooth_after_removing_the_leaf():
 
 def test_maps_match_the_tree_oracles_on_every_plane_tree():
     # every plane tree with at most 9 edges, the non-topological ones too,
-    # against smoothing, leaf removal and splicing on PlaneTrees
+    # against smoothing, leaf removal and splicing on PlaneTrees; the word
+    # lists hold the same maps in index order
     for tree in (t for edges in range(10) for t in enumerate_plane_trees(edges)):
         assert normalize_topological(tree) == smoothed(tree)
         addrs = leaves(tree)
         faces = [smoothed(remove_leaf(tree, addr)) for addr in addrs]
         assert [face(tree, i) for i in range(len(addrs))] == faces
+        assert _faces(dyck_word(tree)) == list(map(dyck_word, faces))
         planted = [splice(tree, addr, (CHERRY,)) for addr in addrs or [()]]
         assert [degeneracy(tree, i) for i in range(len(planted))] == planted
+        assert _degeneracies(dyck_word(tree)) == list(map(dyck_word, planted))
         expected = {}
         for i, piece in enumerate(faces):
             expected[piece] = expected.get(piece, QPoly(())) + QPoly((0,) * i + (1,))
@@ -248,6 +254,18 @@ def test_identities_hold_with_witness():
     assert summary["violations"] == []
     assert all(count > 0 for count in summary["checked"].values())
     assert ok
+
+
+def test_identities_build_no_trees(monkeypatch):
+    # the relations are compared on Dyck words; only the witness's three
+    # trees are built, to be written out
+    built = []
+    of, init = PlaneTree._of, PlaneTree.__init__
+    monkeypatch.setattr(PlaneTree, "_of", classmethod(lambda cls, word: built.append(word) or of(word)))
+    monkeypatch.setattr(PlaneTree, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    ok, summary = verify.identities(6)
+    assert ok
+    assert len(built) == 3
 
 
 def test_double_degeneracy_witness_is_the_point():
