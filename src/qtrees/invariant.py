@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
@@ -56,7 +57,8 @@ class InadmissibleDelays(ValueError):
 
 
 # One memo for both games: plain states are keyed by the tree's Dyck word,
-# delayed states by (word, delays).
+# delayed states by (word, delays), either key paired with the field width
+# when its fields are wider than 64 bits (_removal_sum).
 _QPOLY_MEMO: dict = {}
 # The delayed search's value index per edge count (_value_index).
 _SEARCH_MEMO: dict = {}
@@ -65,7 +67,12 @@ _SEARCH_MEMO: dict = {}
 def clear_caches() -> None:
     """Drop the three memos of the package: the one shared by the plain and
     delayed recursion, the delayed search's value indexes and the Gaussian
-    binomials of qpoly.q_binomial.  Results are unaffected, only speed."""
+    binomials of qpoly.q_binomial.  Results are unaffected, only speed.
+
+    The recursion's memo holds each state's value packed into one int, 64
+    bits per coefficient, wider when the tree has at least 2**64 removal
+    sequences, and beside it the polynomial once a call has returned it, so
+    a hit returns that object (_removal_sum)."""
     _QPOLY_MEMO.clear()
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
@@ -94,14 +101,42 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
     down-step comes just before it (bit j + 1) and an up-step just after it
     (bit j - 2).  A state waits on an explicit stack until every state it
     reaches is in the memo.
+
+    A state's value is kept packed into one int, the coefficient of q**k in
+    bits [k * width, (k + 1) * width) (_field_width), so a move adds the
+    value of T - v shifted by r(v) fields in one big-int shift-add.  Fields
+    of 64 bits are keyed by the state alone, wider ones by (state, width).
+    Only a value returned is unpacked, and the memo then keeps the pair
+    (packed, polynomial), so a later hit returns the same object.
     """
     if not word:
         return ONE
     memo = _QPOLY_MEMO
     key = word if delays is None else (word, delays)
+    width = 64
     val = memo.get(key)
-    if val is not None:
-        return val
+    if val is None:  # a state keyed alone takes 64-bit fields, so a hit needs no bound
+        width = _field_width(word)
+        if width > 64:
+            key = (key, width)
+            val = memo.get(key)
+    if val.__class__ is tuple:
+        return val[1]
+    if val is None:
+        _fill_memo(key, word, delays, width)
+        val = memo[key]
+        if val.__class__ is tuple:  # unpacked meanwhile by another thread
+            return val[1]
+    poly = _unpack(val, width)
+    memo[key] = (val, poly)
+    return poly
+
+
+def _fill_memo(key, word: int, delays: tuple[int, ...] | None, width: int) -> None:
+    """Store the packed value of the state with the given key, and of every
+    state it reaches, in the memo (_removal_sum)."""
+    memo = _QPOLY_MEMO
+    wide = width > 64
     stack = [[key, word, delays, None]]  # key, word, delays, moves once listed
     while stack:
         frame = stack[-1]
@@ -110,7 +145,7 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
             if key in memo:  # finished meanwhile, reached from another state
                 stack.pop()
                 continue
-            moves = frame[3] = []  # (r(v), key of T - v), the point keyed 0
+            moves = frame[3] = []  # (shift by r(v) fields, key of T - v), the point keyed 0
             depth = len(stack)
             found = word & ~(word << 1)
             i = -1
@@ -135,22 +170,60 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
                         del ticked[i]  # the leaf slot disappears
                     next_delays = tuple(ticked)
                     sub = (rest, next_delays)
-                moves.append((low.bit_count(), sub))
+                if wide and sub:
+                    sub = (sub, width)
+                moves.append((low.bit_count() * width, sub))
                 if sub and sub not in memo:
                     stack.append([sub, rest, next_delays, None])
             if len(stack) > depth:
                 continue
         stack.pop()
-        acc: list[int] = []
-        for rw, sub in moves:
-            coeffs = memo[sub].coeffs if sub else ONE.coeffs
-            need = rw + len(coeffs)
-            if len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            for j, c in enumerate(coeffs, rw):
-                acc[j] += c
-        memo[key] = QPoly._trusted(acc)
-    return memo[key]
+        acc = 0
+        for shift, sub in moves:
+            val = memo[sub] if sub else 1
+            if val.__class__ is tuple:
+                val = val[0]
+            acc += val << shift
+        memo[key] = acc
+
+
+# 20! < 2**64: a tree with at most this many edges has fewer removal
+# sequences than a 64-bit field holds, whatever its shape
+_NARROW_EDGES = 20
+
+
+def _field_width(word: int) -> int:
+    """Bits per coefficient that hold every value the removal recursion
+    reaches from the tree with the given Dyck word: the least multiple of
+    64 at least as long as L(T) (_removal_count), found without computing
+    L(T) up to _NARROW_EDGES edges.  A coefficient of any state reached
+    counts removal sequences of that state, and each of them extends to one
+    of T, so none exceeds L(T)."""
+    if word.bit_count() <= _NARROW_EDGES:
+        return 64
+    return 64 * -(-_removal_count(word).bit_length() // 64)
+
+
+def _removal_count(word: int) -> int:
+    """L(T), the number of removal sequences of the tree with the given
+    Dyck word: e! over the product of its hook lengths (_hook_lengths), by
+    Knuth's hook-length formula; it is q_poly at q = 1."""
+    hooks = _hook_lengths(word)
+    while len(hooks) > 1:  # multiply in pairs: on a deep path a running product takes quadratic time
+        hooks = [math.prod(hooks[i : i + 2]) for i in range(0, len(hooks), 2)]
+    return math.factorial(word.bit_count()) // math.prod(hooks)
+
+
+def _unpack(packed: int, width: int) -> QPoly:
+    """The polynomial whose coefficient of q**k is field k of packed,
+    `width` bits each."""
+    size = width // 8
+    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
+    if size == 8 and sys.byteorder == "little":
+        coeffs = memoryview(raw).cast("Q").tolist()
+    else:
+        coeffs = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return QPoly._trusted(coeffs)
 
 
 def q_poly_state(tree: PlaneTree) -> QPoly:
@@ -177,15 +250,26 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
 
 def q_degree(tree: PlaneTree) -> int:
     """Degree of q_poly(tree), without computing it: C(e + 1, 2) minus the
-    vertex counts of the subtrees below the root, e the edge count.  It
-    bounds the delayed polynomial of the tree too, which sums a subset of
-    the same removal sequences."""
+    hook lengths (_hook_lengths), e the edge count.  It bounds the delayed
+    polynomial of the tree too, which sums a subset of the same removal
+    sequences."""
     edges = edge_count(tree)
-    # the vertex counts of the subtrees below the root sum to the depths of
-    # the vertices below the root, the heights the steps down reach
-    steps = trees._steps(dyck_word(tree))
-    heights = itertools.accumulate(1 if step == "1" else -1 for step in steps)
-    return edges * (edges + 1) // 2 - sum(h for h, step in zip(heights, steps) if step == "1")
+    return edges * (edges + 1) // 2 - sum(_hook_lengths(dyck_word(tree)))
+
+
+def _hook_lengths(word: int) -> list[int]:
+    """The hook length h_v, the vertex count of the subtree at v, of every
+    vertex v below the root of the tree with the given Dyck word, in the
+    order their steps up come: v's two steps and its subtree's between them
+    number 2 h_v."""
+    opened: list[int] = []  # where each open vertex stepped down
+    hooks = []
+    for p, step in enumerate(trees._steps(word)):
+        if step == "1":
+            opened.append(p)
+        else:
+            hooks.append((p - opened.pop() + 1) // 2)
+    return hooks
 
 
 class RerootCheck(NamedTuple):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -54,11 +55,10 @@ from test_trees import permute_children
 CHERRY = parse_tree("(..)")
 
 
-def removal_sequences(tree):
-    # independent brute-force oracle: count complete leaf-removal orders
+def removal_sequences(tree, memo):
+    # independent brute-force oracle: count complete leaf-removal orders,
+    # memo holding the counts of trees already met
     from qtrees.trees import leaves as tree_leaves, remove_leaf
-
-    memo = {}
 
     def count(t):
         if not t.children:
@@ -112,9 +112,12 @@ def test_q_poly_shape():
 
 
 def test_q_poly_counts_removal_sequences():
-    for edges in range(7):
+    # and so does the hook-length formula behind the recursion's field width
+    counts = {}
+    for edges in range(9):
         for tree in enumerate_plane_trees(edges):
-            assert q_poly(tree).eval_int(1) == removal_sequences(tree)
+            count = removal_sequences(tree, counts)
+            assert q_poly(tree).eval_int(1) == count == invariant._removal_count(trees.dyck_word(tree)), tree
 
 
 def test_q_poly_takes_any_depth():
@@ -159,6 +162,81 @@ def test_q_degree_is_the_degree_of_q_poly():
             assert q_degree(tree) == q_poly(tree).degree
     assert q_degree(star(1200)) == 1200 * 1199 // 2
     assert q_degree(parse_tree("(" * 10_000 + "." + ")" * 10_000)) == 0
+
+
+# -- packed values -------------------------------------------------------------------
+
+
+def removal_states(tree):
+    # every tree that leaf removals reach from tree, tree included, the point left out
+    seen, todo = {tree}, [tree]
+    while todo:
+        state = todo.pop()
+        for leaf in leaves(state):
+            rest = trees.remove_leaf(state, leaf)
+            if rest != POINT and rest not in seen:
+                seen.add(rest)
+                todo.append(rest)
+    return seen
+
+
+def test_narrow_fields_take_every_tree_up_to_20_edges():
+    # the constant of the 64-bit fast path
+    assert math.factorial(invariant._NARROW_EDGES) < 2**64 <= math.factorial(invariant._NARROW_EDGES + 1)
+    assert invariant._field_width(trees.dyck_word(star(20))) == 64
+    assert invariant._field_width(trees.dyck_word(star(21))) == 128
+    # past 20 edges the width follows the count of removal sequences, not the size
+    assert invariant._field_width(trees.dyck_word(parse_tree("(" * 40 + "." + ")" * 40))) == 64
+    assert invariant._field_width(trees.dyck_word(star(35))) == 192
+
+
+@pytest.mark.parametrize("rays", [21, 30])
+def test_wide_fields_give_the_stars(rays):
+    clear_caches()
+    assert q_poly(star(rays)) == q_factorial(rays) == q_poly_state(star(rays))
+
+
+def test_wide_fields_in_the_delayed_game():
+    clear_caches()
+    assert q_poly_delayed(DelayedTree(star(21), (1,) * 21)) == q_factorial(21)
+
+
+def test_wide_and_narrow_fields_share_one_flat_memo():
+    def keys(states, width=64):
+        words = {trees.dyck_word(state) for state in states}
+        return words if width == 64 else {(word, width) for word in words}
+
+    stars = [star(rays) for rays in range(31)]
+    small = random_plane_tree(16, random.Random(5))
+    # one entry per state new to the memo: the 20-leaf star's states in
+    # 64-bit fields are kept apart from the same stars in the 21-leaf star's
+    # 128-bit ones, and the 30-leaf star takes 128-bit fields too, so it
+    # reads the 21-leaf star's states
+    runs = [
+        (stars[21], keys(stars[1:22], 128)),
+        (stars[20], keys(stars[1:21])),
+        (small, keys(removal_states(small)) - keys(stars[1:21])),
+        (stars[30], keys(stars[22:31], 128)),
+    ]
+    clear_caches()
+    for tree, added in runs:
+        before = set(invariant._QPOLY_MEMO)
+        assert q_poly(tree) == q_poly_state(tree)
+        assert set(invariant._QPOLY_MEMO) - before == added, serialize(tree)
+    assert len(invariant._QPOLY_MEMO) == sum(len(added) for _, added in runs)
+
+
+def test_a_memo_hit_unpacks_nothing():
+    # a hit hands back the very polynomial an earlier call returned
+    tree = parse_tree("((..)(.(..))..)")
+    delayed = parse_delayed("((1 2)(1 (3 1)) 1 2)")
+    clear_caches()
+    top = q_poly(wedge([tree, CHERRY]))
+    assert q_poly(wedge([tree, CHERRY])) is top
+    value = q_poly(tree)  # a state the call above reached but did not return
+    assert q_poly(tree) is value
+    assert q_poly_delayed(delayed) is q_poly_delayed(delayed)
+    assert q_poly(star(21)) is q_poly(star(21))
 
 
 # -- the state product ----------------------------------------------------------
