@@ -155,8 +155,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_enumerate(args) -> int:
     cap = _cap(f"enumerate-{args.kind}")
     if args.size > cap:
-        print(f"error: size {args.size} exceeds hard cap {cap}", file=sys.stderr)
-        return 2
+        raise trees.BoundExceeded(f"size {args.size} exceeds hard cap {cap}")
     if args.kind == "plane":
         found = trees.enumerate_plane_trees(args.size)
     else:
@@ -182,8 +181,7 @@ def _cmd_search_delayed(args) -> int:
         return 2
     cap = _cap("search")
     if args.max_edges > cap:
-        print(f"error: --max-edges {args.max_edges} exceeds hard cap {cap}", file=sys.stderr)
-        return 2
+        raise trees.BoundExceeded(f"--max-edges {args.max_edges} exceeds hard cap {cap}")
     target = QPoly(coeffs)
     hits = invariant.search_delayed(target, args.max_edges)
     rendered = [trees.serialize_delayed(h) for h in hits]
@@ -242,8 +240,7 @@ def _cmd_verify(args) -> int:
     low, need = _MIN_SIZES.get(family, (0, None))
     if not low <= max_size <= cap:
         why = f": it needs {need}" if need and max_size < low else ""
-        print(f"error: --max-size {max_size} outside {low}..{cap} for {family}{why}", file=sys.stderr)
-        return 2
+        raise trees.BoundExceeded(f"--max-size {max_size} outside {low}..{cap} for {family}{why}")
     if family == "state":
         rng = random.Random(args.seed)
         ok, summary = verify.state(max_size, [trees.random_plane_tree(12, rng) for _ in range(25)])

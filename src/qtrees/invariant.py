@@ -13,14 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
 from . import qpoly, trees
-from .qpoly import ONE, QPoly, q_integer, q_multinomial
+from .qpoly import ONE, QPoly, _unpack, _word_width, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
@@ -102,12 +101,13 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
     (bit j - 2).  A state waits on an explicit stack until every state it
     reaches is in the memo.
 
-    A state's value is kept packed into one int, the coefficient of q**k in
-    bits [k * width, (k + 1) * width) (_field_width), so a move adds the
-    value of T - v shifted by r(v) fields in one big-int shift-add.  Fields
-    of 64 bits are keyed by the state alone, wider ones by (state, width).
-    Only a value returned is unpacked, and the memo then keeps the pair
-    (packed, polynomial), so a later hit returns the same object.
+    A state's value is kept packed into one int (qpoly._pack), the
+    coefficient of q**k in bits [k * width, (k + 1) * width)
+    (_field_width), so a move adds the value of T - v shifted by r(v)
+    fields in one big-int shift-add.  Fields of 64 bits are keyed by the
+    state alone, wider ones by (state, width).  Only a value returned is
+    unpacked, and the memo then keeps the pair (packed, polynomial), so a
+    later hit returns the same object.
     """
     if not word:
         return ONE
@@ -119,15 +119,11 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
         width = _field_width(word)
         if width > 64:
             key = (key, width)
-            val = memo.get(key)
+        _fill_memo(key, word, delays, width)  # returns at once on a hit
+        val = memo[key]
     if val.__class__ is tuple:
         return val[1]
-    if val is None:
-        _fill_memo(key, word, delays, width)
-        val = memo[key]
-        if val.__class__ is tuple:  # unpacked meanwhile by another thread
-            return val[1]
-    poly = _unpack(val, width)
+    poly = _unpack(val, width // 8)
     memo[key] = (val, poly)
     return poly
 
@@ -201,7 +197,7 @@ def _field_width(word: int) -> int:
     of T, so none exceeds L(T)."""
     if word.bit_count() <= _NARROW_EDGES:
         return 64
-    return 64 * -(-_removal_count(word).bit_length() // 64)
+    return _word_width(_removal_count(word))
 
 
 def _removal_count(word: int) -> int:
@@ -212,18 +208,6 @@ def _removal_count(word: int) -> int:
     while len(hooks) > 1:  # multiply in pairs: on a deep path a running product takes quadratic time
         hooks = [math.prod(hooks[i : i + 2]) for i in range(0, len(hooks), 2)]
     return math.factorial(word.bit_count()) // math.prod(hooks)
-
-
-def _unpack(packed: int, width: int) -> QPoly:
-    """The polynomial whose coefficient of q**k is field k of packed,
-    `width` bits each."""
-    size = width // 8
-    raw = packed.to_bytes(-(-packed.bit_length() // width) * size, "little")
-    if size == 8 and sys.byteorder == "little":
-        coeffs = memoryview(raw).cast("Q").tolist()
-    else:
-        coeffs = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return QPoly._trusted(coeffs)
 
 
 def q_poly_state(tree: PlaneTree) -> QPoly:
@@ -332,24 +316,6 @@ class BlockSpec:
         object.__setattr__(self, "blocks", blocks)
 
 
-def _validated_right_to_left(spec: BlockSpec) -> list[tuple[PlaneTree, int]]:
-    if not spec.blocks:
-        raise ValueError("empty block list")
-    rtl = list(reversed(spec.blocks))
-    if rtl[0][1] != 1:
-        raise InadmissibleDelays("the rightmost block must have delay 1")
-    prefix = edge_count(rtl[0][0])
-    for i in range(1, len(rtl)):
-        delay = rtl[i][1]
-        prev = rtl[i - 1][1]
-        if not prev <= delay <= prefix + 1:
-            raise InadmissibleDelays(
-                f"delay {delay} at block {i} falls outside [{prev}, {prefix + 1}]"
-            )
-        prefix += edge_count(rtl[i][0])
-    return rtl
-
-
 def q_poly_block(spec: BlockSpec) -> QPoly:
     """Closed formula for a wedge of constant-delay blocks.
 
@@ -357,14 +323,20 @@ def q_poly_block(spec: BlockSpec) -> QPoly:
     chain is admissible; inadmissible specs are refused rather than
     evaluated.
     """
-    rtl = _validated_right_to_left(spec)
+    if not spec.blocks:
+        raise ValueError("empty block list")
+    (first, prev), *rest = reversed(spec.blocks)
+    if prev != 1:
+        raise InadmissibleDelays("the rightmost block must have delay 1")
     out = ONE
-    prefix = edge_count(rtl[0][0])
-    for i in range(1, len(rtl)):
-        tree_i, delay_i = rtl[i]
+    prefix = edge_count(first)
+    for i, (tree_i, delay_i) in enumerate(rest, 1):
+        if not prev <= delay_i <= prefix + 1:
+            raise InadmissibleDelays(f"delay {delay_i} at block {i} falls outside [{prev}, {prefix + 1}]")
         edges_i = edge_count(tree_i)
         out = out * q_multinomial((edges_i, prefix - delay_i + 1))
         prefix += edges_i
+        prev = delay_i
     for tree_i, _ in spec.blocks:
         out = out * q_poly(tree_i)
     return out

@@ -12,9 +12,10 @@ of the face/degeneracy relations live in ``qtrees.verify``.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Mapping
 
-from .qpoly import QPoly
+from .qpoly import QPoly, _unpack, _word_width
 from .trees import PlaneTree, _leaf_count, _pairs, _planted, dyck_word
 
 __all__ = [
@@ -220,7 +221,8 @@ def _chain_items(chain: Mapping, q_value: int = 0) -> list:
 def _face_sum(items: Iterable, add) -> dict:
     """Sum over (word, coeff) items and leaf indices i of q**i coeff
     d_i(word), each term folded into its face's total by add(total, coeff,
-    i), total None for a face not seen before.  The point and zero
+    i), total None for a face not seen before: _add_at(q_value) for int
+    coefficients, q specialized to q_value.  The point and zero
     coefficients contribute nothing; keys keep first-insertion order and
     totals that come to zero are dropped."""
     acc: dict = {}
@@ -229,19 +231,6 @@ def _face_sum(items: Iterable, add) -> dict:
             for i, piece in enumerate(_faces(word)):
                 acc[piece] = add(acc.get(piece), coeff, i)
     return {piece: total for piece, total in acc.items() if total}
-
-
-def _add_shifted(total: list | None, coeffs: list, shift: int) -> list:
-    """total + q**shift * coeffs on ascending coefficient lists, adding into
-    total in place; None starts a new list."""
-    if total is None:
-        return [0] * shift + coeffs
-    short = shift + len(coeffs) - len(total)
-    if short > 0:
-        total += [0] * short
-    for j, c in enumerate(coeffs, shift):
-        total[j] += c
-    return total
 
 
 def q_boundary(chain: Mapping) -> dict[PlaneTree, QPoly]:
@@ -260,23 +249,38 @@ def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
         (word, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff)
         for word, coeff in _chain_items(chain, q_value)
     )
-    sums = _face_sum(weights, lambda total, weight, i: (total or 0) + weight * q_value**i)
+    sums = _face_sum(weights, _add_at(q_value))
     return {PlaneTree._of(word): weight for word, weight in sums.items()}
+
+
+def _add_at(q_value: int):
+    """The fold of _face_sum for int coefficients, q specialized to q_value."""
+    return lambda total, weight, i: (total or 0) + weight * q_value**i
 
 
 def reduce_to_point(tree: PlaneTree) -> QPoly:
     """Coefficient of the point after exhaustively rewriting every larger
     tree into its q-boundary.
 
-    Each rewrite strictly lowers the leaf count, so the process terminates;
-    the result for a tree with n leaves is the q-factorial of n.  The rounds
-    run on Dyck words with coefficient lists, which stay nonzero: every
-    coefficient is a sum of powers of q.
+    A face of a topological tree has one leaf fewer, and any face is
+    topological, so the process terminates; the result for a topological
+    tree with n leaves is the q-factorial of n.  The tree is not normalized
+    first: the faces of another tree with n leaves may keep all n.
+
+    The rounds run on Dyck words, each coefficient kept as its value at
+    q = 2**width, which is the polynomial packed into one int, width bits
+    per coefficient (qpoly._pack); it is nonzero, as every coefficient is a
+    sum of powers of q.  A coefficient counts face paths, at most n * n! of
+    them, and width holds that many.  The point's value is unpacked once,
+    at the end.
     """
-    chain = {_checked_word(tree): [1]}
-    point: list[int] = []
+    word = _checked_word(tree)
+    n = _leaf_count(word) or 1
+    width = _word_width(n * math.factorial(n))
+    add = _add_at(1 << width)
+    chain = {word: 1}
+    point = 0
     while chain:
-        if 0 in chain:
-            _add_shifted(point, chain[0], 0)
-        chain = _face_sum(chain.items(), _add_shifted)
-    return QPoly._trusted(point)
+        point += chain.get(0, 0)
+        chain = _face_sum(chain.items(), add)
+    return _unpack(point, width // 8)

@@ -9,6 +9,7 @@ q_factorial are calls into it.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -128,7 +129,7 @@ class QPoly:
         if not a or not b:
             return ZERO
         if len(a) >= _KRONECKER_MIN and len(b) >= _KRONECKER_MIN and min(a) >= 0 and min(b) >= 0:
-            return QPoly._trusted(_kronecker_mul(a, b))
+            return _kronecker_mul(a, b)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -185,18 +186,42 @@ class QPoly:
         return acc
 
 
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Coefficients of a * b, both nonnegative, by Kronecker substitution
-    (Harvey, J. Symbolic Comput. 2009): each operand becomes one integer,
-    its coefficients the base-256**w digits, with w bytes enough for any
-    product coefficient, so one big-integer product carries every
-    coefficient without a carry crossing a digit."""
-    w = ((max(a) * max(b) * min(len(a), len(b))).bit_length() + 7) // 8
-    x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
-    y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
-    size = (len(a) + len(b) - 1) * w
-    digits = (x * y).to_bytes(size, "little")
-    return [int.from_bytes(digits[i : i + w], "little") for i in range(0, size, w)]
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
+    """a * b, both with nonnegative coefficients, by Kronecker substitution
+    (Harvey, J. Symbolic Comput. 2009): each operand is packed into one
+    int, with fields wide enough for any product coefficient, so one
+    big-integer product carries every coefficient without a carry crossing
+    a field."""
+    size = ((max(a) * max(b) * min(len(a), len(b))).bit_length() + 7) // 8
+    return _unpack(_pack(a, size) * _pack(b, size), size)
+
+
+# -- packed polynomials ------------------------------------------------------------
+# A polynomial with nonnegative coefficients below 256**size packs into one int,
+# coefficient k in bytes [k * size, (k + 1) * size): its value at q = 256**size.
+# Sums and products of packed values stay exact while no coefficient outgrows
+# its field.
+
+
+def _pack(coeffs: Iterable[int], size: int) -> int:
+    """The int holding the given coefficients, `size` bytes each."""
+    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+
+
+def _unpack(packed: int, size: int) -> QPoly:
+    """The polynomial whose coefficient of q**k is field k of packed,
+    `size` bytes each."""
+    raw = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
+    if size == 8 and sys.byteorder == "little":
+        coeffs = memoryview(raw).cast("Q").tolist()
+    else:
+        coeffs = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    return QPoly._trusted(coeffs)
+
+
+def _word_width(bound: int) -> int:
+    """Bits, a multiple of 64, of the narrowest field that holds bound."""
+    return 64 * -(-bound.bit_length() // 64)
 
 
 def _coerce(value) -> QPoly | None:

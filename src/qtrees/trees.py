@@ -73,7 +73,7 @@ class RootHasNoEdge(ValueError):
 
 
 class BoundExceeded(ValueError):
-    """A requested size or degree exceeds a hard cap of the command line."""
+    """A requested size or degree lies outside what the command line allows."""
 
 
 class PlaneTree:

@@ -392,14 +392,16 @@ def test_block_specs_need_two_edges():
 
 def test_block_rejects_inadmissible_delays():
     edge = parse_tree("(.)")
-    with pytest.raises(InadmissibleDelays):
-        q_poly_block(BlockSpec(((edge, 1), (edge, 2))))  # rightmost delay not 1
-    with pytest.raises(InadmissibleDelays):
+    with pytest.raises(InadmissibleDelays, match=r"^the rightmost block must have delay 1$"):
+        q_poly_block(BlockSpec(((edge, 1), (edge, 2))))
+    with pytest.raises(InadmissibleDelays, match=r"^delay 3 at block 1 falls outside \[1, 2\]$"):
         q_poly_block(BlockSpec(((edge, 3), (edge, 1))))  # 3 exceeds right block edges + 1
-    with pytest.raises(InadmissibleDelays):
+    with pytest.raises(InadmissibleDelays, match=r"^delay 2 at block 2 falls outside \[3, 7\]$"):
         q_poly_block(
             BlockSpec(((edge, 2), (star(3), 3), (star(3), 1)))
         )  # delays must grow right to left: 2 < 3
+    with pytest.raises(ValueError, match=r"^empty block list$"):
+        q_poly_block(BlockSpec(()))
 
 
 def test_block_spec_refuses_bad_trees_and_delays():

@@ -14,7 +14,7 @@ from qtrees.presimplicial import (
     q_boundary_at,
     reduce_to_point,
 )
-from qtrees.qpoly import ONE, QPoly, q_factorial
+from qtrees.qpoly import ONE, QPoly, q_factorial, q_integer
 from qtrees.trees import (
     POINT,
     PlaneTree,
@@ -351,6 +351,17 @@ def test_reduce_examples():
     assert reduce_to_point(POINT) == ONE
     assert reduce_to_point(CHERRY) == QPoly((1, 1))
     assert reduce_to_point(star(3)) == q_factorial(3)
+    # the library does not normalize first: d_0 keeps both leaves
+    assert reduce_to_point(parse_tree("((.).)")) == QPoly((1, 2))
+
+
+def test_reduce_holds_coefficients_past_64_bits():
+    # [22]_q! is the first q-factorial with a coefficient of 2**64 or more
+    assert max(q_factorial(21).coeffs) < 2**64 <= max(q_factorial(22).coeffs)
+    assert reduce_to_point(star(22)) == q_factorial(22)
+    # every first-round face of this tree keeps all 23 leaves, so the point
+    # gathers 23 * 23! face paths
+    assert reduce_to_point(parse_tree("(" + "(.)" * 23 + ")")) == q_integer(23) * q_factorial(23)
 
 
 def test_reduce_is_shape_independent():

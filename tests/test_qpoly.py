@@ -156,6 +156,15 @@ def test_mul_kronecker_zero_coefficients():
     check_product([1] + [0] * 30 + [1], [1] + [0] * 20 + [1])
 
 
+@pytest.mark.parametrize("size", [1, 3, 8, 9])
+def test_pack_and_unpack_round_trip(size):
+    top = 256**size - 1
+    for coeffs in ([], [top], [1, 0, 3], [0, top, 0, 0, 7], [top] * 5):
+        packed = qpoly._pack(coeffs, size)
+        assert packed == QPoly(coeffs).eval_int(256**size)
+        assert qpoly._unpack(packed, size).coeffs == tuple(coeffs)
+
+
 def test_mul_signed_operands():
     rng = random.Random(19)
     for la, lb in ((9, 9), (8, 40), (30, 25)):
