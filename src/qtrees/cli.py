@@ -177,8 +177,7 @@ def _cmd_search_delayed(args) -> int:
     try:
         coeffs = [int(part) for part in text.split(",")]
     except ValueError:
-        print(f"error: target must be comma-separated integers, got {args.target!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"target must be comma-separated integers, got {args.target!r}") from None
     cap = _cap("search")
     if args.max_edges > cap:
         raise trees.BoundExceeded(f"--max-edges {args.max_edges} exceeds hard cap {cap}")

@@ -221,8 +221,7 @@ def _chain_items(chain: Mapping, q_value: int = 0) -> list:
 def _face_sum(items: Iterable, add) -> dict:
     """Sum over (word, coeff) items and leaf indices i of q**i coeff
     d_i(word), each term folded into its face's total by add(total, coeff,
-    i), total None for a face not seen before: _add_at(q_value) for int
-    coefficients, q specialized to q_value.  The point and zero
+    i), total None for a face not seen before.  The point and zero
     coefficients contribute nothing; keys keep first-insertion order and
     totals that come to zero are dropped."""
     acc: dict = {}
@@ -249,13 +248,8 @@ def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
         (word, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff)
         for word, coeff in _chain_items(chain, q_value)
     )
-    sums = _face_sum(weights, _add_at(q_value))
+    sums = _face_sum(weights, lambda total, weight, i: (total or 0) + weight * q_value**i)
     return {PlaneTree._of(word): weight for word, weight in sums.items()}
-
-
-def _add_at(q_value: int):
-    """The fold of _face_sum for int coefficients, q specialized to q_value."""
-    return lambda total, weight, i: (total or 0) + weight * q_value**i
 
 
 def reduce_to_point(tree: PlaneTree) -> QPoly:
@@ -271,16 +265,16 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
     q = 2**width, which is the polynomial packed into one int, width bits
     per coefficient (qpoly._pack); it is nonzero, as every coefficient is a
     sum of powers of q.  A coefficient counts face paths, at most n * n! of
-    them, and width holds that many.  The point's value is unpacked once,
+    them, and width holds that many.  The term q**i c of a face is c
+    shifted left by width * i bits.  The point's value is unpacked once,
     at the end.
     """
     word = _checked_word(tree)
     n = _leaf_count(word) or 1
     width = _word_width(n * math.factorial(n))
-    add = _add_at(1 << width)
     chain = {word: 1}
     point = 0
     while chain:
         point += chain.get(0, 0)
-        chain = _face_sum(chain.items(), add)
+        chain = _face_sum(chain.items(), lambda total, weight, i: (total or 0) + (weight << width * i))
     return _unpack(point, width // 8)

@@ -10,6 +10,7 @@ q_factorial are calls into it.
 from __future__ import annotations
 
 import sys
+from array import array
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -33,12 +34,6 @@ __all__ = [
 
 # Largest integer JSON consumers can hold losslessly in a double.
 _JSON_SAFE_MAX = 2**53 - 1
-
-# Shortest operand, in coefficients, that QPoly.__mul__ multiplies by
-# Kronecker substitution; shorter or signed operands go the schoolbook way.
-# On the products the state product and the wedge identity make, the two
-# ways broke even between 3 and 10 coefficients (CPython 3.11).
-_KRONECKER_MIN = 8
 
 
 class NotDivisible(ArithmeticError):
@@ -128,7 +123,10 @@ class QPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
-        if len(a) >= _KRONECKER_MIN and len(b) >= _KRONECKER_MIN and min(a) >= 0 and min(b) >= 0:
+        if len(a) == 1 or len(b) == 1:  # a constant scales the other operand
+            poly, (c,) = (self, b) if len(b) == 1 else (other, a)
+            return poly if c == 1 else QPoly._trusted([c * x for x in poly.coeffs])
+        if min(a) >= 0 and min(b) >= 0:
             return _kronecker_mul(a, b)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -191,8 +189,10 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
     (Harvey, J. Symbolic Comput. 2009): each operand is packed into one
     int, with fields wide enough for any product coefficient, so one
     big-integer product carries every coefficient without a carry crossing
-    a field."""
-    size = ((max(a) * max(b) * min(len(a), len(b))).bit_length() + 7) // 8
+    a field.  A bound that fits in 64 bits gets 8-byte fields, which pack
+    and unpack as machine words; a wider one gets the fewest bytes that
+    hold it."""
+    size = max(8, ((max(a) * max(b) * min(len(a), len(b))).bit_length() + 7) // 8)
     return _unpack(_pack(a, size) * _pack(b, size), size)
 
 
@@ -205,6 +205,8 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
 
 def _pack(coeffs: Iterable[int], size: int) -> int:
     """The int holding the given coefficients, `size` bytes each."""
+    if size == 8 and sys.byteorder == "little":
+        return int.from_bytes(array("Q", coeffs), "little")
     return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
 

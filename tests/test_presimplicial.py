@@ -362,6 +362,9 @@ def test_reduce_holds_coefficients_past_64_bits():
     # every first-round face of this tree keeps all 23 leaves, so the point
     # gathers 23 * 23! face paths
     assert reduce_to_point(parse_tree("(" + "(.)" * 23 + ")")) == q_integer(23) * q_factorial(23)
+    # 320-bit fields; each face's term folds in as a shift, not a product
+    # by a power of 2**320, which took over a second
+    assert reduce_to_point(star(60)) == q_factorial(60)
 
 
 def test_reduce_is_shape_independent():

@@ -111,20 +111,38 @@ def nonnegative(rng, n, bits):
     return out
 
 
-def test_mul_kronecker_crossover(monkeypatch):
-    # lengths on both sides of the crossover; the Kronecker path runs
-    # exactly when both operands reach it
-    calls = []
-    real = qpoly._kronecker_mul
-    monkeypatch.setattr(qpoly, "_kronecker_mul", lambda a, b: calls.append(1) or real(a, b))
+def test_mul_routing(monkeypatch):
+    # every product of two nonnegative operands with 2 or more coefficients
+    # goes by Kronecker substitution; a constant or signed operand never does
+    calls, sizes = [], []
+    kronecker, pack = qpoly._kronecker_mul, qpoly._pack
+    monkeypatch.setattr(qpoly, "_kronecker_mul", lambda a, b: calls.append(1) or kronecker(a, b))
+    monkeypatch.setattr(qpoly, "_pack", lambda coeffs, size: sizes.append(size) or pack(coeffs, size))
     rng = random.Random(7)
-    k = qpoly._KRONECKER_MIN
-    for la in (k - 1, k, k + 1):
-        for lb in (k - 1, k, k + 1):
+    for la in (1, 2, 3):
+        for lb in (1, 2, 3):
             for bits in (1, 20, 70):
+                a, b = nonnegative(rng, la, bits), nonnegative(rng, lb, bits)
                 calls.clear()
-                check_product(nonnegative(rng, la, bits), nonnegative(rng, lb, bits))
-                assert len(calls) == (2 if min(la, lb) >= k else 0)
+                check_product(a, b)
+                assert len(calls) == (2 if min(la, lb) >= 2 else 0)
+                calls.clear()
+                check_product([-c for c in a], b)
+                assert not calls
+    p = QPoly(nonnegative(rng, 5, 20))
+    assert p * ONE is p and ONE * p is p
+    assert p * 1 is p and 1 * p is p
+    for c in (-1, -(2**70) - 3, 2**64 + 5, 2**200):
+        check_product([c], nonnegative(rng, 12, 30))
+        check_product([c], [-5, 0, 7])
+    # all-equal operands reach the field bound 3 * m * m in their middle
+    # coefficient: a 64-bit bound takes 8-byte fields, a 65-bit one 9
+    for bits, size in ((64, 8), (65, 9)):
+        m = math.isqrt((2**bits - 1) // 3)
+        assert (3 * m * m).bit_length() == bits
+        sizes.clear()
+        check_product([m] * 3, [m] * 3)
+        assert set(sizes) == {size}
 
 
 def test_mul_kronecker_unbalanced():
@@ -254,7 +272,7 @@ def test_q_factorial():
 
 def test_q_factorial_matches_running_product():
     # independent route: [1]_q * [2]_q * ... * [n]_q, one factor at a time;
-    # from n = 8 on the products go by Kronecker substitution
+    # the first two multiply by ONE, every later one by Kronecker substitution
     product = ONE
     for n in range(1, 31):
         product = product * q_integer(n)
