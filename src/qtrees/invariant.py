@@ -55,9 +55,9 @@ class InadmissibleDelays(ValueError):
     block formula."""
 
 
-# One memo for both games: plain states are keyed by the tree's Dyck word,
-# delayed states by (word, delays), either key paired with the field width
-# when its fields are wider than 64 bits (_removal_sum).
+# One memo for both games on trees of at most _NARROW_EDGES edges: plain
+# states are keyed by the tree's Dyck word, delayed states by (word, delays)
+# (_removal_sum).
 _QPOLY_MEMO: dict = {}
 # The delayed search's value index per edge count (_value_index).
 _SEARCH_MEMO: dict = {}
@@ -68,10 +68,10 @@ def clear_caches() -> None:
     delayed recursion, the delayed search's value indexes and the Gaussian
     binomials of qpoly.q_binomial.  Results are unaffected, only speed.
 
-    The recursion's memo holds each state's value packed into one int, 64
-    bits per coefficient, wider when the tree has at least 2**64 removal
-    sequences, and beside it the polynomial once a call has returned it, so
-    a hit returns that object (_removal_sum)."""
+    The recursion's memo holds the states of trees with at most 20 edges,
+    each value packed into one int, 64 bits per coefficient, and beside it
+    the polynomial once a call has returned it, so a hit returns that
+    object; a larger tree's states live only for its call (_removal_sum)."""
     _QPOLY_MEMO.clear()
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
@@ -82,7 +82,7 @@ def q_poly(tree: PlaneTree) -> QPoly:
 
     The point maps to 1; otherwise sum q**r(v) * Q(T - v) over all leaves v,
     where r(v) counts the edges strictly right of the root-to-v path.
-    Results are memoized on the tree shape.
+    Results are memoized on the tree shape for trees of at most 20 edges.
     """
     return _removal_sum(dyck_word(tree), None)
 
@@ -102,37 +102,38 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
     reaches is in the memo.
 
     A state's value is kept packed into one int (qpoly._pack), the
-    coefficient of q**k in bits [k * width, (k + 1) * width)
-    (_field_width), so a move adds the value of T - v shifted by r(v)
-    fields in one big-int shift-add.  Fields of 64 bits are keyed by the
-    state alone, wider ones by (state, width).  Only a value returned is
-    unpacked, and the memo then keeps the pair (packed, polynomial), so a
-    later hit returns the same object.
+    coefficient of q**k in bits [k * width, (k + 1) * width), so a move
+    adds the value of T - v shifted by r(v) fields in one big-int
+    shift-add.  A tree with at most _NARROW_EDGES edges shares
+    _QPOLY_MEMO, in 64-bit fields; only a value returned is unpacked, and
+    the memo then keeps the pair (packed, polynomial), so a later hit
+    returns the same object.  A larger tree fills a memo of its own, in
+    fields as wide as L(T) (_removal_count) needs, which it drops on
+    return: a coefficient of any state reached counts removal sequences of
+    that state, each of which extends to one of T.
     """
     if not word:
         return ONE
-    memo = _QPOLY_MEMO
     key = word if delays is None else (word, delays)
-    width = 64
-    val = memo.get(key)
-    if val is None:  # a state keyed alone takes 64-bit fields, so a hit needs no bound
-        width = _field_width(word)
-        if width > 64:
-            key = (key, width)
-        _fill_memo(key, word, delays, width)  # returns at once on a hit
-        val = memo[key]
+    val = _QPOLY_MEMO.get(key)
+    if val is None:
+        if word.bit_count() > _NARROW_EDGES:
+            width = _word_width(_removal_count(word))
+            memo: dict = {}
+            _fill_memo(memo, key, word, delays, width)
+            return _unpack(memo[key], width // 8)
+        _fill_memo(_QPOLY_MEMO, key, word, delays, 64)
+        val = _QPOLY_MEMO[key]
     if val.__class__ is tuple:
         return val[1]
-    poly = _unpack(val, width // 8)
-    memo[key] = (val, poly)
+    poly = _unpack(val, 8)
+    _QPOLY_MEMO[key] = (val, poly)
     return poly
 
 
-def _fill_memo(key, word: int, delays: tuple[int, ...] | None, width: int) -> None:
+def _fill_memo(memo: dict, key, word: int, delays: tuple[int, ...] | None, width: int) -> None:
     """Store the packed value of the state with the given key, and of every
-    state it reaches, in the memo (_removal_sum)."""
-    memo = _QPOLY_MEMO
-    wide = width > 64
+    state it reaches, in memo, in fields of `width` bits (_removal_sum)."""
     stack = [[key, word, delays, None]]  # key, word, delays, moves once listed
     while stack:
         frame = stack[-1]
@@ -166,8 +167,6 @@ def _fill_memo(key, word: int, delays: tuple[int, ...] | None, width: int) -> No
                         del ticked[i]  # the leaf slot disappears
                     next_delays = tuple(ticked)
                     sub = (rest, next_delays)
-                if wide and sub:
-                    sub = (sub, width)
                 moves.append((low.bit_count() * width, sub))
                 if sub and sub not in memo:
                     stack.append([sub, rest, next_delays, None])
@@ -186,18 +185,6 @@ def _fill_memo(key, word: int, delays: tuple[int, ...] | None, width: int) -> No
 # 20! < 2**64: a tree with at most this many edges has fewer removal
 # sequences than a 64-bit field holds, whatever its shape
 _NARROW_EDGES = 20
-
-
-def _field_width(word: int) -> int:
-    """Bits per coefficient that hold every value the removal recursion
-    reaches from the tree with the given Dyck word: the least multiple of
-    64 at least as long as L(T) (_removal_count), found without computing
-    L(T) up to _NARROW_EDGES edges.  A coefficient of any state reached
-    counts removal sequences of that state, and each of them extends to one
-    of T, so none exceeds L(T)."""
-    if word.bit_count() <= _NARROW_EDGES:
-        return 64
-    return _word_width(_removal_count(word))
 
 
 def _removal_count(word: int) -> int:
@@ -226,8 +213,7 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
         down, *kids = stack.pop()
         out = q_multinomial(tuple(size for size, _ in kids))
         for _, value in kids:
-            if value != ONE:  # a leaf or a path: multiplying by 1 is a full pass
-                out = out * value
+            out = out * value
         stack[-1].append(((p - down + 1) // 2, out))
     return stack[0][0][1]
 
@@ -366,7 +352,7 @@ def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[
         if k > max_total_edges:
             continue
         total = rng.randint(k, max_total_edges)
-        cuts = sorted(rng.sample(range(1, total), k - 1)) if k > 1 else []
+        cuts = sorted(rng.sample(range(1, total), k - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [total])]
         right_to_left: list[tuple[PlaneTree, int]] = []
         prefix = 0
@@ -394,7 +380,11 @@ def _value_index(edges: int) -> dict[tuple[int, ...], list[tuple[PlaneTree, tupl
     and none needs pruning.  The values come packed into ints, one field of
     `width` bits per coefficient: a coefficient counts removal sequences of
     the tree, at most edges! of them, so edges!.bit_length() bits hold it.
-    Each distinct packed value is decoded once, after the last tree.
+    Each distinct packed value is decoded once, after the last tree, by its
+    own loop rather than qpoly._unpack: bit fields keep the grid's ints
+    small, and byte or 64-bit fields decoded by _unpack made the benchmark's
+    delayed-search6 slower in each of 11 paired runs (wall_s 0.169-0.207 s
+    against 0.154-0.183 s).
 
     Indexes are kept in _SEARCH_MEMO and published there only once
     complete, so a thread sees a whole index or none.

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -183,11 +184,15 @@ def removal_states(tree):
 def test_narrow_fields_take_every_tree_up_to_20_edges():
     # the constant of the 64-bit fast path
     assert math.factorial(invariant._NARROW_EDGES) < 2**64 <= math.factorial(invariant._NARROW_EDGES + 1)
-    assert invariant._field_width(trees.dyck_word(star(20))) == 64
-    assert invariant._field_width(trees.dyck_word(star(21))) == 128
+
+    def width(tree):
+        return qpoly._word_width(invariant._removal_count(trees.dyck_word(tree)))
+
+    assert width(star(20)) == 64
+    assert width(star(21)) == 128
     # past 20 edges the width follows the count of removal sequences, not the size
-    assert invariant._field_width(trees.dyck_word(parse_tree("(" * 40 + "." + ")" * 40))) == 64
-    assert invariant._field_width(trees.dyck_word(star(35))) == 192
+    assert width(parse_tree("(" * 40 + "." + ")" * 40)) == 64
+    assert width(star(35)) == 192
 
 
 @pytest.mark.parametrize("rays", [21, 30])
@@ -201,29 +206,44 @@ def test_wide_fields_in_the_delayed_game():
     assert q_poly_delayed(DelayedTree(star(21), (1,) * 21)) == q_factorial(21)
 
 
-def test_wide_and_narrow_fields_share_one_flat_memo():
-    def keys(states, width=64):
-        words = {trees.dyck_word(state) for state in states}
-        return words if width == 64 else {(word, width) for word in words}
+def test_only_trees_of_at_most_20_edges_share_the_memo():
+    def keys(states):
+        return {trees.dyck_word(state) for state in states}
 
-    stars = [star(rays) for rays in range(31)]
     small = random_plane_tree(16, random.Random(5))
-    # one entry per state new to the memo: the 20-leaf star's states in
-    # 64-bit fields are kept apart from the same stars in the 21-leaf star's
-    # 128-bit ones, and the 30-leaf star takes 128-bit fields too, so it
-    # reads the 21-leaf star's states
+    # a tree of at most 20 edges adds exactly its removal states, keyed by
+    # word; a larger one, however narrow its fields, adds nothing
     runs = [
-        (stars[21], keys(stars[1:22], 128)),
-        (stars[20], keys(stars[1:21])),
-        (small, keys(removal_states(small)) - keys(stars[1:21])),
-        (stars[30], keys(stars[22:31], 128)),
+        (star(20), keys(removal_states(star(20)))),
+        (small, keys(removal_states(small)) - keys(removal_states(star(20)))),
+        (star(21), set()),
+        (star(30), set()),
+        (parse_tree("(." + "(" * 3_000 + "." + ")" * 3_000 + ")"), set()),
     ]
     clear_caches()
     for tree, added in runs:
         before = set(invariant._QPOLY_MEMO)
         assert q_poly(tree) == q_poly_state(tree)
-        assert set(invariant._QPOLY_MEMO) - before == added, serialize(tree)
+        assert set(invariant._QPOLY_MEMO) - before == added, serialize(tree)[:40]
+    before = set(invariant._QPOLY_MEMO)
+    assert q_poly_delayed(DelayedTree(star(21), (1,) * 21)) == q_factorial(21)
+    assert set(invariant._QPOLY_MEMO) == before
     assert len(invariant._QPOLY_MEMO) == sum(len(added) for _, added in runs)
+
+
+def test_a_deep_tree_leaves_its_states_behind():
+    # a root with a leaf beside a 3,000-level path reaches 6,002 states
+    deep = parse_tree("(." + "(" * 3_000 + "." + ")" * 3_000 + ")")
+    clear_caches()
+    tracemalloc.start()
+    try:
+        value = q_poly(deep)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert value == q_poly_state(deep)
+    assert retained < 1_000_000
+    assert not invariant._QPOLY_MEMO
 
 
 def test_a_memo_hit_unpacks_nothing():
@@ -236,7 +256,10 @@ def test_a_memo_hit_unpacks_nothing():
     value = q_poly(tree)  # a state the call above reached but did not return
     assert q_poly(tree) is value
     assert q_poly_delayed(delayed) is q_poly_delayed(delayed)
-    assert q_poly(star(21)) is q_poly(star(21))
+    # past 20 edges nothing is kept, so a second call evaluates again
+    before = dict(invariant._QPOLY_MEMO)
+    assert q_poly(star(21)) == q_poly(star(21))
+    assert invariant._QPOLY_MEMO == before
 
 
 # -- the state product ----------------------------------------------------------
