@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple
 
-from . import qpoly, trees
+from . import presimplicial, qpoly, trees
 from .qpoly import ONE, QPoly, _unpack, _word_width, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
@@ -64,9 +64,11 @@ _SEARCH_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop the three memos of the package: the one shared by the plain and
-    delayed recursion, the delayed search's value indexes and the Gaussian
-    binomials of qpoly.q_binomial.  Results are unaffected, only speed.
+    """Drop the four memos of the package: the one shared by the plain and
+    delayed recursion, the delayed search's value indexes, the Gaussian
+    binomials of qpoly.q_binomial and the face lists of the topological
+    trees with at most 8 leaves (presimplicial._faces).  Results are
+    unaffected, only speed.
 
     The recursion's memo holds the states of trees with at most 20 edges,
     each value packed into one int, 64 bits per coefficient, and beside it
@@ -75,6 +77,7 @@ def clear_caches() -> None:
     _QPOLY_MEMO.clear()
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
+    presimplicial._FACES_MEMO.clear()
 
 
 def q_poly(tree: PlaneTree) -> QPoly:

@@ -136,14 +136,36 @@ def face(tree: PlaneTree, index: int) -> PlaneTree:
     return PlaneTree._of(piece if topological else _smooth(piece))
 
 
-def _faces(word: int) -> list[int]:
+# The face words of each topological tree with at most _FACE_MEMO_LEAVES
+# leaves, keyed by its Dyck word (_faces).
+_FACES_MEMO: dict[int, tuple[int, ...]] = {}
+_FACE_MEMO_LEAVES = 8
+
+
+def _faces(word: int) -> tuple[int, ...]:
     """The words of d_0, d_1, ... of the tree with the given word, in index
-    order; the point has none."""
+    order; the point has none.
+
+    The reduction to the point, both boundaries and verify.identities ask
+    for the faces of the same small trees again and again, so the lists of
+    topological trees with at most 8 leaves, the presimplicial cap, are
+    kept in _FACES_MEMO: at most 5,439 words, about 2 MB.  A tree that is
+    not topological is not kept, since with few leaves it can still be
+    arbitrarily deep, and neither is a tree above the cap, so that reducing
+    a large tree, say the 200-leaf star, leaves nothing behind it.
+    """
+    faces = _FACES_MEMO.get(word)
+    if faces is not None:
+        return faces
     if not word:
-        return []
+        return ()
     cuts, topological = _leaf_cuts(word)
-    pieces = [_cut(word, bits) for bits in cuts]
-    return pieces if topological else list(map(_smooth, pieces))
+    if not topological:
+        return tuple(_smooth(_cut(word, bits)) for bits in cuts)
+    faces = tuple(_cut(word, bits) for bits in cuts)
+    if len(faces) <= _FACE_MEMO_LEAVES:
+        _FACES_MEMO[word] = faces
+    return faces
 
 
 def _degeneracies(word: int) -> list[int]:

@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import random
 import sys
 import tracemalloc
@@ -9,6 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import qtrees
 from qtrees import cli, invariant, presimplicial, qpoly, trees, verify
 from qtrees.invariant import (
     BlockSpec,
@@ -547,6 +550,40 @@ def test_search_leaves_the_recursion_memo_empty():
     assert len(search_delayed(ONE, 6)) == 197
     assert not invariant._QPOLY_MEMO
     assert sorted(invariant._SEARCH_MEMO) == list(range(7))
+
+
+def memo_sizes():
+    # every module-level memo of the package, found as perfbench's
+    # cache_tables finds them: a dict whose name contains MEMO, or a
+    # function with an lru_cache
+    modules = [qtrees] + [importlib.import_module(f"qtrees.{m.name}") for m in pkgutil.iter_modules(qtrees.__path__)]
+    sizes = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if isinstance(obj, dict) and "MEMO" in name.upper():
+                sizes[f"{module.__name__}.{name}"] = len(obj)
+            elif callable(getattr(obj, "cache_info", None)):
+                sizes[f"{obj.__module__}.{obj.__qualname__}"] = obj.cache_info().currsize
+    return sizes
+
+
+def test_clear_caches_empties_every_memo():
+    # a memo added later must be filled here and emptied by clear_caches
+    clear_caches()
+    assert q_poly(star(4)) == q_factorial(4)
+    assert search_delayed(q, 2)
+    assert q_binomial(5, 2) == q_multinomial((2, 3))
+    assert presimplicial.reduce_to_point(star(3)) == q_factorial(3)
+    filled = memo_sizes()
+    assert {
+        "qtrees.invariant._QPOLY_MEMO",
+        "qtrees.invariant._SEARCH_MEMO",
+        "qtrees.qpoly.q_binomial",
+        "qtrees.presimplicial._FACES_MEMO",
+    } <= set(filled)
+    assert all(filled.values()), filled
+    clear_caches()
+    assert not any(memo_sizes().values()), memo_sizes()
 
 
 def search_oracle(max_edges):

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from qtrees import verify
+from qtrees import presimplicial, verify
+from qtrees.invariant import clear_caches
 from qtrees.presimplicial import (
     CHERRY,
     _degeneracies,
@@ -22,6 +25,7 @@ from qtrees.trees import (
     enumerate_plane_trees,
     leaves,
     parse_tree,
+    random_plane_tree,
     remove_leaf,
     serialize,
     star,
@@ -160,7 +164,7 @@ def test_maps_match_the_tree_oracles_on_every_plane_tree():
         addrs = leaves(tree)
         faces = [smoothed(remove_leaf(tree, addr)) for addr in addrs]
         assert [face(tree, i) for i in range(len(addrs))] == faces
-        assert _faces(dyck_word(tree)) == list(map(dyck_word, faces))
+        assert list(_faces(dyck_word(tree))) == list(map(dyck_word, faces))
         planted = [splice(tree, addr, (CHERRY,)) for addr in addrs or [()]]
         assert [degeneracy(tree, i) for i in range(len(planted))] == planted
         assert _degeneracies(dyck_word(tree)) == list(map(dyck_word, planted))
@@ -174,6 +178,41 @@ def test_maps_match_the_tree_oracles_on_every_plane_tree():
                 weights[piece] = weights.get(piece, 0) + q_value**i
             got = q_boundary_at({tree: 1}, q_value)
             assert list(got.items()) == [(t, w) for t, w in weights.items() if w]
+
+
+def test_the_face_memo_keeps_only_topological_trees_up_to_8_leaves():
+    # a 22-leaf reduction, the boundary of a tree that is not topological
+    # and the identities at the cap leave one entry per nonpoint topological
+    # tree with at most 8 leaves, and nothing else
+    clear_caches()
+    assert reduce_to_point(star(22)) == q_factorial(22)
+    rough = random_plane_tree(30, random.Random(1))
+    assert normalize_topological(rough) != rough
+    assert q_boundary({rough: 1})
+    assert verify.identities(8)[0]
+    memo = presimplicial._FACES_MEMO
+    for word in memo:
+        tree = PlaneTree._of(word)
+        assert normalize_topological(tree) is tree
+        assert 2 <= leaf_count(tree) <= presimplicial._FACE_MEMO_LEAVES == 8
+    assert len(memo) == sum(len(enumerate_top_trees(n)) for n in range(2, 9)) == 5_439
+    clear_caches()
+    assert not memo
+
+
+def test_a_warm_face_list_equals_a_cold_one():
+    words = [dyck_word(t) for n in range(1, 8) for t in enumerate_top_trees(n)]
+    clear_caches()
+    cold = []
+    for word in words:
+        assert word not in presimplicial._FACES_MEMO
+        cold.append(_faces(word))
+    for word, faces in zip(words, cold):
+        tree = PlaneTree._of(word)
+        assert faces == tuple(dyck_word(face(tree, i)) for i in range(len(faces)))
+        warm = _faces(word)
+        assert warm == faces
+        assert not word or warm is faces is presimplicial._FACES_MEMO[word]
 
 
 def test_maps_refuse_what_is_not_a_tree_or_an_index():
