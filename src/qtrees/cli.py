@@ -6,10 +6,11 @@ cap (checked before q, q-delayed and reduce evaluate anything), 141 the
 reader of stdout closed it early (the code a shell reports for a process
 that SIGPIPE ended).  All output is deterministic given the flags and seed;
 --format json emits a single JSON document on stdout.  The environment
-variable QTREES_HARD_CAP (an integer) raises the hard caps: the sizes for
-the verify/enumerate/search commands and the degree for q/q-delayed/reduce;
-any other value is a usage error.  These caps are the only size limits: the
-library computes any size it is asked for.
+variable QTREES_HARD_CAP (an integer) raises the hard caps (_HARD_CAPS):
+the sizes for the verify/enumerate/search commands, 7 edges for
+search-delayed, and the degree for q/q-delayed/reduce; any other value is a
+usage error.  These caps are the only size limits: the library computes any
+size it is asked for.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ _HARD_CAPS = {
     "presimplicial": 8,
     "enumerate-plane": 10,
     "enumerate-topological": 8,
-    "search": 6,
+    "search": 7,
     "degree": 20_000,
 }
 

@@ -13,8 +13,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
+from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import NamedTuple
 
@@ -73,7 +76,10 @@ def clear_caches() -> None:
     The recursion's memo holds the states of trees with at most 20 edges,
     each value packed into one int, 64 bits per coefficient, and beside it
     the polynomial once a call has returned it, so a hit returns that
-    object; a larger tree's states live only for its call (_removal_sum)."""
+    object; a larger tree's states live only for its call (_removal_sum).
+    The search's indexes hold an 8-byte rank per candidate with a nonzero
+    value, one flag byte per candidate and each distinct value once
+    (_value_index): 2.8 MB for 0 to 6 edges, 54 MB with 7 (tracemalloc)."""
     _QPOLY_MEMO.clear()
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
@@ -372,11 +378,25 @@ def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[
 # -- search ----------------------------------------------------------------------
 
 
-def _value_index(edges: int) -> dict[tuple[int, ...], list[tuple[PlaneTree, tuple[int, ...]]]]:
+class _ValueIndex(NamedTuple):
+    """The delayed search's candidates at one edge count (_value_index).  A
+    candidate's rank counts the cells of the trees before it, in
+    enumerate_plane_trees order, plus its own cell: the mixed-radix number
+    of its labels, itertools.product order."""
+
+    ranks: dict[tuple[int, ...], array]  # each nonzero value's candidates, ascending
+    nonzero: bytes  # one byte per candidate, 1 where its value is nonzero
+    starts: list[int]  # each tree's first rank
+    cells: list[tuple]  # each tree, side**(low digits), high-digit labels, low-digit labels
+
+
+def _value_index(edges: int) -> _ValueIndex:
     """Every delayed tree with the given edge count and delays in
-    1..max(edges, 1), as (tree, delay vector), keyed by the coefficients of
-    its delayed q-polynomial.  Each list runs in enumerate_plane_trees
-    order, then itertools.product order of the delay vectors.
+    1..max(edges, 1), as a rank (_ValueIndex), filed under the coefficients
+    of its delayed q-polynomial when that is nonzero.  Each value's ranks
+    are an array("q"), ascending; the zero candidates are not filed, but
+    are the complement of the nonzero flags, listed in rank order on
+    lookup (_witnesses).
 
     One pass over each tree's removal sequences gives its value under every
     delay vector at once (_delayed_values), so no vector is evaluated alone
@@ -397,25 +417,61 @@ def _value_index(edges: int) -> dict[tuple[int, ...], list[tuple[PlaneTree, tupl
         return index
     side = max(edges, 1)
     width = math.factorial(edges).bit_length()
-    vectors: dict[int, list[tuple[int, ...]]] = {}  # leaf count -> delay vectors in product order
-    by_packed: defaultdict[int, list[tuple[PlaneTree, tuple[int, ...]]]] = defaultdict(list)
+    tables: dict[int, tuple] = {}  # leaf count -> its trees' decoding tables, as in _ValueIndex.cells
+    by_packed: defaultdict[int, array] = defaultdict(partial(array, "q"))
+    nonzero = bytearray()
+    starts: list[int] = []
+    cells: list[tuple] = []
     for tree in enumerate_plane_trees(edges):
         word = dyck_word(tree)
         count = trees._leaf_count(word)
-        labelled = vectors.get(count)
-        if labelled is None:
-            labelled = vectors[count] = list(itertools.product(range(1, side + 1), repeat=count))
-        for packed, labels in zip(_delayed_values(word, count, side, width), labelled):
-            by_packed[packed].append((tree, labels))
+        table = tables.get(count)
+        if table is None:
+            labels, low = range(1, side + 1), count // 2
+            table = tables[count] = (
+                side**low,
+                list(itertools.product(labels, repeat=count - low)),
+                list(itertools.product(labels, repeat=low)),
+            )
+        grid = _delayed_values(word, count, side, width)
+        flags = bytes(map(bool, grid))
+        start = len(nonzero)
+        starts.append(start)
+        cells.append((tree, *table))
+        nonzero += flags
+        for rank, packed in zip(itertools.compress(itertools.count(start), flags), itertools.compress(grid, flags)):
+            by_packed[packed].append(rank)
     mask = (1 << width) - 1
-    index = {}
+    ranks = {}
     for packed, hits in by_packed.items():
         coeffs = []
         while packed:
             coeffs.append(packed & mask)
             packed >>= width
-        index[tuple(coeffs)] = hits
-    return _SEARCH_MEMO.setdefault(edges, index)
+        ranks[tuple(coeffs)] = hits
+    return _SEARCH_MEMO.setdefault(edges, _ValueIndex(ranks, bytes(nonzero), starts, cells))
+
+
+_ZERO_FLAGS = bytes.maketrans(b"\0\1", b"\1\0")  # turns nonzero flags into zero flags
+
+
+def _witnesses(index: _ValueIndex, coeffs: tuple[int, ...]) -> list[DelayedTree]:
+    """The delayed trees of the index whose value has the given
+    coefficients, in rank order.  Only these ranks are decoded: bisect
+    finds the tree, and the cell's high and low digits pick the labels from
+    its two tables."""
+    if coeffs:
+        ranks = index.ranks.get(coeffs, ())
+    else:
+        ranks = itertools.compress(itertools.count(), index.nonzero.translate(_ZERO_FLAGS))
+    starts, cells, of = index.starts, index.cells, DelayedTree._of
+    out = []
+    for rank in ranks:
+        i = bisect_right(starts, rank) - 1
+        tree, modulus, high, low = cells[i]
+        h, l = divmod(rank - starts[i], modulus)
+        out.append(of(tree, high[h] + low[l]))
+    return out
 
 
 def _delayed_values(word: int, leaves: int, side: int, width: int) -> list[int]:
@@ -492,15 +548,15 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     game ends, so it adds no new polynomials at fixed size.  The first
     search at each edge count builds its value index (_value_index) from
     one walk over each tree's removal sequences, which values every delay
-    vector of the tree at once; later searches look the target up.  The
-    search leaves nothing in the leaf-removal memo.
+    vector of the tree at once; later searches look the target's ranks up
+    and decode only those (_witnesses), the zero target's as the complement
+    of the nonzero ones.  The search leaves nothing in the leaf-removal
+    memo.  max_edges must be an int (not a bool).
     """
     if not isinstance(target, QPoly):
         raise TypeError(f"target must be a QPoly, got {type(target).__name__}")
+    if not isinstance(max_edges, int) or isinstance(max_edges, bool):
+        raise TypeError(f"edge bound must be an int, got {type(max_edges).__name__}")
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
-    return [
-        DelayedTree(tree, labels)
-        for edges in range(max_edges + 1)
-        for tree, labels in _value_index(edges).get(target.coeffs, ())
-    ]
+    return [hit for edges in range(max_edges + 1) for hit in _witnesses(_value_index(edges), target.coeffs)]

@@ -388,6 +388,8 @@ def _plane_trees(edges: int) -> tuple[PlaneTree, ...]:
 def enumerate_plane_trees(edges: int) -> tuple[PlaneTree, ...]:
     """All plane rooted trees with exactly the given edge count, each once,
     in a fixed order (first-child subtree size ascending)."""
+    if not isinstance(edges, int) or isinstance(edges, bool):
+        raise TypeError(f"edge count must be an int, got {type(edges).__name__}")
     if edges < 0:
         raise ValueError("edge count must be nonnegative")
     return _plane_trees(edges)
@@ -455,6 +457,15 @@ class DelayedTree:
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ValueError("delays must be positive integers")
         object.__setattr__(self, "delays", delays)
+
+    @classmethod
+    def _of(cls, tree: PlaneTree, delays: tuple[int, ...]) -> "DelayedTree":
+        """The delayed tree with the given tree and labels, which must be a
+        tuple of positive ints, one per leaf; nothing is checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "tree", tree)  # not via out.__dict__, which costs 64 bytes more per instance
+        object.__setattr__(out, "delays", delays)
+        return out
 
 
 def parse_delayed(text: str) -> DelayedTree:

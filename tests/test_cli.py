@@ -340,7 +340,7 @@ def test_search_delayed_bound_guard(capsys):
     assert run(capsys, "search-delayed", "--target", "1", "--max-edges", "9") == (
         2,
         "",
-        "error: --max-edges 9 exceeds hard cap 6\n",
+        "error: --max-edges 9 exceeds hard cap 7\n",
     )
 
 

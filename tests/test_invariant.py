@@ -467,6 +467,9 @@ def test_search_is_deterministic():
 def test_search_bound():
     with pytest.raises(ValueError):
         search_delayed(ONE, -1)
+    for max_edges, name in ((True, "bool"), (3.0, "float"), ("3", "str"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=rf"^edge bound must be an int, got {name}$"):
+            search_delayed(ONE, max_edges)
 
 
 def test_search_refuses_a_target_that_is_not_a_qpoly():
@@ -503,13 +506,15 @@ def may_finish(edges, labels):
 
 
 def indexed_values(max_edges):
-    # the search's value index turned around: (tree, labels) -> coefficients
-    return {
-        (tree, labels): coeffs
-        for edges in range(max_edges + 1)
-        for coeffs, hits in invariant._value_index(edges).items()
-        for tree, labels in hits
-    }
+    # the search's value index turned around, read through the search's own
+    # decoder: (tree, labels) -> coefficients
+    values = {}
+    for edges in range(max_edges + 1):
+        index = invariant._value_index(edges)
+        for coeffs in [*index.ranks, ZERO.coeffs]:
+            for hit in invariant._witnesses(index, coeffs):
+                values[hit.tree, hit.delays] = coeffs
+    return values
 
 
 def test_prune_discards_only_zero_values():
@@ -541,6 +546,34 @@ def test_value_index_matches_the_recursion():
                 else:
                     assert value == ZERO.coeffs, (tree, labels)
             assert values[tree, (1,) * len(leaves(tree))] == q_poly(tree).coeffs, tree
+
+
+def test_value_index_is_compact():
+    # ranks in arrays and one flag byte per candidate: the 252,377
+    # candidates with at most 6 edges held 22 MB as (tree, labels) tuples
+    clear_caches()
+    tracemalloc.start()
+    try:
+        for edges in range(7):
+            invariant._value_index(edges)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 6 * 2**20, retained
+
+
+def test_witnesses_equal_checked_delayed_trees():
+    # the search builds its witnesses unchecked (DelayedTree._of); each must
+    # be the tree the validating constructor builds
+    clear_caches()
+    targets = {ZERO.coeffs}
+    for edges in range(5):
+        targets.update(invariant._value_index(edges).ranks)
+    for coeffs in targets:
+        for hit in search_delayed(QPoly(coeffs), 4):
+            checked = DelayedTree(hit.tree, hit.delays)
+            assert hit == checked and hash(hit) == hash(checked), hit
+            assert type(hit.delays) is tuple and all(type(d) is int for d in hit.delays), hit
 
 
 def test_search_leaves_the_recursion_memo_empty():

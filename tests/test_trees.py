@@ -479,6 +479,9 @@ def test_enumeration_small_membership():
 def test_enumeration_bound():
     with pytest.raises(ValueError):
         enumerate_plane_trees(-1)
+    for edges, name in ((True, "bool"), (2.0, "float"), ("3", "str")):
+        with pytest.raises(TypeError, match=rf"^edge count must be an int, got {name}$"):
+            enumerate_plane_trees(edges)
 
 
 def test_enumeration_is_deterministic():
