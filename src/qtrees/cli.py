@@ -23,7 +23,7 @@ import sys
 
 from . import invariant, presimplicial, qpoly, trees, verify
 from .qpoly import QPoly, q_factorial, to_json_coeffs, to_latex
-from .trees import parse_delayed, parse_tree, serialize
+from .trees import parse_delayed, parse_tree, serialize, serialize_delayed
 
 _DEFAULT_SIZES = {"wedge": 8, "state": 8, "reroot": 7, "block": 9, "presimplicial": 6}
 _MIN_SIZES = {"presimplicial": (1, "at least 1 leaf"), "block": (2, "at least 2 edges")}
@@ -171,6 +171,14 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# witnesses search-delayed renders and writes at a time: on the 4,566,534
+# zero witnesses at 7 edges, one json.dumps per witness took 74 s against
+# 36 s in batches (one run each), and in plain mode one print per batch wrote
+# 500,000 witnesses in 7% less time than rendering all first, one print per
+# witness in 4% more (medians of 15 interleaved runs; shared 2-core VM)
+_BATCH = 4096
+
+
 def _cmd_search_delayed(args) -> int:
     text = args.target.strip()
     if text[:1] == "[" and text[-1:] == "]":
@@ -184,24 +192,22 @@ def _cmd_search_delayed(args) -> int:
         raise trees.BoundExceeded(f"--max-edges {args.max_edges} exceeds hard cap {cap}")
     target = QPoly(coeffs)
     hits = invariant.search_delayed(target, args.max_edges)
-    rendered = [trees.serialize_delayed(h) for h in hits]
+    batches = range(0, len(hits), _BATCH)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "target": to_json_coeffs(target),
-                    "max_edges": args.max_edges,
-                    "count": len(rendered),
-                    "witnesses": rendered,
-                }
-            )
-        )
+        # the document json.dumps would write whole, streamed: the header up
+        # to the witness list's opening bracket, then the witnesses in batches
+        head = {"target": to_json_coeffs(target), "max_edges": args.max_edges, "count": len(hits), "witnesses": []}
+        sys.stdout.write(json.dumps(head)[:-2])
+        for i in batches:
+            batch = json.dumps(list(map(serialize_delayed, hits[i : i + _BATCH])))
+            sys.stdout.write((", " if i else "") + batch[1:-1])
+        print("]}")
     else:
-        for line in rendered:
-            print(line)
-        if not rendered:
+        for i in batches:
+            print("\n".join(map(serialize_delayed, hits[i : i + _BATCH])))
+        if not hits:
             print("no witness found", file=sys.stderr)
-    return 0 if rendered else 1
+    return 0 if hits else 1
 
 
 _PLAIN_LINES = {

@@ -18,7 +18,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from operator import add
+from operator import add, not_
 from typing import NamedTuple
 
 from . import presimplicial, qpoly, trees
@@ -78,8 +78,9 @@ def clear_caches() -> None:
     the polynomial once a call has returned it, so a hit returns that
     object; a larger tree's states live only for its call (_removal_sum).
     The search's indexes hold an 8-byte rank per candidate with a nonzero
-    value, one flag byte per candidate and each distinct value once
-    (_value_index): 2.8 MB for 0 to 6 edges, 54 MB with 7 (tracemalloc)."""
+    value, one flag byte per candidate, 1 where its value is zero, and each
+    distinct value once (_value_index): 2.8 MB for 0 to 6 edges, 54 MB
+    with 7 (tracemalloc)."""
     _QPOLY_MEMO.clear()
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
@@ -239,16 +240,10 @@ def q_degree(tree: PlaneTree) -> int:
 def _hook_lengths(word: int) -> list[int]:
     """The hook length h_v, the vertex count of the subtree at v, of every
     vertex v below the root of the tree with the given Dyck word, in the
-    order their steps up come: v's two steps and its subtree's between them
-    number 2 h_v."""
-    opened: list[int] = []  # where each open vertex stepped down
-    hooks = []
-    for p, step in enumerate(trees._steps(word)):
-        if step == "1":
-            opened.append(p)
-        else:
-            hooks.append((p - opened.pop() + 1) // 2)
-    return hooks
+    order their steps down come: v's two steps and its subtree's between
+    them number 2 h_v (trees._pairs)."""
+    _, match, _ = trees._pairs(word)
+    return [(up - down + 1) // 2 for down, up in enumerate(match) if up > down]
 
 
 class RerootCheck(NamedTuple):
@@ -385,7 +380,7 @@ class _ValueIndex(NamedTuple):
     of its labels, itertools.product order."""
 
     ranks: dict[tuple[int, ...], array]  # each nonzero value's candidates, ascending
-    nonzero: bytes  # one byte per candidate, 1 where its value is nonzero
+    zeros: bytes  # one byte per candidate, 1 where its value is zero
     starts: list[int]  # each tree's first rank
     cells: list[tuple]  # each tree, side**(low digits), high-digit labels, low-digit labels
 
@@ -395,8 +390,9 @@ def _value_index(edges: int) -> _ValueIndex:
     1..max(edges, 1), as a rank (_ValueIndex), filed under the coefficients
     of its delayed q-polynomial when that is nonzero.  Each value's ranks
     are an array("q"), ascending; the zero candidates are not filed, but
-    are the complement of the nonzero flags, listed in rank order on
-    lookup (_witnesses).
+    flagged, one byte each, and listed in rank order on lookup
+    (_witnesses).  The label tables of every leaf count are built once,
+    before the first tree.
 
     One pass over each tree's removal sequences gives its value under every
     delay vector at once (_delayed_values), so no vector is evaluated alone
@@ -417,29 +413,25 @@ def _value_index(edges: int) -> _ValueIndex:
         return index
     side = max(edges, 1)
     width = math.factorial(edges).bit_length()
-    tables: dict[int, tuple] = {}  # leaf count -> its trees' decoding tables, as in _ValueIndex.cells
+    labels = range(1, side + 1)
+    tables = [  # per leaf count, its trees' decoding tables, as in _ValueIndex.cells
+        (side**low, list(itertools.product(labels, repeat=count - low)), list(itertools.product(labels, repeat=low)))
+        for count in range(edges + 1)
+        for low in [count // 2]
+    ]
     by_packed: defaultdict[int, array] = defaultdict(partial(array, "q"))
-    nonzero = bytearray()
+    zeros = bytearray()
     starts: list[int] = []
     cells: list[tuple] = []
     for tree in enumerate_plane_trees(edges):
         word = dyck_word(tree)
         count = trees._leaf_count(word)
-        table = tables.get(count)
-        if table is None:
-            labels, low = range(1, side + 1), count // 2
-            table = tables[count] = (
-                side**low,
-                list(itertools.product(labels, repeat=count - low)),
-                list(itertools.product(labels, repeat=low)),
-            )
         grid = _delayed_values(word, count, side, width)
-        flags = bytes(map(bool, grid))
-        start = len(nonzero)
+        start = len(zeros)
         starts.append(start)
-        cells.append((tree, *table))
-        nonzero += flags
-        for rank, packed in zip(itertools.compress(itertools.count(start), flags), itertools.compress(grid, flags)):
+        cells.append((tree, *tables[count]))
+        zeros += bytes(map(not_, grid))
+        for rank, packed in zip(itertools.compress(itertools.count(start), grid), filter(None, grid)):
             by_packed[packed].append(rank)
     mask = (1 << width) - 1
     ranks = {}
@@ -449,21 +441,16 @@ def _value_index(edges: int) -> _ValueIndex:
             coeffs.append(packed & mask)
             packed >>= width
         ranks[tuple(coeffs)] = hits
-    return _SEARCH_MEMO.setdefault(edges, _ValueIndex(ranks, bytes(nonzero), starts, cells))
-
-
-_ZERO_FLAGS = bytes.maketrans(b"\0\1", b"\1\0")  # turns nonzero flags into zero flags
+    return _SEARCH_MEMO.setdefault(edges, _ValueIndex(ranks, bytes(zeros), starts, cells))
 
 
 def _witnesses(index: _ValueIndex, coeffs: tuple[int, ...]) -> list[DelayedTree]:
     """The delayed trees of the index whose value has the given
-    coefficients, in rank order.  Only these ranks are decoded: bisect
-    finds the tree, and the cell's high and low digits pick the labels from
-    its two tables."""
-    if coeffs:
-        ranks = index.ranks.get(coeffs, ())
-    else:
-        ranks = itertools.compress(itertools.count(), index.nonzero.translate(_ZERO_FLAGS))
+    coefficients, in rank order: a nonzero value's filed ranks, or for the
+    zero value the ranks its flags mark.  Only these ranks are decoded:
+    bisect finds the tree, and the cell's high and low digits pick the
+    labels from its two tables."""
+    ranks = index.ranks.get(coeffs, ()) if coeffs else itertools.compress(itertools.count(), index.zeros)
     starts, cells, of = index.starts, index.cells, DelayedTree._of
     out = []
     for rank in ranks:
@@ -549,9 +536,9 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     search at each edge count builds its value index (_value_index) from
     one walk over each tree's removal sequences, which values every delay
     vector of the tree at once; later searches look the target's ranks up
-    and decode only those (_witnesses), the zero target's as the complement
-    of the nonzero ones.  The search leaves nothing in the leaf-removal
-    memo.  max_edges must be an int (not a bool).
+    and decode only those (_witnesses), the zero target's from the index's
+    zero flags.  The search leaves nothing in the leaf-removal memo.
+    max_edges must be an int (not a bool).
     """
     if not isinstance(target, QPoly):
         raise TypeError(f"target must be a QPoly, got {type(target).__name__}")

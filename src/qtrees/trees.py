@@ -436,7 +436,7 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
 # -- delayed trees -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelayedTree:
     """A plane tree whose leaves carry positive integer delay labels, listed
     in left-to-right leaf order.  The point has no leaves and no labels."""
@@ -463,7 +463,7 @@ class DelayedTree:
         """The delayed tree with the given tree and labels, which must be a
         tuple of positive ints, one per leaf; nothing is checked."""
         out = object.__new__(cls)
-        object.__setattr__(out, "tree", tree)  # not via out.__dict__, which costs 64 bytes more per instance
+        object.__setattr__(out, "tree", tree)  # frozen: slots are set past the class's __setattr__
         object.__setattr__(out, "delays", delays)
         return out
 

@@ -11,8 +11,9 @@ import pytest
 
 import qtrees
 from qtrees import cli
-from qtrees.invariant import RerootCheck
+from qtrees.invariant import RerootCheck, search_delayed
 from qtrees.qpoly import ONE, ZERO, QPoly
+from qtrees.trees import serialize_delayed
 
 
 def run(capsys, *argv):
@@ -54,6 +55,14 @@ def test_q_both_reports_mismatch(capsys, monkeypatch):
     assert "disagree" in err
 
 
+def test_q_both_json(capsys):
+    code, out, _ = run(capsys, "q", "(.(..))", "--algo", "both", "--format", "json")
+    assert (code, out) == (
+        0,
+        '{"recursive": {"coeffs": [1, 2, 2, 2, 1]}, "state": {"coeffs": [1, 2, 2, 2, 1]}, "match": true}\n',
+    )
+
+
 def test_q_state_algo(capsys):
     code, out, _ = run(capsys, "q", "(...)", "--algo", "state")
     assert (code, out) == (0, "1 + 2q + 2q^2 + q^3\n")
@@ -75,6 +84,14 @@ def test_q_latex(capsys):
 def test_q_delayed(capsys, tree, expected):
     code, out, _ = run(capsys, "q-delayed", tree)
     assert (code, out) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "tree,expected",
+    [("(1 3 1)", "q + q^{2} = q \\Phi_{2}\n"), ("(1 1 3)", "q^{2} + q^{3} = q^{2} \\Phi_{2}\n")],
+)
+def test_q_delayed_latex(capsys, tree, expected):
+    assert run(capsys, "q-delayed", tree, "--format", "latex") == (0, expected, "")
 
 
 def test_q_delayed_zero_delay(capsys):
@@ -288,6 +305,22 @@ def test_verify_presimplicial_reports_violations(capsys, monkeypatch):
     assert out.splitlines()[0].endswith(", 126 violations")
 
 
+def test_verify_presimplicial_without_witness(capsys, monkeypatch):
+    # the point always has a double-degeneracy counterexample, so only a
+    # stub reaches the line that reports none
+    real = cli.verify.identities
+
+    def no_witness(max_leaves):
+        _, summary = real(max_leaves)
+        summary["double_degeneracy_witness"] = None
+        return False, summary
+
+    monkeypatch.setattr(cli.verify, "identities", no_witness)
+    code, out, _ = run(capsys, "verify", "presimplicial", "--max-size", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "presimplicial: no double-degeneracy counterexample found"
+
+
 def test_verify_unknown_family(capsys):
     with pytest.raises(SystemExit) as err:
         cli.main(["verify", "nonsense"])
@@ -334,6 +367,23 @@ def test_search_delayed_json(capsys):
     doc = json.loads(out)
     assert doc["count"] >= 1
     assert "(1 (1 2))" in doc["witnesses"]
+
+
+def test_search_delayed_writes_in_batches(capsys):
+    # the witnesses are written in batches; the bytes must be those of one
+    # line per witness, and in JSON those of the whole document through one
+    # json.dumps
+    witnesses = [serialize_delayed(hit) for hit in search_delayed(ZERO, 5)]
+    assert len(witnesses) == 8943 > 2 * cli._BATCH
+    code, out, _ = run(capsys, "search-delayed", "--target", "0", "--max-edges", "5")
+    assert (code, out) == (0, "".join(line + "\n" for line in witnesses))
+    code, out, _ = run(capsys, "search-delayed", "--target", "0", "--max-edges", "5", "--format", "json")
+    doc = {"target": [], "max_edges": 5, "count": 8943, "witnesses": witnesses}
+    assert (code, out) == (0, json.dumps(doc) + "\n")
+    code, out, err = run(capsys, "search-delayed", "--target", "5", "--max-edges", "1", "--format", "json")
+    assert (code, err) == (1, "")
+    assert out.endswith('"count": 0, "witnesses": []}\n')
+    assert json.loads(out) == {"target": [5], "max_edges": 1, "count": 0, "witnesses": []}
 
 
 def test_search_delayed_bound_guard(capsys):

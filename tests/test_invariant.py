@@ -574,6 +574,7 @@ def test_witnesses_equal_checked_delayed_trees():
             checked = DelayedTree(hit.tree, hit.delays)
             assert hit == checked and hash(hit) == hash(checked), hit
             assert type(hit.delays) is tuple and all(type(d) is int for d in hit.delays), hit
+            assert not hasattr(hit, "__dict__"), hit  # slotted: 56 bytes a witness, not 96
 
 
 def test_search_leaves_the_recursion_memo_empty():

@@ -293,6 +293,8 @@ def test_identities_hold_with_witness():
     assert summary["violations"] == []
     assert all(count > 0 for count in summary["checked"].values())
     assert ok
+    with pytest.raises(ValueError):
+        verify.identities(0)
 
 
 def test_identities_build_no_trees(monkeypatch):

@@ -207,6 +207,10 @@ def test_int_coercion_and_sub():
     assert 1 + q == QPoly((1, 1))
     assert (1 + q) - q == ONE
     assert -q == QPoly((0, -1))
+    assert 1 - q == QPoly((1, -1))
+    for bad in (lambda: q - "x", lambda: "x" - q, lambda: q.divexact("x")):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_shift():
@@ -223,6 +227,8 @@ def test_divexact():
         QPoly((1, 0, 1)).divexact(QPoly((1, 1)))
     with pytest.raises(ZeroDivisionError):
         ONE.divexact(ZERO)
+    with pytest.raises(NotDivisible):  # the same length, but 3 does not divide 2
+        QPoly((0, 2)).divexact(QPoly((0, 3)))
 
 
 def test_eval_int():

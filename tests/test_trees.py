@@ -421,6 +421,8 @@ def test_star():
     assert star(0) == POINT
     assert star(2) == CHERRY
     assert serialize(star(3)) == "(...)"
+    with pytest.raises(ValueError):
+        star(-1)
 
 
 def test_side_edge_counts():
