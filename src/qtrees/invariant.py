@@ -10,6 +10,7 @@ hitting a target polynomial.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import random
@@ -211,21 +212,33 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
     """The q-polynomial as a product of per-vertex weights.
 
     Each vertex contributes the Gaussian multinomial of the sizes (edges
-    plus the hanging edge) of its child subtrees; leaves contribute 1.
-    Agrees with q_poly on every tree.  One pass over the Dyck word, the
-    root's own steps added around it, finishes each vertex at its step up.
+    plus the hanging edge) of its child subtrees, which is 1 for a vertex
+    with fewer than two children.  Agrees with q_poly on every tree.  One
+    pass over the Dyck word, the root's own steps added around it, finishes
+    each vertex at its step up and lists the weights other than 1.  The
+    list is then multiplied Huffman-style: the two pending weights with the
+    fewest coefficients, ties in listing order, give way to their product,
+    so no product pairs a long accumulator with a short factor.  The point
+    and the paths list no weight and give 1.
     """
-    stack: list[list] = [[]]  # per open vertex: where it stepped down, then its children's (size, value)
+    weights: list[QPoly] = []
+    stack: list[list[int]] = [[]]  # per open vertex: where it stepped down, then its children's sizes
     for p, step in enumerate("1" + trees._steps(dyck_word(tree)) + "0"):
         if step == "1":
             stack.append([p])
             continue
-        down, *kids = stack.pop()
-        out = q_multinomial(tuple(size for size, _ in kids))
-        for _, value in kids:
-            out = out * value
-        stack[-1].append(((p - down + 1) // 2, out))
-    return stack[0][0][1]
+        down, *sizes = stack.pop()
+        if len(sizes) > 1:
+            weights.append(q_multinomial(sizes))
+        stack[-1].append((p - down + 1) // 2)
+    heap = [(len(weight.coeffs), order, weight) for order, weight in enumerate(weights)]
+    heapq.heapify(heap)
+    for order in range(len(weights), 2 * len(weights) - 1):  # one product per weight but the first
+        _, _, a = heapq.heappop(heap)
+        _, _, b = heapq.heappop(heap)
+        product = a * b
+        heapq.heappush(heap, (len(product.coeffs), order, product))
+    return heap[0][2] if heap else ONE
 
 
 def q_degree(tree: PlaneTree) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import importlib
 import itertools
 import json
@@ -43,6 +44,7 @@ from qtrees.trees import (
     POINT,
     DelayedTree,
     RootHasNoEdge,
+    edge_count,
     enumerate_plane_trees,
     leaves,
     parse_delayed,
@@ -289,6 +291,51 @@ def test_state_product_matches_recursion():
     for _ in range(30):
         tree = random_plane_tree(12, rng)
         assert q_poly_state(tree) == q_poly(tree)
+
+
+def test_state_product_matches_recursion_at_20_edges():
+    # 20 edges is the largest size whose states share the recursion memo
+    rng = random.Random(20)
+    for _ in range(10):
+        tree = random_plane_tree(20, rng)
+        assert q_poly_state(tree) == q_poly(tree)
+
+
+def test_state_product_multiplies_the_two_shortest_weights_first(monkeypatch):
+    tree = random_plane_tree(60, random.Random(26))
+    # coefficient counts of the branching vertices' weights, in post-order
+    lengths = []
+    stack = [(tree, False)]
+    while stack:
+        node, finished = stack.pop()
+        if finished:
+            if len(node.children) > 1:
+                sizes = [edge_count(kid) + 1 for kid in node.children]
+                lengths.append(len(q_multinomial(sizes).coeffs))
+            continue
+        stack.append((node, True))
+        stack.extend((kid, False) for kid in reversed(node.children))
+    assert len(lengths) > 2
+
+    products = []
+    multiply = QPoly.__mul__
+
+    def recording(a, b):
+        products.append((len(a.coeffs), len(b.coeffs)))
+        return multiply(a, b)
+
+    monkeypatch.setattr(QPoly, "__mul__", recording)
+    value = q_poly_state(tree)
+    monkeypatch.undo()
+    assert value.degree == q_degree(tree)
+    assert len(products) == len(lengths) - 1
+    pending = lengths[:]
+    heapq.heapify(pending)
+    for a, b in products:
+        assert (a, b) == (heapq.heappop(pending), heapq.heappop(pending))
+        # nonnegative coefficients do not cancel: degrees add
+        heapq.heappush(pending, a + b - 1)
+    assert pending == [q_degree(tree) + 1]
 
 
 def test_state_product_vertex_weights():
