@@ -80,8 +80,8 @@ def clear_caches() -> None:
     object; a larger tree's states live only for its call (_removal_sum).
     The search's indexes hold an 8-byte rank per candidate with a nonzero
     value, one flag byte per candidate, 1 where its value is zero, and each
-    distinct value once (_value_index): 2.8 MB for 0 to 6 edges, 54 MB
-    with 7 (tracemalloc)."""
+    distinct value once, as one packed int (_value_index): 2.2 MB for 0 to
+    6 edges, about 40 MB with 7 (tracemalloc)."""
     _QPOLY_MEMO.clear()
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
@@ -390,33 +390,31 @@ class _ValueIndex(NamedTuple):
     """The delayed search's candidates at one edge count (_value_index).  A
     candidate's rank counts the cells of the trees before it, in
     enumerate_plane_trees order, plus its own cell: the mixed-radix number
-    of its labels, itertools.product order."""
+    of its labels, itertools.product order.  A value is filed packed, as
+    its value at q = 2**width (_delayed_values)."""
 
-    ranks: dict[tuple[int, ...], array]  # each nonzero value's candidates, ascending
+    ranks: dict[int, array]  # each nonzero packed value's candidates, ascending
     zeros: bytes  # one byte per candidate, 1 where its value is zero
     starts: list[int]  # each tree's first rank
     cells: list[tuple]  # each tree, side**(low digits), high-digit labels, low-digit labels
+    width: int  # bits per coefficient of a packed value
 
 
 def _value_index(edges: int) -> _ValueIndex:
     """Every delayed tree with the given edge count and delays in
-    1..max(edges, 1), as a rank (_ValueIndex), filed under the coefficients
-    of its delayed q-polynomial when that is nonzero.  Each value's ranks
-    are an array("q"), ascending; the zero candidates are not filed, but
-    flagged, one byte each, and listed in rank order on lookup
-    (_witnesses).  The label tables of every leaf count are built once,
-    before the first tree.
+    1..max(edges, 1), as a rank (_ValueIndex), filed under its delayed
+    q-polynomial when that is nonzero.  Each value's ranks are an
+    array("q"), ascending; the zero candidates are not filed, but flagged,
+    one byte each, and listed in rank order on lookup (_witnesses).  The
+    label tables of every leaf count are built once, before the first tree.
 
     One pass over each tree's removal sequences gives its value under every
     delay vector at once (_delayed_values), so no vector is evaluated alone
     and none needs pruning.  The values come packed into ints, one field of
     `width` bits per coefficient: a coefficient counts removal sequences of
     the tree, at most edges! of them, so edges!.bit_length() bits hold it.
-    Each distinct packed value is decoded once, after the last tree, by its
-    own loop rather than qpoly._unpack: bit fields keep the grid's ints
-    small, and byte or 64-bit fields decoded by _unpack made the benchmark's
-    delayed-search6 slower in each of 11 paired runs (wall_s 0.169-0.207 s
-    against 0.154-0.183 s).
+    The index files each value under that int as it comes and never
+    decodes it; a lookup packs the target instead.
 
     Indexes are kept in _SEARCH_MEMO and published there only once
     complete, so a thread sees a whole index or none.
@@ -446,24 +444,24 @@ def _value_index(edges: int) -> _ValueIndex:
         zeros += bytes(map(not_, grid))
         for rank, packed in zip(itertools.compress(itertools.count(start), grid), filter(None, grid)):
             by_packed[packed].append(rank)
-    mask = (1 << width) - 1
-    ranks = {}
-    for packed, hits in by_packed.items():
-        coeffs = []
-        while packed:
-            coeffs.append(packed & mask)
-            packed >>= width
-        ranks[tuple(coeffs)] = hits
-    return _SEARCH_MEMO.setdefault(edges, _ValueIndex(ranks, bytes(zeros), starts, cells))
+    return _SEARCH_MEMO.setdefault(edges, _ValueIndex(dict(by_packed), bytes(zeros), starts, cells, width))
 
 
-def _witnesses(index: _ValueIndex, coeffs: tuple[int, ...]) -> list[DelayedTree]:
-    """The delayed trees of the index whose value has the given
-    coefficients, in rank order: a nonzero value's filed ranks, or for the
-    zero value the ranks its flags mark.  Only these ranks are decoded:
-    bisect finds the tree, and the cell's high and low digits pick the
-    labels from its two tables."""
-    ranks = index.ranks.get(coeffs, ()) if coeffs else itertools.compress(itertools.count(), index.zeros)
+def _witnesses(index: _ValueIndex, target: QPoly) -> list[DelayedTree]:
+    """The delayed trees of the index whose value is the target, in rank
+    order: for the zero target the ranks its flags mark, for any other the
+    ranks filed under the target packed as the index's values are.  A
+    target with a coefficient that fits no field (negative, or 2**width or
+    more) is no value of the index, and packing it would alias another.
+    Only these ranks are decoded: bisect finds the tree, and the cell's
+    high and low digits pick the labels from its two tables."""
+    coeffs = target.coeffs
+    if not coeffs:
+        ranks = itertools.compress(itertools.count(), index.zeros)
+    else:
+        ranks = index.ranks.get(target.eval_int(1 << index.width), ())
+        if ranks and (min(coeffs) < 0 or max(coeffs) >> index.width):
+            ranks = ()  # checked only on a hit, as only a hit can be an alias
     starts, cells, of = index.starts, index.cells, DelayedTree._of
     out = []
     for rank in ranks:
@@ -549,9 +547,9 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     search at each edge count builds its value index (_value_index) from
     one walk over each tree's removal sequences, which values every delay
     vector of the tree at once; later searches look the target's ranks up
-    and decode only those (_witnesses), the zero target's from the index's
-    zero flags.  The search leaves nothing in the leaf-removal memo.
-    max_edges must be an int (not a bool).
+    under its packed value and decode only those (_witnesses), the zero
+    target's from the index's zero flags.  The search leaves nothing in the
+    leaf-removal memo.  max_edges must be an int (not a bool).
     """
     if not isinstance(target, QPoly):
         raise TypeError(f"target must be a QPoly, got {type(target).__name__}")
@@ -559,4 +557,4 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
         raise TypeError(f"edge bound must be an int, got {type(max_edges).__name__}")
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
-    return [hit for edges in range(max_edges + 1) for hit in _witnesses(_value_index(edges), target.coeffs)]
+    return [hit for edges in range(max_edges + 1) for hit in _witnesses(_value_index(edges), target)]

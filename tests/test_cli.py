@@ -340,6 +340,14 @@ def test_search_delayed_none_found(capsys):
     code, out, err = run(capsys, "search-delayed", "--target", "5", "--max-edges", "1")
     assert code == 1
     assert out == ""
+    # 16384 = 2**14 fits no 7-bit field of the 5-edge values (5! < 2**7),
+    # where packed it would alias q**2, whose witnesses are found
+    code, out, err = run(capsys, "search-delayed", "--target", "16384", "--max-edges", "5")
+    assert code == 1
+    assert out == ""
+    code, out, err = run(capsys, "search-delayed", "--target", "0,0,1", "--max-edges", "5")
+    assert code == 0
+    assert len(out.splitlines()) == 81
 
 
 def test_search_delayed_bad_target(capsys):

@@ -503,6 +503,12 @@ def test_search_finds_the_all_ones_cherry():
 
 def test_search_impossible_target():
     assert search_delayed(QPoly((5,)), 1) == []
+    # at 2 edges a coefficient has a 2-bit field (2! < 4), so packed the
+    # constant 4 would alias q and -3 + q would alias 1
+    assert len(search_delayed(q, 2)) == 1
+    assert len(search_delayed(ONE, 2)) == 4
+    assert search_delayed(QPoly((4,)), 2) == []
+    assert search_delayed(QPoly((-3, 1)), 2) == []
 
 
 def test_search_is_deterministic():
@@ -552,14 +558,28 @@ def may_finish(edges, labels):
     return 1 in labels and all(d <= edges - n + j for j, d in enumerate(sorted(labels), 1))
 
 
+def filed_values(edges):
+    # the coefficients of each value the index files, decoded here from its
+    # packed key, width = bits(edges!) bits a coefficient
+    width = math.factorial(edges).bit_length()
+    mask = (1 << width) - 1
+    for packed in invariant._value_index(edges).ranks:
+        coeffs = []
+        while packed:
+            coeffs.append(packed & mask)
+            packed >>= width
+        yield tuple(coeffs)
+
+
 def indexed_values(max_edges):
-    # the search's value index turned around, read through the search's own
-    # decoder: (tree, labels) -> coefficients
+    # the search's value index turned around, each value searched for as a
+    # QPoly, so it round-trips through the library's packing:
+    # (tree, labels) -> coefficients
     values = {}
     for edges in range(max_edges + 1):
         index = invariant._value_index(edges)
-        for coeffs in [*index.ranks, ZERO.coeffs]:
-            for hit in invariant._witnesses(index, coeffs):
+        for coeffs in [*filed_values(edges), ZERO.coeffs]:
+            for hit in invariant._witnesses(index, QPoly(coeffs)):
                 values[hit.tree, hit.delays] = coeffs
     return values
 
@@ -615,7 +635,7 @@ def test_witnesses_equal_checked_delayed_trees():
     clear_caches()
     targets = {ZERO.coeffs}
     for edges in range(5):
-        targets.update(invariant._value_index(edges).ranks)
+        targets.update(filed_values(edges))
     for coeffs in targets:
         for hit in search_delayed(QPoly(coeffs), 4):
             checked = DelayedTree(hit.tree, hit.delays)
