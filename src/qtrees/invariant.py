@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
-from operator import add, not_
+from operator import add
 from typing import NamedTuple
 
 from . import presimplicial, qpoly, trees
@@ -406,15 +406,20 @@ def _value_index(edges: int) -> _ValueIndex:
     q-polynomial when that is nonzero.  Each value's ranks are an
     array("q"), ascending; the zero candidates are not filed, but flagged,
     one byte each, and listed in rank order on lookup (_witnesses).  The
-    label tables of every leaf count are built once, before the first tree.
+    label tables of every leaf count, the deposit runs and the zero flags
+    of a line are built once, before the first tree.
 
     One pass over each tree's removal sequences gives its value under every
     delay vector at once (_delayed_values), so no vector is evaluated alone
     and none needs pruning.  The values come packed into ints, one field of
     `width` bits per coefficient: a coefficient counts removal sequences of
     the tree, at most edges! of them, so edges!.bit_length() bits hold it.
-    The index files each value under that int as it comes and never
-    decodes it; a lookup packs the target instead.
+    They come side to a line, in fields of `span` bits, enough for degree
+    C(edges, 2).  Raising a label only drops sequences, so the nonzero
+    cells of a line, which differ in the last label only, are a prefix:
+    the spans its bit length fills.  That count picks the line's zero flags,
+    and only those cells are split off and filed, under the packed int as
+    it comes; a lookup packs the target instead.
 
     Indexes are kept in _SEARCH_MEMO and published there only once
     complete, so a thread sees a whole index or none.
@@ -424,12 +429,16 @@ def _value_index(edges: int) -> _ValueIndex:
         return index
     side = max(edges, 1)
     width = math.factorial(edges).bit_length()
+    span = (edges * (edges - 1) // 2 + 1) * width
+    mask = (1 << span) - 1
     labels = range(1, side + 1)
     tables = [  # per leaf count, its trees' decoding tables, as in _ValueIndex.cells
         (side**low, list(itertools.product(labels, repeat=count - low)), list(itertools.product(labels, repeat=low)))
         for count in range(edges + 1)
         for low in [count // 2]
     ]
+    runs = list(itertools.accumulate(1 << (c * span) for c in range(side)))  # fields 0..t of a line set to 1
+    tails = [bytes(m) + b"\1" * (side - m) for m in range(side + 1)]  # zero flags of a line, m cells nonzero
     by_packed: defaultdict[int, array] = defaultdict(partial(array, "q"))
     zeros = bytearray()
     starts: list[int] = []
@@ -437,13 +446,15 @@ def _value_index(edges: int) -> _ValueIndex:
     for tree in enumerate_plane_trees(edges):
         word = dyck_word(tree)
         count = trees._leaf_count(word)
-        grid = _delayed_values(word, count, side, width)
-        start = len(zeros)
-        starts.append(start)
+        starts.append(len(zeros))
         cells.append((tree, *tables[count]))
-        zeros += bytes(map(not_, grid))
-        for rank, packed in zip(itertools.compress(itertools.count(start), grid), filter(None, grid)):
-            by_packed[packed].append(rank)
+        for line in _delayed_values(word, count, runs, width):
+            nonzero = -(-line.bit_length() // span)
+            first = len(zeros)
+            zeros += tails[nonzero]
+            for rank in range(first, first + nonzero):
+                by_packed[line & mask].append(rank)
+                line >>= span
     return _SEARCH_MEMO.setdefault(edges, _ValueIndex(dict(by_packed), bytes(zeros), starts, cells, width))
 
 
@@ -472,11 +483,14 @@ def _witnesses(index: _ValueIndex, target: QPoly) -> list[DelayedTree]:
     return out
 
 
-def _delayed_values(word: int, leaves: int, side: int, width: int) -> list[int]:
+def _delayed_values(word: int, leaves: int, runs: list[int], width: int) -> list[int]:
     """The delayed values of the tree with the given Dyck word and leaf
-    count under every delay vector in (1..side)**leaves, in
-    itertools.product order, each packed as sum c_k << (k * width) for
-    the coefficient c_k of q**k.  side must be at least the edge count.
+    count under every delay vector in (1..side)**leaves, side = len(runs),
+    in itertools.product order, each packed as sum c_k << (k * width) for
+    the coefficient c_k of q**k, side of them to a line: vector
+    i * side + t is field t of line i, span bits wide, and runs[t] has
+    fields 0..t set to 1 (_value_index).  side must be at least the edge
+    count.
 
     Under the delayed rule a leaf labelled d may move at move k exactly
     when k >= d: before move k its delay has dropped k - 1 times, to
@@ -484,21 +498,23 @@ def _delayed_values(word: int, leaves: int, side: int, width: int) -> list[int]:
     So a removal sequence is a game under delays d exactly when each
     original leaf v leaves at a move t(v) >= d_v, and its weight
     q**(sum of r(v)) does not depend on d.  The walk adds each sequence's
-    weight to the cell of a grid at its removal times t, one axis per
-    original leaf, the leftmost leaf's axis the most significant; suffix
-    sums along every axis then leave the value for delays d in cell d.
-    The sequences are walked as in _removal_sum, on an explicit stack,
-    with the ids of the original leaves left to right, -1 for an exposed
-    parent.
+    weight at its removal times t, one axis per original leaf, the leftmost
+    leaf's axis the most significant, as runs[t] shifted by the weight into
+    its line, t its time on the last axis: that one shift-add is the suffix
+    sum along the last axis.  Suffix sums along the others, over the lines,
+    then leave the value for delays d in cell d.  The sequences are walked
+    as in _removal_sum, on an explicit stack, with the ids of the original
+    leaves left to right, -1 for an exposed parent.
     """
     edges = word.bit_count()
-    grid = [0] * side**leaves
+    side = len(runs)
+    lines = [0] * (side**leaves // side)
     place = [side ** (leaves - 1 - i) for i in range(leaves)]
     stack = [(word, tuple(range(leaves)), 0, 0)]  # word, leaf ids, cell, weight
     while stack:
         word, ids, cell, weight = stack.pop()
         if not word:
-            grid[cell] += 1 << (weight * width)
+            lines[cell // side] += runs[cell % side] << (weight * width)
             continue
         move = edges - word.bit_count()  # moves made so far: the cell coordinate of this one
         found = word & ~(word << 1)
@@ -516,11 +532,11 @@ def _delayed_values(word: int, leaves: int, side: int, width: int) -> list[int]:
                 next_ids = ids[:i] + ids[i + 1 :]
             moved = cell + move * place[leaf] if leaf >= 0 else cell
             stack.append((rest, next_ids, moved, weight + low.bit_count()))
-    # suffix sums along each axis: the cells whose coordinate on it is c take
-    # in those at c + 1, for c from side - 2 down; they form `stride` runs a
-    # period apart or size // period blocks of `stride` cells, so slice
-    # whichever way needs fewer slices
-    size = len(grid)
+    # suffix sums along each other axis: the lines whose coordinate on it is
+    # c take in those at c + 1, for c from side - 2 down; they form `stride`
+    # runs a period apart or size // period blocks of `stride` lines, so
+    # slice whichever way needs fewer slices
+    size = len(lines)
     stride = 1
     while stride < size:
         period = stride * side
@@ -528,12 +544,12 @@ def _delayed_values(word: int, leaves: int, side: int, width: int) -> list[int]:
             hi = lo + stride
             if stride <= size // period:
                 for r in range(stride):
-                    grid[lo + r :: period] = map(add, grid[lo + r :: period], grid[hi + r :: period])
+                    lines[lo + r :: period] = map(add, lines[lo + r :: period], lines[hi + r :: period])
             else:
                 for b in range(0, size, period):
-                    grid[b + lo : b + hi] = map(add, grid[b + lo : b + hi], grid[b + hi : b + hi + stride])
+                    lines[b + lo : b + hi] = map(add, lines[b + lo : b + hi], lines[b + hi : b + hi + stride])
         stride = period
-    return grid
+    return lines
 
 
 def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
@@ -548,8 +564,12 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     one walk over each tree's removal sequences, which values every delay
     vector of the tree at once; later searches look the target's ranks up
     under its packed value and decode only those (_witnesses), the zero
-    target's from the index's zero flags.  The search leaves nothing in the
-    leaf-removal memo.  max_edges must be an int (not a bool).
+    target's from the index's zero flags.  A value at e edges has degree
+    at most C(e, 2), since its hook lengths sum to at least e (q_degree),
+    so an edge count below the target's degree is neither built nor looked
+    up; the zero target and 1 reach every edge count.  The search leaves
+    nothing in the leaf-removal memo.  max_edges must be an int (not a
+    bool).
     """
     if not isinstance(target, QPoly):
         raise TypeError(f"target must be a QPoly, got {type(target).__name__}")
@@ -557,4 +577,9 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
         raise TypeError(f"edge bound must be an int, got {type(max_edges).__name__}")
     if max_edges < 0:
         raise ValueError("edge bound must be nonnegative")
-    return [hit for edges in range(max_edges + 1) for hit in _witnesses(_value_index(edges), target)]
+    return [
+        hit
+        for edges in range(max_edges + 1)
+        if edges * (edges - 1) // 2 >= target.degree
+        for hit in _witnesses(_value_index(edges), target)
+    ]

@@ -615,6 +615,34 @@ def test_value_index_matches_the_recursion():
             assert values[tree, (1,) * len(leaves(tree))] == q_poly(tree).coeffs, tree
 
 
+def test_raising_a_label_never_adds_to_a_value():
+    # the premise of the index's zero flags, by the recursion alone: raising
+    # one label only drops removal sequences, so a line's nonzero cells are
+    # a prefix of it
+    comparisons = 0
+    for edges, delayed in delayed_candidates(5):
+        word, labels = trees.dyck_word(delayed.tree), delayed.delays
+        value = invariant._removal_sum(word, labels).coeffs
+        for i, d in enumerate(labels):
+            if d < max(edges, 1):
+                raised = invariant._removal_sum(word, labels[:i] + (d + 1,) + labels[i + 1 :]).coeffs
+                assert len(raised) <= len(value), (delayed, i)
+                assert all(map(int.__le__, raised, value)), (delayed, i)
+                comparisons += 1
+    assert comparisons == 40_780
+    clear_caches()
+
+
+def test_the_top_degree_fills_the_last_field():
+    # only the star reaches degree C(6, 2), the top field of a 6-edge span;
+    # a target of higher degree builds no index
+    clear_caches()
+    assert search_delayed(q_factorial(6), 6) == [DelayedTree(star(6), (1,) * 6)]
+    clear_caches()
+    assert search_delayed(QPoly((1,) * 17), 6) == []
+    assert not invariant._SEARCH_MEMO
+
+
 def test_value_index_is_compact():
     # ranks in arrays and one flag byte per candidate: the 252,377
     # candidates with at most 6 edges held 22 MB as (tree, labels) tuples
@@ -774,7 +802,7 @@ def test_clear_caches_keeps_results():
         found(QPoly((1, 1)), 3),
     )
     assert invariant._QPOLY_MEMO
-    assert sorted(invariant._SEARCH_MEMO) == [0, 1, 2, 3]
+    assert sorted(invariant._SEARCH_MEMO) == [2, 3]  # 1 + q reaches no edge count below 2
     assert all(table.cache_info().currsize for table in tables.values())
     clear_caches()
     assert not invariant._QPOLY_MEMO
