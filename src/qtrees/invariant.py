@@ -448,7 +448,7 @@ def _value_index(edges: int) -> _ValueIndex:
         count = trees._leaf_count(word)
         starts.append(len(zeros))
         cells.append((tree, *tables[count]))
-        for line in _delayed_values(word, count, runs, width):
+        for line in _delayed_values(word, runs, width):
             nonzero = -(-line.bit_length() // span)
             first = len(zeros)
             zeros += tails[nonzero]
@@ -483,14 +483,14 @@ def _witnesses(index: _ValueIndex, target: QPoly) -> list[DelayedTree]:
     return out
 
 
-def _delayed_values(word: int, leaves: int, runs: list[int], width: int) -> list[int]:
-    """The delayed values of the tree with the given Dyck word and leaf
-    count under every delay vector in (1..side)**leaves, side = len(runs),
-    in itertools.product order, each packed as sum c_k << (k * width) for
-    the coefficient c_k of q**k, side of them to a line: vector
-    i * side + t is field t of line i, span bits wide, and runs[t] has
-    fields 0..t set to 1 (_value_index).  side must be at least the edge
-    count.
+def _delayed_values(word: int, runs: list[int], width: int) -> list[int]:
+    """The delayed values of the tree with the given Dyck word under every
+    delay vector in (1..side)**leaves, side = len(runs) and leaves the
+    tree's leaf count, read off the word, in itertools.product order, each
+    packed as sum c_k << (k * width) for the coefficient c_k of q**k, side
+    of them to a line: vector i * side + t is field t of line i, span bits
+    wide, and runs[t] has fields 0..t set to 1 (_value_index).  side must be
+    at least the edge count.
 
     Under the delayed rule a leaf labelled d may move at move k exactly
     when k >= d: before move k its delay has dropped k - 1 times, to
@@ -502,11 +502,15 @@ def _delayed_values(word: int, leaves: int, runs: list[int], width: int) -> list
     leaf's axis the most significant, as runs[t] shifted by the weight into
     its line, t its time on the last axis: that one shift-add is the suffix
     sum along the last axis.  Suffix sums along the others, over the lines,
-    then leave the value for delays d in cell d.  The sequences are walked
-    as in _removal_sum, on an explicit stack, with the ids of the original
-    leaves left to right, -1 for an exposed parent.
+    then leave the value for delays d in cell d: each of leaves - 1 passes
+    sums along the outermost axis of the lines and rotates it to the
+    innermost place, so one slice form serves every axis and the last pass
+    restores their order.  The sequences are walked as in _removal_sum, on
+    an explicit stack, with the ids of the original leaves left to right,
+    -1 for an exposed parent.
     """
     edges = word.bit_count()
+    leaves = trees._leaf_count(word)
     side = len(runs)
     lines = [0] * (side**leaves // side)
     place = [side ** (leaves - 1 - i) for i in range(leaves)]
@@ -532,23 +536,16 @@ def _delayed_values(word: int, leaves: int, runs: list[int], width: int) -> list
                 next_ids = ids[:i] + ids[i + 1 :]
             moved = cell + move * place[leaf] if leaf >= 0 else cell
             stack.append((rest, next_ids, moved, weight + low.bit_count()))
-    # suffix sums along each other axis: the lines whose coordinate on it is
-    # c take in those at c + 1, for c from side - 2 down; they form `stride`
-    # runs a period apart or size // period blocks of `stride` lines, so
-    # slice whichever way needs fewer slices
-    size = len(lines)
-    stride = 1
-    while stride < size:
-        period = stride * side
-        for lo in range(period - 2 * stride, -1, -stride):
-            hi = lo + stride
-            if stride <= size // period:
-                for r in range(stride):
-                    lines[lo + r :: period] = map(add, lines[lo + r :: period], lines[hi + r :: period])
-            else:
-                for b in range(0, size, period):
-                    lines[b + lo : b + hi] = map(add, lines[b + lo : b + hi], lines[b + hi : b + hi + stride])
-        stride = period
+    # suffix sums: each of the `side` blocks of the outermost axis, from the
+    # second-last down, takes in the next; then that axis is rotated innermost
+    block = len(lines) // side
+    for _ in range(leaves - 1):
+        for lo in range((side - 2) * block, -1, -block):
+            lines[lo : lo + block] = map(add, lines[lo : lo + block], lines[lo + block : lo + 2 * block])
+        rotated = [0] * len(lines)
+        for c in range(side):
+            rotated[c::side] = lines[c * block : (c + 1) * block]
+        lines = rotated
     return lines
 
 

@@ -227,12 +227,10 @@ def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
 # PlaneTree to a QPoly or int coefficient; results never store a zero.
 
 
-def _chain_items(chain: Mapping, q_value: int = 0) -> list:
+def _chain_items(chain: Mapping) -> list:
     """The (Dyck word, coefficient) pairs of a chain, after refusing with
-    TypeError a key that is not a PlaneTree, a coefficient that is not a
-    QPoly or an int, and a q_value that is not an int (a bool is neither)."""
-    if not isinstance(q_value, int) or isinstance(q_value, bool):
-        raise TypeError(f"q_value must be an int, got {type(q_value).__name__}")
+    TypeError a key that is not a PlaneTree or a coefficient that is not a
+    QPoly or an int (a bool is neither)."""
     items = list(dict(chain).items())
     for tree, coeff in items:
         if not isinstance(tree, PlaneTree) or isinstance(coeff, bool) or not isinstance(coeff, (QPoly, int)):
@@ -265,10 +263,12 @@ def q_boundary(chain: Mapping) -> dict[PlaneTree, QPoly]:
 def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
     """The boundary with q specialized to an integer, as a chain with int
     coefficients.  At q = -1 this is the alternating face sum and squares
-    to zero; at generic integers it does not."""
+    to zero; at generic integers it does not.  q_value must be an int (not
+    a bool)."""
+    if not isinstance(q_value, int) or isinstance(q_value, bool):
+        raise TypeError(f"q_value must be an int, got {type(q_value).__name__}")
     weights = (
-        (word, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff)
-        for word, coeff in _chain_items(chain, q_value)
+        (word, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff) for word, coeff in _chain_items(chain)
     )
     sums = _face_sum(weights, lambda total, weight, i: (total or 0) + weight * q_value**i)
     return {PlaneTree._of(word): weight for word, weight in sums.items()}

@@ -8,6 +8,7 @@ import pkgutil
 import random
 import sys
 import tracemalloc
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -641,6 +642,27 @@ def test_the_top_degree_fills_the_last_field():
     clear_caches()
     assert search_delayed(QPoly((1,) * 17), 6) == []
     assert not invariant._SEARCH_MEMO
+
+
+# sha256 over the value indexes for 0..6 edges: each index's width, its
+# packed values in ascending order, each with the bytes of its rank array
+# (int64, little-endian on the hosts CI runs), its zero flags and its trees'
+# first ranks.  Any moved rank, flag or packing changes it.
+VALUE_INDEX_SHA256 = "d15eeb8174614cdbc7cbd1db85bba4b2df2b666afd142b154cbbd174cb600cd9"
+
+
+def test_value_index_is_pinned():
+    clear_caches()
+    digest = hashlib.sha256()
+    for edges in range(7):
+        index = invariant._value_index(edges)
+        digest.update(b"%d;" % index.width)
+        for packed in sorted(index.ranks):
+            digest.update(b"%d:" % packed)
+            digest.update(index.ranks[packed].tobytes())
+        digest.update(index.zeros)
+        digest.update(array("q", index.starts).tobytes())
+    assert digest.hexdigest() == VALUE_INDEX_SHA256
 
 
 def test_value_index_is_compact():
