@@ -190,10 +190,34 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
     int, with fields wide enough for any product coefficient, so one
     big-integer product carries every coefficient without a carry crossing
     a field.  A bound that fits in 64 bits gets 8-byte fields, which pack
-    and unpack as machine words; a wider one gets the fewest bytes that
-    hold it."""
+    and unpack as machine words, and one product.
+
+    A wider bound gets the fewest bytes that hold it, size, and Harvey's
+    two-point variant (KS2): each operand is evaluated at q = 2**h and
+    q = -2**h, h = 4 * size bits, half a field.  With its even and odd
+    coefficients packed as E and O, f(+-2**h) = E +- (O << h), so the two
+    products plus and minus are half the length of the one-point product
+    and cost about 2/3 of it.  (plus + minus) / 2 packs the even
+    coefficients of a * b and (plus - minus) / 2**(h + 1) the odd ones,
+    each at q**2 = 256**size; every coefficient is below the bound, below
+    256**size, so neither sum carries across a field.  A narrow product is
+    small enough that the extra packing and additions outweigh the saving,
+    so it keeps the one product."""
     size = max(8, ((max(a) * max(b) * min(len(a), len(b))).bit_length() + 7) // 8)
-    return _unpack(_pack(a, size) * _pack(b, size), size)
+    if size == 8:
+        return _unpack(_pack(a, size) * _pack(b, size), size)
+    half = 4 * size
+    a_even, a_odd = _pack(a[0::2], size), _pack(a[1::2], size) << half
+    b_even, b_odd = _pack(b[0::2], size), _pack(b[1::2], size) << half
+    plus = (a_even + a_odd) * (b_even + b_odd)
+    minus = (a_even - a_odd) * (b_even - b_odd)
+    # either half may have lost trailing zero coefficients in unpacking
+    even = _unpack((plus + minus) >> 1, size).coeffs
+    odd = _unpack((plus - minus) >> (half + 1), size).coeffs
+    out = [0] * (len(a) + len(b) - 1)
+    out[0 : 2 * len(even) : 2] = even
+    out[1 : 2 * len(odd) : 2] = odd
+    return QPoly._trusted(out)
 
 
 # -- packed polynomials ------------------------------------------------------------

@@ -302,6 +302,30 @@ def test_state_product_matches_recursion_at_20_edges():
         assert q_poly_state(tree) == q_poly(tree)
 
 
+def test_state_product_matches_the_hook_formula_past_20_edges():
+    # past 20 edges the vertex weights have coefficients wider than 64 bits;
+    # the oracle is the hook-length formula at an integer point,
+    # prod_{k <= e} (x**k - 1) / prod_{v != root} (x**h_v - 1), h_v the
+    # number of vertices in the subtree at v, counted here from .children
+    def subtree_size(node, hooks):
+        size = 1 + sum(subtree_size(kid, hooks) for kid in node.children)
+        hooks.append(size)
+        return size
+
+    for edges, seed in ((60, 1), (60, 2), (120, 1)):
+        tree = random_plane_tree(edges, random.Random(seed))
+        hooks = []
+        subtree_size(tree, hooks)
+        assert hooks.pop() == edges + 1  # the root's subtree, the whole tree
+        assert len(hooks) == edges
+        value = q_poly_state(tree)
+        for x in (2, 3):
+            numerator = math.prod(x**k - 1 for k in range(1, edges + 1))
+            denominator = math.prod(x**h - 1 for h in hooks)
+            assert numerator % denominator == 0
+            assert value.eval_int(x) == numerator // denominator
+
+
 def test_state_product_multiplies_the_two_shortest_weights_first(monkeypatch):
     tree = random_plane_tree(60, random.Random(26))
     # coefficient counts of the branching vertices' weights, in post-order

@@ -114,10 +114,16 @@ def nonnegative(rng, n, bits):
 def test_mul_routing(monkeypatch):
     # every product of two nonnegative operands with 2 or more coefficients
     # goes by Kronecker substitution; a constant or signed operand never does
-    calls, sizes = [], []
+    calls, sizes, lengths = [], [], []
     kronecker, pack = qpoly._kronecker_mul, qpoly._pack
+
+    def packing(coeffs, size):
+        sizes.append(size)
+        lengths.append(len(coeffs))
+        return pack(coeffs, size)
+
     monkeypatch.setattr(qpoly, "_kronecker_mul", lambda a, b: calls.append(1) or kronecker(a, b))
-    monkeypatch.setattr(qpoly, "_pack", lambda coeffs, size: sizes.append(size) or pack(coeffs, size))
+    monkeypatch.setattr(qpoly, "_pack", packing)
     rng = random.Random(7)
     for la in (1, 2, 3):
         for lb in (1, 2, 3):
@@ -136,13 +142,17 @@ def test_mul_routing(monkeypatch):
         check_product([c], nonnegative(rng, 12, 30))
         check_product([c], [-5, 0, 7])
     # all-equal operands reach the field bound 3 * m * m in their middle
-    # coefficient: a 64-bit bound takes 8-byte fields, a 65-bit one 9
-    for bits, size in ((64, 8), (65, 9)):
+    # coefficient: a 64-bit bound takes 8-byte fields and packs the two
+    # operands whole; a 65-bit one takes 9 and packs each operand's even and
+    # odd coefficients apart, for the products at q = 2**36 and q = -2**36
+    for bits, size, packed in ((64, 8, [3, 3]), (65, 9, [2, 1, 2, 1])):
         m = math.isqrt((2**bits - 1) // 3)
         assert (3 * m * m).bit_length() == bits
         sizes.clear()
-        check_product([m] * 3, [m] * 3)
+        lengths.clear()
+        assert (QPoly([m] * 3) * QPoly([m] * 3)).coeffs == schoolbook([m] * 3, [m] * 3)
         assert set(sizes) == {size}
+        assert lengths == packed
 
 
 def test_mul_kronecker_unbalanced():
@@ -161,6 +171,15 @@ def test_mul_kronecker_wide_coefficients():
     check_product(near_1000, near_1000)
     check_product(near_1000, nonnegative(rng, 30, 3))
     check_product([2**1000 - 1] * 9, [2**1000 - 1] * 9)
+    # wide bounds split each operand into even and odd coefficients, so
+    # every parity of length, and halves that unpack short, must come back
+    w = 2**70
+    for la, lb in ((2, 2), (2, 3), (3, 4), (5, 5)):
+        check_product(nonnegative(rng, la, 70), nonnegative(rng, lb, 70))
+    check_product([w, 0, w], [w, 0, w])  # no odd coefficient is nonzero
+    check_product([w, 1], [w, 0, 0, 0, 1])  # odd coefficients w, 0 and 1
+    check_product([0, 0, w, 1], [0, w, 3])  # leading zeros on both sides
+    check_product([0, 0, w, 1], [0, 0, w, 1])
 
 
 def test_mul_kronecker_zero_coefficients():
