@@ -60,8 +60,8 @@ class InadmissibleDelays(ValueError):
 
 
 # One memo for both games on trees of at most _NARROW_EDGES edges: plain
-# states are keyed by the tree's Dyck word, delayed states by (word, delays)
-# (_removal_sum).
+# states, all labels 1 included, are keyed by the tree's Dyck word, labelled
+# states with some label above 1 by (word, delays) (_removal_sum).
 _QPOLY_MEMO: dict = {}
 # The delayed search's value index per edge count (_value_index).
 _SEARCH_MEMO: dict = {}
@@ -101,8 +101,9 @@ def q_poly(tree: PlaneTree) -> QPoly:
 def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
     """Sum of q**r(v) times the value of T - v over the leaves v that may
     move, T the tree with the given Dyck word (trees.dyck_word).  delays
-    labels the leaves left to right as in q_poly_delayed; None means every
-    leaf may move for the rest of the game.
+    labels the leaves left to right as in q_poly_delayed, some above 1; None,
+    every leaf free to move, is the game of all labels 1 too, so a state is
+    keyed (word, delays) until its labels are all 1, then by its word.
 
     A leaf is a down-step followed by an up-step, so the leaves are the set
     bits of word & ~(word << 1), left to right from the high end.  Removing
@@ -131,9 +132,9 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
         if word.bit_count() > _NARROW_EDGES:
             width = _word_width(_removal_count(word))
             memo: dict = {}
-            _fill_memo(memo, key, word, delays, width)
+            _fill_memo(memo, key, width)
             return _unpack(memo[key], width // 8)
-        _fill_memo(_QPOLY_MEMO, key, word, delays, 64)
+        _fill_memo(_QPOLY_MEMO, key, 64)
         val = _QPOLY_MEMO[key]
     if val.__class__ is tuple:
         return val[1]
@@ -142,18 +143,19 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
     return poly
 
 
-def _fill_memo(memo: dict, key, word: int, delays: tuple[int, ...] | None, width: int) -> None:
-    """Store the packed value of the state with the given key, and of every
-    state it reaches, in memo, in fields of `width` bits (_removal_sum)."""
-    stack = [[key, word, delays, None]]  # key, word, delays, moves once listed
+def _fill_memo(memo: dict, key, width: int) -> None:
+    """Store the packed value of the state with the given key (_removal_sum),
+    and of every state it reaches, in memo, in fields of `width` bits."""
+    stack = [[key, None]]  # key, moves once listed
     while stack:
         frame = stack[-1]
-        key, word, delays, moves = frame
+        key, moves = frame
         if moves is None:
             if key in memo:  # finished meanwhile, reached from another state
                 stack.pop()
                 continue
-            moves = frame[3] = []  # (shift by r(v) fields, key of T - v), the point keyed 0
+            moves = frame[1] = []  # (shift by r(v) fields, key of T - v), the point keyed 0
+            word, delays = key if key.__class__ is tuple else (key, None)
             depth = len(stack)
             found = word & ~(word << 1)
             i = -1
@@ -165,22 +167,18 @@ def _fill_memo(memo: dict, key, word: int, delays: tuple[int, ...] | None, width
                 rest = ((word >> (j + 1)) << (j - 1)) | low
                 if delays is None:
                     sub = rest
-                    next_delays = None
                 elif delays[i] != 1:
                     continue
-                elif not rest:  # the root was stripped bare: the point remains
-                    sub = 0
                 else:
                     ticked = [d - 1 if d > 2 else 1 for d in delays]
                     if (word >> (j + 1)) & 1 and not (word >> (j - 2)) & 1:
                         ticked[i] = 1  # the parent is exposed as a new leaf
                     else:
                         del ticked[i]  # the leaf slot disappears
-                    next_delays = tuple(ticked)
-                    sub = (rest, next_delays)
+                    sub = (rest, tuple(ticked)) if max(ticked, default=1) > 1 else rest
                 moves.append((low.bit_count() * width, sub))
                 if sub and sub not in memo:
-                    stack.append([sub, rest, next_delays, None])
+                    stack.append([sub, None])
             if len(stack) > depth:
                 continue
         stack.pop()
@@ -292,9 +290,10 @@ def q_poly_delayed(delayed: DelayedTree) -> QPoly:
     Only leaves with delay 1 may be removed; after each removal every
     surviving leaf delay drops by one (floor 1) and a freshly exposed
     parent becomes a delay-1 leaf.  The point gives 1; a nonpoint tree
-    with no delay-1 leaf gives 0 (the sum is empty).
+    with no delay-1 leaf gives 0 (the sum is empty); all labels 1 give q_poly.
     """
-    return _removal_sum(dyck_word(delayed.tree), delayed.delays)
+    delays = delayed.delays
+    return _removal_sum(dyck_word(delayed.tree), delays if max(delays, default=1) > 1 else None)
 
 
 # -- constant-delay blocks -------------------------------------------------------
@@ -324,7 +323,7 @@ def q_poly_block(spec: BlockSpec) -> QPoly:
 
     Equals the delayed recursion on the assembled tree whenever the delay
     chain is admissible; inadmissible specs are refused rather than
-    evaluated.
+    evaluated.  Its block factors are state products, not the recursion.
     """
     if not spec.blocks:
         raise ValueError("empty block list")
@@ -341,7 +340,7 @@ def q_poly_block(spec: BlockSpec) -> QPoly:
         prefix += edges_i
         prev = delay_i
     for tree_i, _ in spec.blocks:
-        out = out * q_poly(tree_i)
+        out = out * q_poly_state(tree_i)
     return out
 
 

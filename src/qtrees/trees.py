@@ -403,6 +403,10 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
     uniform draw below C(e).  The terms are symmetric and their mass sits
     at both ends, so the search walks in from both ends at once.  The
     steps are written as the vertices open and close."""
+    if not isinstance(edges, int) or isinstance(edges, bool):
+        raise TypeError(f"edge count must be an int, got {type(edges).__name__}")
+    if edges < 0:
+        raise ValueError("edge count must be nonnegative")
     catalan = [1]
     for n in range(edges):
         catalan.append(catalan[-1] * 2 * (2 * n + 1) // (n + 2))

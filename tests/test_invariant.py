@@ -208,8 +208,12 @@ def test_wide_fields_give_the_stars(rays):
 
 
 def test_wide_fields_in_the_delayed_game():
-    clear_caches()
-    assert q_poly_delayed(DelayedTree(star(21), (1,) * 21)) == q_factorial(21)
+    # the first move avoids the j leftmost leaves; removing leaf k first
+    # weighs q**(20 - k) and leaves the 20-leaf star with every label 1
+    for j in (1, 2, 5):
+        clear_caches()
+        value = q_poly_delayed(DelayedTree(star(21), (2,) * j + (1,) * (21 - j)))
+        assert value == q_factorial(20) * q_integer(21 - j)
 
 
 def test_only_trees_of_at_most_20_edges_share_the_memo():
@@ -232,7 +236,7 @@ def test_only_trees_of_at_most_20_edges_share_the_memo():
         assert q_poly(tree) == q_poly_state(tree)
         assert set(invariant._QPOLY_MEMO) - before == added, serialize(tree)[:40]
     before = set(invariant._QPOLY_MEMO)
-    assert q_poly_delayed(DelayedTree(star(21), (1,) * 21)) == q_factorial(21)
+    assert q_poly_delayed(DelayedTree(star(21), (2,) + (1,) * 20)) == q_factorial(20) * q_integer(20)
     assert set(invariant._QPOLY_MEMO) == before
     assert len(invariant._QPOLY_MEMO) == sum(len(added) for _, added in runs)
 
@@ -449,7 +453,20 @@ def test_delayed_all_ones_degenerates_to_plain():
     for edges in range(8):
         for tree in enumerate_plane_trees(edges):
             delayed = DelayedTree(tree, (1,) * len(leaves(tree)))
-            assert q_poly_delayed(delayed) == q_poly(tree)
+            assert q_poly_delayed(delayed) is q_poly(tree)
+
+
+def test_a_state_with_all_labels_1_is_keyed_by_its_word():
+    # labels of 1 stay 1 and an exposed parent starts at 1, so such a state
+    # plays the plain game and is filed once, under the plain key
+    clear_caches()
+    for edges in range(5):
+        for tree in enumerate_plane_trees(edges):
+            for combo in itertools.product(range(1, 4), repeat=len(leaves(tree))):
+                q_poly_delayed(DelayedTree(tree, combo))
+    pairs = [key for key in invariant._QPOLY_MEMO if type(key) is not int]
+    assert pairs  # labelled states were filed too
+    assert all(max(delays) > 1 for _, delays in pairs)
 
 
 def test_delayed_embedding_sensitivity_exists():
@@ -477,6 +494,15 @@ def test_block_two_single_edges():
 def test_block_matches_delayed_recursion_on_samples():
     for spec in sample_block_specs(150, 8, seed=5):
         assert q_poly_block(spec) == q_poly_delayed(assemble_blocks(spec))
+
+
+def test_block_formula_leaves_the_recursion_memo_empty():
+    # each block's factor is its state product, so the formula shares no
+    # state with the recursion it is checked against
+    clear_caches()
+    for spec in sample_block_specs(50, 9, seed=1):
+        q_poly_block(spec)
+    assert not invariant._QPOLY_MEMO
 
 
 def test_block_specs_need_two_edges():

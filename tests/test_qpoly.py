@@ -250,6 +250,20 @@ def test_divexact():
         QPoly((0, 2)).divexact(QPoly((0, 3)))
 
 
+def test_foreign_operands_a_longer_divisor_and_the_repr():
+    poly = QPoly((1, 2, 1))
+    for method in (poly.__eq__, poly.__add__, poly.__mul__):
+        assert method("q") is NotImplemented
+    with pytest.raises(TypeError):
+        poly + "q"
+    with pytest.raises(TypeError):
+        poly * 1.5
+    assert poly != "1 + 2q + q^2"
+    with pytest.raises(NotDivisible):  # the divisor has more coefficients
+        QPoly((1, 1)).divexact(poly)
+    assert repr(poly) == "QPoly('1 + 2q + q^2')"
+
+
 def test_eval_int():
     assert QPoly((1, 1, 1)).eval_int(1) == 3
     assert QPoly((1, 1)).eval_int(-1) == 0

@@ -486,6 +486,22 @@ def test_enumeration_bound():
             enumerate_plane_trees(edges)
 
 
+def test_random_plane_tree_refuses_a_bad_edge_count():
+    rng = random.Random(7)
+    with pytest.raises(ValueError, match="^edge count must be nonnegative$"):
+        random_plane_tree(-1, rng)
+    for edges, name in ((True, "bool"), (2.0, "float"), ("3", "str")):
+        with pytest.raises(TypeError, match=rf"^edge count must be an int, got {name}$"):
+            random_plane_tree(edges, rng)
+
+
+def test_trees_refuse_foreign_operands_and_show_their_text():
+    tree = parse_tree("((..).)")
+    assert tree.__eq__("((..).)") is NotImplemented
+    assert tree != "((..).)"
+    assert repr(tree) == "PlaneTree('((..).)')"
+
+
 def test_enumeration_is_deterministic():
     assert enumerate_plane_trees(5) == enumerate_plane_trees(5)
 
