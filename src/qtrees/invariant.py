@@ -23,11 +23,13 @@ from operator import add
 from typing import NamedTuple
 
 from . import presimplicial, qpoly, trees
-from .qpoly import ONE, QPoly, _unpack, _word_width, q_integer, q_multinomial
+from .qpoly import ONE, QPoly, _checked_int, _unpack, _word_width, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
     RootHasNoEdge,
+    _checked_delays,
+    _checked_word,
     dyck_word,
     edge_count,
     enumerate_plane_trees,
@@ -95,15 +97,16 @@ def q_poly(tree: PlaneTree) -> QPoly:
     where r(v) counts the edges strictly right of the root-to-v path.
     Results are memoized on the tree shape for trees of at most 20 edges.
     """
-    return _removal_sum(dyck_word(tree), None)
+    return _removal_sum(dyck_word(tree), ())
 
 
-def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
+def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     """Sum of q**r(v) times the value of T - v over the leaves v that may
     move, T the tree with the given Dyck word (trees.dyck_word).  delays
-    labels the leaves left to right as in q_poly_delayed, some above 1; None,
-    every leaf free to move, is the game of all labels 1 too, so a state is
-    keyed (word, delays) until its labels are all 1, then by its word.
+    labels the leaves left to right as in q_poly_delayed, or is () for the
+    plain game, every leaf free to move.  Labels that are all 1 play the
+    plain game too, so a state is keyed (word, delays) while some label is
+    above 1 and by its word otherwise; () settles that without a scan.
 
     A leaf is a down-step followed by an up-step, so the leaves are the set
     bits of word & ~(word << 1), left to right from the high end.  Removing
@@ -126,7 +129,7 @@ def _removal_sum(word: int, delays: tuple[int, ...] | None) -> QPoly:
     """
     if not word:
         return ONE
-    key = word if delays is None else (word, delays)
+    key = (word, delays) if delays and max(delays) > 1 else word
     val = _QPOLY_MEMO.get(key)
     if val is None:
         if word.bit_count() > _NARROW_EDGES:
@@ -155,7 +158,7 @@ def _fill_memo(memo: dict, key, width: int) -> None:
                 stack.pop()
                 continue
             moves = frame[1] = []  # (shift by r(v) fields, key of T - v), the point keyed 0
-            word, delays = key if key.__class__ is tuple else (key, None)
+            word, delays = key if key.__class__ is tuple else (key, ())
             depth = len(stack)
             found = word & ~(word << 1)
             i = -1
@@ -165,7 +168,7 @@ def _fill_memo(memo: dict, key, width: int) -> None:
                 i += 1
                 low = word & ((1 << (j - 1)) - 1)
                 rest = ((word >> (j + 1)) << (j - 1)) | low
-                if delays is None:
+                if not delays:
                     sub = rest
                 elif delays[i] != 1:
                     continue
@@ -290,10 +293,10 @@ def q_poly_delayed(delayed: DelayedTree) -> QPoly:
     Only leaves with delay 1 may be removed; after each removal every
     surviving leaf delay drops by one (floor 1) and a freshly exposed
     parent becomes a delay-1 leaf.  The point gives 1; a nonpoint tree
-    with no delay-1 leaf gives 0 (the sum is empty); all labels 1 give q_poly.
+    with no delay-1 leaf gives 0 (the sum is empty); all labels 1 give
+    q_poly, from the same memo entry (_removal_sum).
     """
-    delays = delayed.delays
-    return _removal_sum(dyck_word(delayed.tree), delays if max(delays, default=1) > 1 else None)
+    return _removal_sum(dyck_word(delayed.tree), delayed.delays)
 
 
 # -- constant-delay blocks -------------------------------------------------------
@@ -311,10 +314,8 @@ class BlockSpec:
     def __post_init__(self):
         blocks = tuple((tree, delay) for tree, delay in self.blocks)
         for tree, delay in blocks:
-            if not isinstance(tree, PlaneTree):
-                raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
-            if not isinstance(delay, int) or isinstance(delay, bool) or delay < 1:
-                raise ValueError("delays must be positive integers")
+            _checked_word(tree)
+            _checked_delays((delay,))
         object.__setattr__(self, "blocks", blocks)
 
 
@@ -569,10 +570,7 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     """
     if not isinstance(target, QPoly):
         raise TypeError(f"target must be a QPoly, got {type(target).__name__}")
-    if not isinstance(max_edges, int) or isinstance(max_edges, bool):
-        raise TypeError(f"edge bound must be an int, got {type(max_edges).__name__}")
-    if max_edges < 0:
-        raise ValueError("edge bound must be nonnegative")
+    _checked_int(max_edges, "edge bound", 0)
     return [
         hit
         for edges in range(max_edges + 1)

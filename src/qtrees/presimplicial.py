@@ -15,8 +15,8 @@ import itertools
 import math
 from typing import Iterable, Mapping
 
-from .qpoly import QPoly, _unpack, _word_width
-from .trees import PlaneTree, _leaf_count, _pairs, _planted, dyck_word
+from .qpoly import QPoly, _checked_int, _unpack, _word_width
+from .trees import PlaneTree, _checked_word, _leaf_count, _pairs, _planted, dyck_word
 
 __all__ = [
     "CHERRY",
@@ -41,19 +41,10 @@ CHERRY = PlaneTree._of(0b1010)
 # a value handed back to the caller.
 
 
-def _checked_word(tree: PlaneTree) -> int:
-    """The tree's Dyck word, after refusing a tree that is not a PlaneTree."""
-    if not isinstance(tree, PlaneTree):
-        raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
-    return dyck_word(tree)
-
-
 def _check_index(index: int, total: int) -> None:
     """Refuse a leaf index that is not an int (a bool is none) or is out of
     range for total leaves."""
-    if not isinstance(index, int) or isinstance(index, bool):
-        raise TypeError(f"leaf index must be an int, got {type(index).__name__}")
-    if not 0 <= index < total:
+    if not 0 <= _checked_int(index, "leaf index") < total:
         raise IndexError(f"leaf index {index} out of range 0..{total - 1}")
 
 
@@ -126,14 +117,14 @@ def leaf_count(tree: PlaneTree) -> int:
 
 
 def face(tree: PlaneTree, index: int) -> PlaneTree:
-    """Remove the index-th leaf and smooth.  Drops one level."""
+    """Remove the index-th leaf and smooth.  Drops one level.  The face is
+    read off the tree's face list (_faces), so a call on a topological
+    tree with at most 8 leaves keeps that list in _FACES_MEMO."""
     word = _checked_word(tree)
     if not word:
         raise ValueError("the point has no faces")
-    cuts, topological = _leaf_cuts(word)
-    _check_index(index, len(cuts))
-    piece = _cut(word, cuts[index])
-    return PlaneTree._of(piece if topological else _smooth(piece))
+    _check_index(index, _leaf_count(word))
+    return PlaneTree._of(_faces(word)[index])
 
 
 # The face words of each topological tree with at most _FACE_MEMO_LEAVES
@@ -146,9 +137,9 @@ def _faces(word: int) -> tuple[int, ...]:
     """The words of d_0, d_1, ... of the tree with the given word, in index
     order; the point has none.
 
-    The reduction to the point, both boundaries and verify.identities ask
-    for the faces of the same small trees again and again, so the lists of
-    topological trees with at most 8 leaves, the presimplicial cap, are
+    face, the reduction to the point, both boundaries and verify.identities
+    ask for the faces of the same small trees again and again, so the lists
+    of topological trees with at most 8 leaves, the presimplicial cap, are
     kept in _FACES_MEMO: at most 5,439 words, about 2 MB.  A tree that is
     not topological is not kept, since with few leaves it can still be
     arbitrarily deep, and neither is a tree above the cap, so that reducing
@@ -215,11 +206,7 @@ def _top_trees(leaf_total: int) -> list[int]:
 def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
     """All topological rooted plane trees with exactly the given number of
     leaves, each once, in a fixed order (arity, then leaf split)."""
-    if not isinstance(leaf_total, int) or isinstance(leaf_total, bool):
-        raise TypeError(f"leaf count must be an int, got {type(leaf_total).__name__}")
-    if leaf_total < 1:
-        raise ValueError("leaf count must be positive")
-    return tuple(map(PlaneTree._of, _top_trees(leaf_total)))
+    return tuple(map(PlaneTree._of, _top_trees(_checked_int(leaf_total, "leaf count", 1))))
 
 
 # -- chains and the q-boundary ---------------------------------------------------
@@ -265,8 +252,7 @@ def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
     coefficients.  At q = -1 this is the alternating face sum and squares
     to zero; at generic integers it does not.  q_value must be an int (not
     a bool)."""
-    if not isinstance(q_value, int) or isinstance(q_value, bool):
-        raise TypeError(f"q_value must be an int, got {type(q_value).__name__}")
+    _checked_int(q_value, "q_value")
     weights = (
         (word, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff) for word, coeff in _chain_items(chain)
     )

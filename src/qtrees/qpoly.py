@@ -40,16 +40,24 @@ class NotDivisible(ArithmeticError):
     """Raised when an exact quotient does not exist in Z[q]."""
 
 
+def _checked_int(value, what: str, least: int | None = None) -> int:
+    """The value, after refusing with TypeError one that is not an int (a
+    bool is none) and with ValueError one below least, 0 or 1.  Every
+    count and integer argument of the package is checked here."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {type(value).__name__}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be {'positive' if least else 'nonnegative'}")
+    return value
+
+
 class QPoly:
     """A polynomial in Z[q]; the last stored coefficient is always nonzero."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise TypeError(f"integer coefficient required, got {type(c).__name__}")
+        cs = [_checked_int(c, "coefficient") for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -139,9 +147,7 @@ class QPoly:
 
     def shift(self, k: int) -> "QPoly":
         """Multiply by q**k."""
-        if k < 0:
-            raise ValueError("negative shift")
-        if not self.coeffs or k == 0:
+        if _checked_int(k, "shift", 0) == 0 or not self.coeffs:
             return self
         return QPoly._trusted([0] * k + list(self.coeffs))
 
@@ -176,8 +182,7 @@ class QPoly:
 
     def eval_int(self, x: int) -> int:
         """Evaluate at an integer point, exactly."""
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise TypeError("integer point required")
+        _checked_int(x, "point")
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -265,25 +270,22 @@ q = QPoly((0, 1))
 
 def q_integer(n: int) -> QPoly:
     """1 + q + ... + q**(n-1); the zero polynomial for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return QPoly((1,) * n)
+    return QPoly._trusted([1] * _checked_int(n, "n", 0))
 
 
 def q_factorial(n: int) -> QPoly:
     """Product of the q-integers 1..n; one for n = 0."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return q_multinomial((1,) * n)
+    return q_multinomial((1,) * _checked_int(n, "n", 0))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def q_binomial(n: int, k: int) -> QPoly:
     """Gaussian binomial; zero outside 0 <= k <= n.  Cached, because the
-    wedge identity reads the same few binomials for many pairs of trees."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
+    wedge identity reads the same few binomials for many pairs of trees;
+    the cache is typed, since True hashes as 1 and would otherwise find
+    the entry of the int and skip the checks."""
+    _checked_int(n, "n", 0)
+    if not 0 <= _checked_int(k, "k") <= n:
         return ZERO
     return q_multinomial((k, n - k))
 
@@ -300,9 +302,7 @@ def q_multinomial(parts: Iterable[int]) -> QPoly:
     bottom up; every partial result is a product of Gaussian binomials, so
     it stays in Z[q].  Taking the largest part first makes the fewest steps.
     """
-    parts = sorted(parts, reverse=True)
-    if parts and parts[-1] < 0:
-        raise ValueError("parts must be nonnegative")
+    parts = sorted([_checked_int(a, "part", 0) for a in parts], reverse=True)
     if len(parts) < 2 or not parts[1]:  # at most one part is nonzero
         return ONE
     n = sum(parts)
@@ -327,8 +327,7 @@ def cyclotomic(d: int) -> QPoly:
     """The d-th cyclotomic polynomial: from phi_1 = q - 1, phi_mp(q) =
     phi_m(q**p) / phi_m(q) for each distinct prime p of d reaches phi_r, r
     the radical of d, and phi_d(q) = phi_r(q**(d/r))."""
-    if d < 1:
-        raise ValueError("d must be positive")
+    _checked_int(d, "d", 1)
     out, rad = QPoly((-1, 1)), 1
     for p in _primes(d):
         out = _stretch(out, p).divexact(out)

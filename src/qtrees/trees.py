@@ -17,6 +17,8 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+from .qpoly import _checked_int
+
 __all__ = [
     "PlaneTree",
     "DelayedTree",
@@ -304,6 +306,13 @@ def dyck_word(tree: PlaneTree) -> int:
     return tree._word
 
 
+def _checked_word(tree: PlaneTree) -> int:
+    """The tree's Dyck word, after refusing a tree that is not a PlaneTree."""
+    if not isinstance(tree, PlaneTree):
+        raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
+    return tree._word
+
+
 def _leaf_count(word: int) -> int:
     """Leaves of the tree with the given Dyck word: a leaf is a down-step
     followed by an up-step, a set bit of word & ~(word << 1).  The point
@@ -336,9 +345,7 @@ def wedge(parts: Iterable[PlaneTree]) -> PlaneTree:
 
 def star(rays: int) -> PlaneTree:
     """Root with the given number of leaf children; 0 gives the point."""
-    if rays < 0:
-        raise ValueError("ray count must be nonnegative")
-    return PlaneTree._of(int("10" * rays or "0", 2))
+    return PlaneTree._of(int("10" * _checked_int(rays, "ray count", 0) or "0", 2))
 
 
 def side_edge_counts(tree: PlaneTree, addr: VertexAddr) -> tuple[int, int]:
@@ -388,11 +395,7 @@ def _plane_trees(edges: int) -> tuple[PlaneTree, ...]:
 def enumerate_plane_trees(edges: int) -> tuple[PlaneTree, ...]:
     """All plane rooted trees with exactly the given edge count, each once,
     in a fixed order (first-child subtree size ascending)."""
-    if not isinstance(edges, int) or isinstance(edges, bool):
-        raise TypeError(f"edge count must be an int, got {type(edges).__name__}")
-    if edges < 0:
-        raise ValueError("edge count must be nonnegative")
-    return _plane_trees(edges)
+    return _plane_trees(_checked_int(edges, "edge count", 0))
 
 
 def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
@@ -403,10 +406,7 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
     uniform draw below C(e).  The terms are symmetric and their mass sits
     at both ends, so the search walks in from both ends at once.  The
     steps are written as the vertices open and close."""
-    if not isinstance(edges, int) or isinstance(edges, bool):
-        raise TypeError(f"edge count must be an int, got {type(edges).__name__}")
-    if edges < 0:
-        raise ValueError("edge count must be nonnegative")
+    _checked_int(edges, "edge count", 0)
     catalan = [1]
     for n in range(edges):
         catalan.append(catalan[-1] * 2 * (2 * n + 1) // (n + 2))
@@ -440,6 +440,16 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
 # -- delayed trees -------------------------------------------------------------
 
 
+def _checked_delays(delays: Iterable[int]) -> tuple[int, ...]:
+    """The delay labels as a tuple, after refusing with ValueError one that
+    is not a positive int (a bool is none)."""
+    delays = tuple(delays)
+    for value in delays:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError("delays must be positive integers")
+    return delays
+
+
 @dataclass(frozen=True, slots=True)
 class DelayedTree:
     """A plane tree whose leaves carry positive integer delay labels, listed
@@ -449,18 +459,13 @@ class DelayedTree:
     delays: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.tree, PlaneTree):
-            raise TypeError(f"tree must be a PlaneTree, got {type(self.tree).__name__}")
+        leaf_total = _leaf_count(_checked_word(self.tree))
         if isinstance(self.delays, Mapping):
             raise ValueError("delays must be labels in leaf order, not a mapping")
         delays = tuple(self.delays)
-        leaf_total = _leaf_count(self.tree._word)
         if len(delays) != leaf_total:
             raise ValueError(f"need one delay per leaf: {leaf_total} leaves, {len(delays)} delays")
-        for value in delays:
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError("delays must be positive integers")
-        object.__setattr__(self, "delays", delays)
+        object.__setattr__(self, "delays", _checked_delays(delays))
 
     @classmethod
     def _of(cls, tree: PlaneTree, delays: tuple[int, ...]) -> "DelayedTree":

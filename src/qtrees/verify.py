@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 from . import invariant, trees
 from . import presimplicial as _top
-from .qpoly import q_binomial, q_factorial
+from .qpoly import _checked_int, q_binomial, q_factorial
 
 __all__ = [
     "wedge",
@@ -129,8 +129,7 @@ def identities(max_leaves: int) -> tuple[bool, dict]:
     ok means no violation and a witness found.  The relations are compared
     on Dyck words; only violations and the witness are written as trees.
     """
-    if max_leaves < 1:
-        raise ValueError("leaf count must be positive")
+    _checked_int(max_leaves, "leaf count", 1)
     faces, degeneracies = _top._faces, _top._degeneracies
     checked = {"face_face": 0, "deg_deg": 0, "face_deg": 0, "face_cancel": 0}
     violations: list[dict] = []

@@ -458,8 +458,15 @@ def test_delayed_all_ones_degenerates_to_plain():
 
 def test_a_state_with_all_labels_1_is_keyed_by_its_word():
     # labels of 1 stay 1 and an exposed parent starts at 1, so such a state
-    # plays the plain game and is filed once, under the plain key
+    # plays the plain game and is filed once, under the plain key, whichever
+    # caller reaches the engine with it
     clear_caches()
+    for edges in range(6):
+        for tree in enumerate_plane_trees(edges):
+            word = trees.dyck_word(tree)
+            ones = (1,) * len(leaves(tree))
+            assert invariant._removal_sum(word, ones) is invariant._removal_sum(word, ()) is q_poly(tree)
+    assert all(type(key) is int for key in invariant._QPOLY_MEMO)
     for edges in range(5):
         for tree in enumerate_plane_trees(edges):
             for combo in itertools.product(range(1, 4), repeat=len(leaves(tree))):

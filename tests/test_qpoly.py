@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from qtrees import qpoly
+from qtrees import invariant, presimplicial, qpoly, trees, verify
 from qtrees.invariant import q_poly_state
+from qtrees.presimplicial import CHERRY
 from qtrees.qpoly import (
     ONE,
     ZERO,
@@ -288,6 +289,56 @@ def test_eval_is_a_ring_map(a_coeffs, b_coeffs, x):
     a, b = QPoly(a_coeffs), QPoly(b_coeffs)
     assert (a + b).eval_int(x) == a.eval_int(x) + b.eval_int(x)
     assert (a * b).eval_int(x) == a.eval_int(x) * b.eval_int(x)
+
+
+# -- integer arguments -------------------------------------------------------------
+
+# Each entry point that takes a count or an integer, as a call with that
+# argument in place of n, the argument's name in the messages, and the least
+# value it admits (None: any int).
+INT_ARGUMENTS = {
+    "enumerate_plane_trees": (trees.enumerate_plane_trees, "edge count", 0),
+    "random_plane_tree": (lambda n: trees.random_plane_tree(n, random.Random(0)), "edge count", 0),
+    "star": (trees.star, "ray count", 0),
+    "enumerate_top_trees": (presimplicial.enumerate_top_trees, "leaf count", 1),
+    "face": (lambda n: presimplicial.face(CHERRY, n), "leaf index", None),
+    "degeneracy": (lambda n: presimplicial.degeneracy(CHERRY, n), "leaf index", None),
+    "q_boundary_at": (lambda n: presimplicial.q_boundary_at({CHERRY: 1}, n), "q_value", None),
+    "search_delayed": (lambda n: invariant.search_delayed(ONE, n), "edge bound", 0),
+    "verify.identities": (verify.identities, "leaf count", 1),
+    "q_integer": (q_integer, "n", 0),
+    "q_factorial": (q_factorial, "n", 0),
+    "q_binomial-n": (lambda n: q_binomial(n, 0), "n", 0),
+    "q_binomial-k": (lambda n: q_binomial(2, n), "k", None),
+    "q_multinomial": (lambda n: q_multinomial((2, n)), "part", 0),
+    "cyclotomic": (cyclotomic, "d", 1),
+    "QPoly": (lambda n: QPoly((1, n)), "coefficient", None),
+    "shift": (q.shift, "shift", 0),
+    "eval_int": (q.eval_int, "point", None),
+}
+
+
+@pytest.mark.parametrize("call,what,least", INT_ARGUMENTS.values(), ids=INT_ARGUMENTS)
+def test_an_integer_argument_is_an_int(call, what, least):
+    # a bool is an int to isinstance, but True is no count
+    for value in (True, False, 2.0, "3"):
+        with pytest.raises(TypeError, match=rf"^{what} must be an int, got {type(value).__name__}$"):
+            call(value)
+    if least is not None:
+        for value in (-1, least - 1):
+            with pytest.raises(ValueError, match=rf"^{what} must be {('nonnegative', 'positive')[least]}$"):
+                call(value)
+
+
+def test_q_binomial_refuses_a_bool_whose_int_is_cached():
+    # True hashes as 1, so an untyped cache would answer (True, 0) with the
+    # entry of (1, 0) before the checks run
+    assert q_binomial(1, 0) == ONE
+    assert q_binomial(1, 1) == ONE
+    for n, k in ((True, 0), (1, True), (True, False)):
+        with pytest.raises(TypeError, match="got bool$"):
+            q_binomial(n, k)
+    assert callable(q_binomial.cache_clear) and q_binomial.cache_info().currsize >= 2
 
 
 # -- q-combinatorics -----------------------------------------------------------

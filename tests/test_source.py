@@ -31,6 +31,35 @@ def test_self_calling_functions_stay_few():
     assert self_calling_functions() == []
 
 
+def bool_testing_functions() -> list[str]:
+    """Every function in the package whose body calls isinstance with bool
+    among the types."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call)
+                and _attr_name(call.func) == "isinstance"
+                and len(call.args) == 2
+                and any(_attr_name(kind) == "bool" for kind in ast.walk(call.args[1]))
+                for call in ast.walk(node)
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_the_int_rule_is_written_once():
+    # "an int, not a bool, at least k" lives in qpoly._checked_int, which
+    # every count and integer argument goes through.  Only the delay labels,
+    # refused with their own ValueError, and a chain's coefficients, a QPoly
+    # or an int, test for a bool elsewhere.
+    assert bool_testing_functions() == [
+        "presimplicial._chain_items",
+        "qpoly._checked_int",
+        "trees._checked_delays",
+    ]
+
+
 def test_exported_names_resolve():
     # A name removed from a module must leave its __all__ and the package
     # root with it.
