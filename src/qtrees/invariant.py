@@ -360,6 +360,8 @@ def sample_block_specs(count: int, max_total_edges: int, seed: int = 0) -> list[
     A spec has at least two blocks of at least one edge each, so a
     nonempty sample needs max_total_edges >= 2.
     """
+    _checked_int(count, "spec count", 0)
+    _checked_int(max_total_edges, "edge bound", 0)
     if count > 0 and max_total_edges < 2:
         raise ValueError(f"block specs need at least 2 edges, got {max_total_edges}")
     rng = random.Random(seed)

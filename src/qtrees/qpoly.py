@@ -134,8 +134,27 @@ class QPoly:
         if len(a) == 1 or len(b) == 1:  # a constant scales the other operand
             poly, (c,) = (self, b) if len(b) == 1 else (other, a)
             return poly if c == 1 else QPoly._trusted([c * x for x in poly.coeffs])
-        if min(a) >= 0 and min(b) >= 0:
-            return _kronecker_mul(a, b)
+        # Kronecker substitution (_kronecker_mul) in fields that hold the
+        # coefficient bound; a bound that fits a machine field is taken here,
+        # in the narrowest one, with no helper call
+        bits = (max(a) * max(b) * min(len(a), len(b))).bit_length()
+        if bits < len(_NARROW_FIELDS):
+            size, code = _NARROW_FIELDS[bits]
+            order = sys.byteorder
+            try:  # the pack is the sign check: an unsigned field holds no negative
+                product = int.from_bytes(array(code, a), order) * int.from_bytes(array(code, b), order)
+            except OverflowError:
+                pass
+            else:
+                # fields in native order, read back in that order, come out
+                # ascending on either byte order; both leading coefficients
+                # are nonzero, so the product's is, and its len(a) + len(b) - 1
+                # fields need no strip
+                out = object.__new__(QPoly)
+                out.coeffs = tuple(memoryview(product.to_bytes(size * (len(a) + len(b) - 1), order)).cast(code))
+                return out
+        elif min(a) >= 0 and min(b) >= 0:
+            return _kronecker_mul(a, b, (bits + 7) // 8)
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -189,28 +208,26 @@ class QPoly:
         return acc
 
 
-def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
+def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], size: int) -> QPoly:
     """a * b, both with nonnegative coefficients, by Kronecker substitution
     (Harvey, J. Symbolic Comput. 2009): each operand is packed into one
-    int, with fields wide enough for any product coefficient, so one
-    big-integer product carries every coefficient without a carry crossing
-    a field.  A bound that fits in 64 bits gets 8-byte fields, which pack
-    and unpack as machine words, and one product.
+    int, with fields of size bytes, wide enough for any product coefficient,
+    so big-integer products carry every coefficient without a carry
+    crossing a field.  QPoly.__mul__ takes a bound that fits a machine
+    field itself, in the narrowest of 1, 2, 4 and 8 bytes that holds it,
+    with one product; it calls this for a wider bound, size the fewest
+    bytes that hold it.
 
-    A wider bound gets the fewest bytes that hold it, size, and Harvey's
-    two-point variant (KS2): each operand is evaluated at q = 2**h and
-    q = -2**h, h = 4 * size bits, half a field.  With its even and odd
-    coefficients packed as E and O, f(+-2**h) = E +- (O << h), so the two
-    products plus and minus are half the length of the one-point product
-    and cost about 2/3 of it.  (plus + minus) / 2 packs the even
-    coefficients of a * b and (plus - minus) / 2**(h + 1) the odd ones,
-    each at q**2 = 256**size; every coefficient is below the bound, below
-    256**size, so neither sum carries across a field.  A narrow product is
-    small enough that the extra packing and additions outweigh the saving,
-    so it keeps the one product."""
-    size = max(8, ((max(a) * max(b) * min(len(a), len(b))).bit_length() + 7) // 8)
-    if size == 8:
-        return _unpack(_pack(a, size) * _pack(b, size), size)
+    A wide product takes Harvey's two-point variant (KS2): each operand is
+    evaluated at q = 2**h and q = -2**h, h = 4 * size bits, half a field.
+    With its even and odd coefficients packed as E and O, f(+-2**h) = E +-
+    (O << h), so the two products plus and minus are half the length of
+    the one-point product and cost about 2/3 of it.  (plus + minus) / 2
+    packs the even coefficients of a * b and (plus - minus) / 2**(h + 1)
+    the odd ones, each at q**2 = 256**size; every coefficient is below the
+    bound, below 256**size, so neither sum carries across a field.  A
+    narrow product is small enough that the extra packing and additions
+    outweigh the saving, so narrow products keep the one product."""
     half = 4 * size
     a_even, a_odd = _pack(a[0::2], size), _pack(a[1::2], size) << half
     b_even, b_odd = _pack(b[0::2], size), _pack(b[1::2], size) << half
@@ -231,23 +248,39 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...]) -> QPoly:
 # Sums and products of packed values stay exact while no coefficient outgrows
 # its field.
 
+# The array typecode of each machine field size in bytes, read off the platform.
+_FIELD_CODES = {array(code).itemsize: code for code in "BHIQ"}
+# (size, typecode) of the narrowest machine field that holds a bound of each
+# bit length up to the widest field's.
+_NARROW_FIELDS = tuple(
+    min((size, code) for size, code in _FIELD_CODES.items() if 8 * size >= bits)
+    for bits in range(8 * max(_FIELD_CODES) + 1)
+)
+
 
 def _pack(coeffs: Iterable[int], size: int) -> int:
-    """The int holding the given coefficients, `size` bytes each."""
-    if size == 8 and sys.byteorder == "little":
-        return int.from_bytes(array("Q", coeffs), "little")
-    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+    """The int holding the given coefficients, `size` bytes each, packed as
+    machine fields for a size in _FIELD_CODES and one by one otherwise."""
+    code = _FIELD_CODES.get(size)
+    if code is None:
+        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+    fields = array(code, coeffs)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
 
 
 def _unpack(packed: int, size: int) -> QPoly:
     """The polynomial whose coefficient of q**k is field k of packed,
-    `size` bytes each."""
+    `size` bytes each, read as _pack writes them."""
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
-    if size == 8 and sys.byteorder == "little":
-        coeffs = memoryview(raw).cast("Q").tolist()
-    else:
-        coeffs = [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    return QPoly._trusted(coeffs)
+    code = _FIELD_CODES.get(size)
+    if code is None:
+        return QPoly._trusted([int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)])
+    fields = array(code, raw)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return QPoly._trusted(fields.tolist())
 
 
 def _word_width(bound: int) -> int:

@@ -33,6 +33,7 @@ __all__ = [
 def wedge(max_edges: int) -> tuple[bool, dict]:
     """Q(S v T) = [a+b choose a]_q Q(S) Q(T) on every ordered pair of plane
     trees with a + b <= max_edges edges."""
+    _checked_int(max_edges, "edge bound", 0)
     levels = [trees.enumerate_plane_trees(size) for size in range(max_edges + 1)]
     pairs = 0
     violations = 0
@@ -52,6 +53,7 @@ def wedge(max_edges: int) -> tuple[bool, dict]:
 def state(max_edges: int, sample: Iterable[trees.PlaneTree]) -> tuple[bool, dict]:
     """Recursion equals state product on every plane tree with at most
     max_edges edges and on each tree of the sample."""
+    _checked_int(max_edges, "edge bound", 0)
     exhaustive = []
     for size in range(max_edges + 1):
         exhaustive.extend(trees.enumerate_plane_trees(size))
@@ -66,6 +68,7 @@ def state(max_edges: int, sample: Iterable[trees.PlaneTree]) -> tuple[bool, dict
 def reroot(max_edges: int) -> tuple[bool, dict]:
     """The cross-multiplied change-of-root identity on every edge of every
     plane tree with at most max_edges edges."""
+    _checked_int(max_edges, "edge bound", 0)
     edges = 0
     violations = 0
     for size in range(max_edges + 1):
@@ -91,6 +94,7 @@ def block(specs: Iterable[invariant.BlockSpec]) -> tuple[bool, dict]:
 def double_boundary(max_leaves: int, q_value: int) -> tuple[int, int]:
     """(basis trees checked, trees whose boundary at q_value applied twice
     is nonzero) over every topological tree with at most max_leaves leaves."""
+    _checked_int(max_leaves, "leaf bound", 0)
     checked = 0
     nonzero = 0
     for leaf_total in range(1, max_leaves + 1):
@@ -105,6 +109,7 @@ def double_boundary(max_leaves: int, q_value: int) -> tuple[int, int]:
 def reduction(max_leaves: int) -> tuple[int, int]:
     """(basis trees checked, trees not reducing to [n]_q! times the point)
     over every topological tree with at most max_leaves leaves."""
+    _checked_int(max_leaves, "leaf bound", 0)
     checked = 0
     mismatches = 0
     for leaf_total in range(1, max_leaves + 1):

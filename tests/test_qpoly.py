@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -112,48 +113,141 @@ def nonnegative(rng, n, bits):
     return out
 
 
+def record_routes(monkeypatch):
+    # the routes QPoly products take, recorded: the size in bytes of each
+    # machine field a narrow product packs, or tries to pack, an operand
+    # into; one entry per narrow product decoded; the field size of each
+    # wide (KS2) product; and the length of each operand part it packs
+    routes = {"fields": [], "narrow": [], "wide": [], "packed": []}
+    kronecker, pack = qpoly._kronecker_mul, qpoly._pack
+
+    def fields(code, init):
+        routes["fields"].append(array(code).itemsize)
+        return array(code, init)
+
+    def decoding(raw):
+        routes["narrow"].append(1)
+        return memoryview(raw)
+
+    def wide(a, b, size):
+        routes["wide"].append(size)
+        return kronecker(a, b, size)
+
+    def packing(coeffs, size):
+        routes["packed"].append(len(coeffs))
+        return pack(coeffs, size)
+
+    monkeypatch.setattr(qpoly, "array", fields)
+    monkeypatch.setattr(qpoly, "memoryview", decoding, raising=False)
+    monkeypatch.setattr(qpoly, "_kronecker_mul", wide)
+    monkeypatch.setattr(qpoly, "_pack", packing)
+    return routes
+
+
+def clear(routes):
+    for seen in routes.values():
+        seen.clear()
+
+
 def test_mul_routing(monkeypatch):
     # every product of two nonnegative operands with 2 or more coefficients
     # goes by Kronecker substitution; a constant or signed operand never does
-    calls, sizes, lengths = [], [], []
-    kronecker, pack = qpoly._kronecker_mul, qpoly._pack
-
-    def packing(coeffs, size):
-        sizes.append(size)
-        lengths.append(len(coeffs))
-        return pack(coeffs, size)
-
-    monkeypatch.setattr(qpoly, "_kronecker_mul", lambda a, b: calls.append(1) or kronecker(a, b))
-    monkeypatch.setattr(qpoly, "_pack", packing)
+    routes = record_routes(monkeypatch)
     rng = random.Random(7)
     for la in (1, 2, 3):
         for lb in (1, 2, 3):
             for bits in (1, 20, 70):
                 a, b = nonnegative(rng, la, bits), nonnegative(rng, lb, bits)
-                calls.clear()
+                clear(routes)
                 check_product(a, b)
-                assert len(calls) == (2 if min(la, lb) >= 2 else 0)
-                calls.clear()
+                assert len(routes["narrow"]) + len(routes["wide"]) == (2 if min(la, lb) >= 2 else 0)
+                clear(routes)
                 check_product([-c for c in a], b)
-                assert not calls
+                assert not routes["narrow"] and not routes["wide"]
     p = QPoly(nonnegative(rng, 5, 20))
     assert p * ONE is p and ONE * p is p
     assert p * 1 is p and 1 * p is p
     for c in (-1, -(2**70) - 3, 2**64 + 5, 2**200):
+        clear(routes)
         check_product([c], nonnegative(rng, 12, 30))
         check_product([c], [-5, 0, 7])
+        assert not any(routes.values())
+    # the coefficient bound max(a) * max(b) * min(len(a), len(b)) picks the
+    # narrowest machine field that holds it, and past 8 bytes KS2 with the
+    # fewest bytes; n copies of bound / n times n or more copies of 1 reach
+    # the bound in a coefficient, so no narrower field would do
+    for bound, size in (
+        (2**8 - 1, 1),
+        (2**8, 2),
+        (2**16 - 1, 2),
+        (2**16, 4),
+        (2**32 - 1, 4),
+        (2**32, 8),
+        (2**64 - 1, 8),
+        (2**64, 9),
+    ):
+        n = 3 if bound % 3 == 0 else 2
+        top = [bound // n] * n
+        for a, b in ((top, [1] * n), (top, [1] * (n + 4)), (top, [0, 1] + [1] * n)):
+            assert max(a) * max(b) * min(len(a), len(b)) == bound
+            clear(routes)
+            check_product(a, b)
+            assert max(schoolbook(a, b)) == bound
+            if size <= 8:
+                assert set(routes["fields"]) == {size} and len(routes["narrow"]) == 2
+                assert not routes["wide"]
+            else:
+                assert routes["wide"] == [size, size] and not routes["fields"] and not routes["narrow"]
+            # a negative coefficient in either operand: the pack refuses it at
+            # the same width and the product goes to schoolbook
+            for x, y in ((a[:-1] + [-a[-1]], b), (a, b[:-1] + [-b[-1]])):
+                clear(routes)
+                check_product(x, y)
+                assert not routes["narrow"] and not routes["wide"]
+                assert set(routes["fields"]) == ({size} if size <= 8 else set())
     # all-equal operands reach the field bound 3 * m * m in their middle
     # coefficient: a 64-bit bound takes 8-byte fields and packs the two
     # operands whole; a 65-bit one takes 9 and packs each operand's even and
     # odd coefficients apart, for the products at q = 2**36 and q = -2**36
-    for bits, size, packed in ((64, 8, [3, 3]), (65, 9, [2, 1, 2, 1])):
+    for bits, fields, wide, packed in ((64, [8, 8], [], []), (65, [], [9], [2, 1, 2, 1])):
         m = math.isqrt((2**bits - 1) // 3)
         assert (3 * m * m).bit_length() == bits
-        sizes.clear()
-        lengths.clear()
+        clear(routes)
         assert (QPoly([m] * 3) * QPoly([m] * 3)).coeffs == schoolbook([m] * 3, [m] * 3)
-        assert set(sizes) == {size}
-        assert lengths == packed
+        assert (routes["fields"], routes["wide"], routes["packed"]) == (fields, wide, packed)
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_mul_in_each_machine_field(monkeypatch, size):
+    # operands whose bound needs exactly `size` bytes, against the oracle:
+    # equal and unequal lengths, interior zeros, and leading zero
+    # coefficients (a factor q**k) on either side or both
+    routes = record_routes(monkeypatch)
+    rng = random.Random(size)
+    for la, lb, zeros_a, zeros_b in (
+        (2, 2, 0, 0),
+        (2, 9, 0, 3),
+        (3, 17, 1, 0),
+        (17, 4, 0, 2),
+        (12, 12, 4, 3),
+        (40, 5, 0, 0),
+        (25, 31, 6, 9),
+    ):
+        n = min(la, lb)
+        most = (256**size - 1) // n
+        top_a = math.isqrt(most)
+        top_b = most // top_a
+
+        def operand(length, zeros, top):
+            body = [rng.randint(1, top) if rng.random() < 0.6 else 0 for _ in range(length - zeros)]
+            body[rng.randrange(len(body) - 1)] = top
+            body[-1] = top
+            return [0] * zeros + body
+
+        a, b = operand(la, zeros_a, top_a), operand(lb, zeros_b, top_b)
+        clear(routes)
+        check_product(a, b)
+        assert set(routes["fields"]) == {size} and len(routes["narrow"]) == 2
 
 
 def test_mul_kronecker_unbalanced():
@@ -194,7 +288,7 @@ def test_mul_kronecker_zero_coefficients():
     check_product([1] + [0] * 30 + [1], [1] + [0] * 20 + [1])
 
 
-@pytest.mark.parametrize("size", [1, 3, 8, 9])
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 9])
 def test_pack_and_unpack_round_trip(size):
     top = 256**size - 1
     for coeffs in ([], [top], [1, 0, 3], [0, top, 0, 0, 7], [top] * 5):
@@ -306,6 +400,13 @@ INT_ARGUMENTS = {
     "q_boundary_at": (lambda n: presimplicial.q_boundary_at({CHERRY: 1}, n), "q_value", None),
     "search_delayed": (lambda n: invariant.search_delayed(ONE, n), "edge bound", 0),
     "verify.identities": (verify.identities, "leaf count", 1),
+    "verify.wedge": (verify.wedge, "edge bound", 0),
+    "verify.state": (lambda n: verify.state(n, []), "edge bound", 0),
+    "verify.reroot": (verify.reroot, "edge bound", 0),
+    "verify.double_boundary": (lambda n: verify.double_boundary(n, -1), "leaf bound", 0),
+    "verify.reduction": (verify.reduction, "leaf bound", 0),
+    "sample_block_specs-count": (lambda n: invariant.sample_block_specs(n, 3), "spec count", 0),
+    "sample_block_specs-edges": (lambda n: invariant.sample_block_specs(0, n), "edge bound", 0),
     "q_integer": (q_integer, "n", 0),
     "q_factorial": (q_factorial, "n", 0),
     "q_binomial-n": (lambda n: q_binomial(n, 0), "n", 0),
