@@ -23,13 +23,12 @@ from operator import add
 from typing import NamedTuple
 
 from . import presimplicial, qpoly, trees
-from .qpoly import ONE, QPoly, _checked_int, _unpack, _word_width, q_integer, q_multinomial
+from .qpoly import ONE, QPoly, _checked_int, _field_size, _unpack, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
     RootHasNoEdge,
     _checked_delays,
-    _checked_word,
     dyck_word,
     edge_count,
     enumerate_plane_trees,
@@ -77,7 +76,7 @@ def clear_caches() -> None:
     unaffected, only speed.
 
     The recursion's memo holds the states of trees with at most 20 edges,
-    each value packed into one int, 64 bits per coefficient, and beside it
+    each value packed into one int, 8 bytes per coefficient, and beside it
     the polynomial once a call has returned it, so a hit returns that
     object; a larger tree's states live only for its call (_removal_sum).
     The search's indexes hold an 8-byte rank per candidate with a nonzero
@@ -117,15 +116,15 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     reaches is in the memo.
 
     A state's value is kept packed into one int (qpoly._pack), the
-    coefficient of q**k in bits [k * width, (k + 1) * width), so a move
+    coefficient of q**k in bytes [k * size, (k + 1) * size), so a move
     adds the value of T - v shifted by r(v) fields in one big-int
-    shift-add.  A tree with at most _NARROW_EDGES edges shares
-    _QPOLY_MEMO, in 64-bit fields; only a value returned is unpacked, and
-    the memo then keeps the pair (packed, polynomial), so a later hit
-    returns the same object.  A larger tree fills a memo of its own, in
-    fields as wide as L(T) (_removal_count) needs, which it drops on
-    return: a coefficient of any state reached counts removal sequences of
-    that state, each of which extends to one of T.
+    shift-add.  Fields are sized by qpoly._field_size.  A tree with at most
+    _NARROW_EDGES edges shares _QPOLY_MEMO, in the 8-byte fields 20! needs;
+    only a value returned is unpacked, and the memo then keeps the pair
+    (packed, polynomial), so a later hit returns the same object.  A larger
+    tree fills a memo of its own, which it drops on return, in the fields
+    of L(T) (_removal_count): a coefficient of any state reached counts
+    removal sequences of that state, each of which extends to one of T.
     """
     if not word:
         return ONE
@@ -133,11 +132,11 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     val = _QPOLY_MEMO.get(key)
     if val is None:
         if word.bit_count() > _NARROW_EDGES:
-            width = _word_width(_removal_count(word))
+            size = _field_size(_removal_count(word).bit_length())
             memo: dict = {}
-            _fill_memo(memo, key, width)
-            return _unpack(memo[key], width // 8)
-        _fill_memo(_QPOLY_MEMO, key, 64)
+            _fill_memo(memo, key, size)
+            return _unpack(memo[key], size)
+        _fill_memo(_QPOLY_MEMO, key, 8)
         val = _QPOLY_MEMO[key]
     if val.__class__ is tuple:
         return val[1]
@@ -146,9 +145,10 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     return poly
 
 
-def _fill_memo(memo: dict, key, width: int) -> None:
+def _fill_memo(memo: dict, key, size: int) -> None:
     """Store the packed value of the state with the given key (_removal_sum),
-    and of every state it reaches, in memo, in fields of `width` bits."""
+    and of every state it reaches, in memo, in fields of `size` bytes."""
+    width = 8 * size
     stack = [[key, None]]  # key, moves once listed
     while stack:
         frame = stack[-1]
@@ -247,8 +247,8 @@ def q_degree(tree: PlaneTree) -> int:
     hook lengths (_hook_lengths), e the edge count.  It bounds the delayed
     polynomial of the tree too, which sums a subset of the same removal
     sequences."""
-    edges = edge_count(tree)
-    return edges * (edges + 1) // 2 - sum(_hook_lengths(dyck_word(tree)))
+    hooks = _hook_lengths(dyck_word(tree))  # one per edge
+    return len(hooks) * (len(hooks) + 1) // 2 - sum(hooks)
 
 
 def _hook_lengths(word: int) -> list[int]:
@@ -314,7 +314,7 @@ class BlockSpec:
     def __post_init__(self):
         blocks = tuple((tree, delay) for tree, delay in self.blocks)
         for tree, delay in blocks:
-            _checked_word(tree)
+            dyck_word(tree)
             _checked_delays((delay,))
         object.__setattr__(self, "blocks", blocks)
 

@@ -15,8 +15,8 @@ import itertools
 import math
 from typing import Iterable, Mapping
 
-from .qpoly import QPoly, _checked_int, _unpack, _word_width
-from .trees import PlaneTree, _checked_word, _leaf_count, _pairs, _planted, dyck_word
+from .qpoly import QPoly, _checked_int, _field_size, _unpack
+from .trees import PlaneTree, _leaf_count, _pairs, _planted, dyck_word
 
 __all__ = [
     "CHERRY",
@@ -106,21 +106,21 @@ def _cut(word: int, bits: tuple[int, ...]) -> int:
 def normalize_topological(tree: PlaneTree) -> PlaneTree:
     """Smooth away every vertex with exactly one child; a unary root hands
     the root over to its child.  Idempotent."""
-    word = _checked_word(tree)
+    word = dyck_word(tree)
     smooth = _smooth(word)
     return tree if smooth == word else PlaneTree._of(smooth)
 
 
 def leaf_count(tree: PlaneTree) -> int:
     """Number of leaves, read off the Dyck word; the point counts 1."""
-    return _leaf_count(_checked_word(tree)) or 1
+    return _leaf_count(dyck_word(tree)) or 1
 
 
 def face(tree: PlaneTree, index: int) -> PlaneTree:
     """Remove the index-th leaf and smooth.  Drops one level.  The face is
     read off the tree's face list (_faces), so a call on a topological
     tree with at most 8 leaves keeps that list in _FACES_MEMO."""
-    word = _checked_word(tree)
+    word = dyck_word(tree)
     if not word:
         raise ValueError("the point has no faces")
     _check_index(index, _leaf_count(word))
@@ -177,7 +177,7 @@ def _degeneracies(word: int) -> list[int]:
 def degeneracy(tree: PlaneTree, index: int) -> PlaneTree:
     """Plant a cherry on the index-th leaf.  Climbs one level; the result
     is topological by construction.  The point's root is its own leaf."""
-    planted = _degeneracies(_checked_word(tree))
+    planted = _degeneracies(dyck_word(tree))
     _check_index(index, len(planted))
     return PlaneTree._of(planted[index])
 
@@ -242,7 +242,7 @@ def _face_sum(items: Iterable, add) -> dict:
 def q_boundary(chain: Mapping) -> dict[PlaneTree, QPoly]:
     """Linear extension of T -> sum over leaf indices i of q**i * d_i(T);
     the point maps to zero.  An int coefficient is a constant polynomial."""
-    polys = ((word, QPoly((c,)) if isinstance(c, int) else c) for word, c in _chain_items(chain))
+    polys = ((word, QPoly._trusted([c]) if isinstance(c, int) else c) for word, c in _chain_items(chain))
     sums = _face_sum(polys, lambda total, poly, i: poly.shift(i) if total is None else total + poly.shift(i))
     return {PlaneTree._of(word): poly for word, poly in sums.items()}
 
@@ -270,19 +270,20 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
     first: the faces of another tree with n leaves may keep all n.
 
     The rounds run on Dyck words, each coefficient kept as its value at
-    q = 2**width, which is the polynomial packed into one int, width bits
+    q = 256**size, which is the polynomial packed into one int, size bytes
     per coefficient (qpoly._pack); it is nonzero, as every coefficient is a
     sum of powers of q.  A coefficient counts face paths, at most n * n! of
-    them, and width holds that many.  The term q**i c of a face is c
-    shifted left by width * i bits.  The point's value is unpacked once,
-    at the end.
+    them, and size is the field qpoly._field_size gives for that bound.
+    The term q**i c of a face is c shifted left by 8 * size * i bits.  The
+    point's value is unpacked once, at the end.
     """
-    word = _checked_word(tree)
+    word = dyck_word(tree)
     n = _leaf_count(word) or 1
-    width = _word_width(n * math.factorial(n))
+    size = _field_size((n * math.factorial(n)).bit_length())
+    width = 8 * size
     chain = {word: 1}
     point = 0
     while chain:
         point += chain.get(0, 0)
         chain = _face_sum(chain.items(), lambda total, weight, i: (total or 0) + (weight << width * i))
-    return _unpack(point, width // 8)
+    return _unpack(point, size)

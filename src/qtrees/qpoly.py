@@ -110,7 +110,7 @@ class QPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
+        return QPoly._trusted([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -154,7 +154,7 @@ class QPoly:
                 out.coeffs = tuple(memoryview(product.to_bytes(size * (len(a) + len(b) - 1), order)).cast(code))
                 return out
         elif min(a) >= 0 and min(b) >= 0:
-            return _kronecker_mul(a, b, (bits + 7) // 8)
+            return _kronecker_mul(a, b, _field_size(bits))
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -197,7 +197,7 @@ class QPoly:
                     rem[i + j] -= f * d
         if any(rem):
             raise NotDivisible(f"({self}) is not divisible by ({divisor})")
-        return QPoly(quot)
+        return QPoly._trusted(quot)
 
     def eval_int(self, x: int) -> int:
         """Evaluate at an integer point, exactly."""
@@ -216,7 +216,7 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], size: int) -> QPoly:
     crossing a field.  QPoly.__mul__ takes a bound that fits a machine
     field itself, in the narrowest of 1, 2, 4 and 8 bytes that holds it,
     with one product; it calls this for a wider bound, size the fewest
-    bytes that hold it.
+    bytes that hold it (_field_size), 9 or more.
 
     A wide product takes Harvey's two-point variant (KS2): each operand is
     evaluated at q = 2**h and q = -2**h, h = 4 * size bits, half a field.
@@ -246,7 +246,8 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], size: int) -> QPoly:
 # A polynomial with nonnegative coefficients below 256**size packs into one int,
 # coefficient k in bytes [k * size, (k + 1) * size): its value at q = 256**size.
 # Sums and products of packed values stay exact while no coefficient outgrows
-# its field.
+# its field.  Every packed value that is unpacked has the fields _field_size
+# picks for its coefficient bound.
 
 # The array typecode of each machine field size in bytes, read off the platform.
 _FIELD_CODES = {array(code).itemsize: code for code in "BHIQ"}
@@ -258,21 +259,25 @@ _NARROW_FIELDS = tuple(
 )
 
 
+def _field_size(bits: int) -> int:
+    """Bytes per field for a coefficient bound of the given bit length: the
+    narrowest machine field of 1, 2, 4 or 8 bytes that holds it, and past
+    64 bits the fewest bytes.  Products, the leaf-removal recursion and the
+    reduction to the point all size their fields here."""
+    return _NARROW_FIELDS[bits][0] if bits < len(_NARROW_FIELDS) else (bits + 7) // 8
+
+
 def _pack(coeffs: Iterable[int], size: int) -> int:
-    """The int holding the given coefficients, `size` bytes each, packed as
-    machine fields for a size in _FIELD_CODES and one by one otherwise."""
-    code = _FIELD_CODES.get(size)
-    if code is None:
-        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
-    fields = array(code, coeffs)
-    if sys.byteorder == "big":
-        fields.byteswap()
-    return int.from_bytes(fields, "little")
+    """The int holding the given coefficients, `size` bytes each.  Only wide
+    products pack here (_kronecker_mul), in fields of 9 bytes or more; a
+    narrow product packs its machine fields in QPoly.__mul__."""
+    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
 
 
 def _unpack(packed: int, size: int) -> QPoly:
     """The polynomial whose coefficient of q**k is field k of packed,
-    `size` bytes each, read as _pack writes them."""
+    `size` bytes each, read as _pack writes them: as an array for a
+    machine field size, one by one for a wider size."""
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
     code = _FIELD_CODES.get(size)
     if code is None:
@@ -281,11 +286,6 @@ def _unpack(packed: int, size: int) -> QPoly:
     if sys.byteorder == "big":
         fields.byteswap()
     return QPoly._trusted(fields.tolist())
-
-
-def _word_width(bound: int) -> int:
-    """Bits, a multiple of 64, of the narrowest field that holds bound."""
-    return 64 * -(-bound.bit_length() // 64)
 
 
 def _coerce(value) -> QPoly | None:
@@ -361,7 +361,7 @@ def cyclotomic(d: int) -> QPoly:
     phi_m(q**p) / phi_m(q) for each distinct prime p of d reaches phi_r, r
     the radical of d, and phi_d(q) = phi_r(q**(d/r))."""
     _checked_int(d, "d", 1)
-    out, rad = QPoly((-1, 1)), 1
+    out, rad = QPoly._trusted([-1, 1]), 1
     for p in _primes(d):
         out = _stretch(out, p).divexact(out)
         rad *= p
@@ -372,7 +372,7 @@ def _stretch(poly: QPoly, s: int) -> QPoly:
     """poly(q**s)."""
     out = [0] * (poly.degree * s + 1)
     out[::s] = poly.coeffs
-    return QPoly(out)
+    return QPoly._trusted(out)
 
 
 def _primes(d: int) -> list[int]:
@@ -414,7 +414,7 @@ def cyclotomic_factor(poly: QPoly) -> CyclotomicFactorization:
     k = 0
     while poly.coeffs[k] == 0:
         k += 1
-    cur = QPoly(poly.coeffs[k:])
+    cur = QPoly._trusted(list(poly.coeffs[k:]))
     factors: Counter[int] = Counter()
     cur_at_2 = cur.eval_int(2)
     d = 1

@@ -302,12 +302,7 @@ def dyck_word(tree: PlaneTree) -> int:
     significant bit: 1 steps down an edge, 0 steps back up.  The point is 0
     and every other word starts with 1, so shapes and ints match one to one
     and the bit length is twice the edge count.  Every tree keeps its word
-    from construction."""
-    return tree._word
-
-
-def _checked_word(tree: PlaneTree) -> int:
-    """The tree's Dyck word, after refusing a tree that is not a PlaneTree."""
+    from construction.  Anything but a PlaneTree is refused with TypeError."""
     if not isinstance(tree, PlaneTree):
         raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
     return tree._word
@@ -459,7 +454,7 @@ class DelayedTree:
     delays: tuple[int, ...]
 
     def __post_init__(self):
-        leaf_total = _leaf_count(_checked_word(self.tree))
+        leaf_total = _leaf_count(dyck_word(self.tree))
         if isinstance(self.delays, Mapping):
             raise ValueError("delays must be labels in leaf order, not a mapping")
         delays = tuple(self.delays)

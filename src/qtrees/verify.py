@@ -95,6 +95,7 @@ def double_boundary(max_leaves: int, q_value: int) -> tuple[int, int]:
     """(basis trees checked, trees whose boundary at q_value applied twice
     is nonzero) over every topological tree with at most max_leaves leaves."""
     _checked_int(max_leaves, "leaf bound", 0)
+    _checked_int(q_value, "q_value")
     checked = 0
     nonzero = 0
     for leaf_total in range(1, max_leaves + 1):

@@ -187,18 +187,34 @@ def removal_states(tree):
     return seen
 
 
-def test_narrow_fields_take_every_tree_up_to_20_edges():
-    # the constant of the 64-bit fast path
+def test_narrow_fields_take_every_tree_up_to_20_edges(monkeypatch):
+    # the constant of the shared memo's 8-byte fields
     assert math.factorial(invariant._NARROW_EDGES) < 2**64 <= math.factorial(invariant._NARROW_EDGES + 1)
+    handed = []
+    unpack = invariant._unpack
 
-    def width(tree):
-        return qpoly._word_width(invariant._removal_count(trees.dyck_word(tree)))
+    def recording(packed, size):
+        handed.append(size)
+        return unpack(packed, size)
 
-    assert width(star(20)) == 64
-    assert width(star(21)) == 128
-    # past 20 edges the width follows the count of removal sequences, not the size
-    assert width(parse_tree("(" * 40 + "." + ")" * 40)) == 64
-    assert width(star(35)) == 192
+    monkeypatch.setattr(invariant, "_unpack", recording)
+
+    def size(tree):
+        # the bytes qpoly's one field rule gives for L(T), which are the
+        # bytes the recursion unpacks its value from
+        rule = qpoly._field_size(invariant._removal_count(trees.dyck_word(tree)).bit_length())
+        clear_caches()
+        handed.clear()
+        assert q_poly(tree) == q_poly_state(tree)
+        assert handed == [rule], serialize(tree)[:40]
+        return rule
+
+    assert size(star(20)) == 8
+    assert size(star(21)) == 9
+    # past 20 edges the size follows the count of removal sequences, not the edge count
+    assert size(parse_tree("(" * 40 + "." + ")" * 40)) == 1
+    assert size(parse_tree("(." + "(" * 3_000 + "." + ")" * 3_000 + ")")) == 2
+    assert size(star(35)) == 17
 
 
 @pytest.mark.parametrize("rays", [21, 30])
@@ -533,6 +549,14 @@ def test_block_rejects_inadmissible_delays():
         )  # delays must grow right to left: 2 < 3
     with pytest.raises(ValueError, match=r"^empty block list$"):
         q_poly_block(BlockSpec(()))
+
+
+def test_evaluators_refuse_what_is_not_a_plane_tree():
+    # each reads the tree through trees.dyck_word, which refuses it
+    for tree, name in (("(..)", "str"), (parse_delayed("(1 2)"), "DelayedTree")):
+        for evaluate in (q_poly, q_poly_state, q_degree):
+            with pytest.raises(TypeError, match=rf"^tree must be a PlaneTree, got {name}$"):
+                evaluate(tree)
 
 
 def test_block_spec_refuses_bad_trees_and_delays():

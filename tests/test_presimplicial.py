@@ -403,9 +403,26 @@ def test_reduce_holds_coefficients_past_64_bits():
     # every first-round face of this tree keeps all 23 leaves, so the point
     # gathers 23 * 23! face paths
     assert reduce_to_point(parse_tree("(" + "(.)" * 23 + ")")) == q_integer(23) * q_factorial(23)
-    # 320-bit fields; each face's term folds in as a shift, not a product
-    # by a power of 2**320, which took over a second
+    # 35-byte fields; each face's term folds in as a shift, not a product
+    # by a power of 2**280, which took over a second
     assert reduce_to_point(star(60)) == q_factorial(60)
+
+
+def test_reduce_fields_follow_the_one_rule(monkeypatch):
+    # the point's value is unpacked from the fields qpoly._field_size gives
+    # for n * n!: each machine field of 1, 2, 4 and 8 bytes, then the
+    # fewest bytes past 64 bits
+    handed = []
+    unpack = presimplicial._unpack
+
+    def recording(packed, size):
+        handed.append(size)
+        return unpack(packed, size)
+
+    monkeypatch.setattr(presimplicial, "_unpack", recording)
+    for n in (3, 5, 8, 12, 20, 22):
+        assert reduce_to_point(star(n)) == q_factorial(n)
+    assert handed == [1, 2, 4, 8, 9, 10]
 
 
 def test_reduce_is_shape_independent():

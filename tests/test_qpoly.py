@@ -288,6 +288,14 @@ def test_mul_kronecker_zero_coefficients():
     check_product([1] + [0] * 30 + [1], [1] + [0] * 20 + [1])
 
 
+def test_field_size_is_the_products_rule():
+    # the narrowest machine field of 1, 2, 4 or 8 bytes that holds a bound
+    # of the given bits, and past 64 bits the fewest bytes
+    for bits in range(201):
+        want = next(size for size in (1, 2, 4, 8) if 8 * size >= bits) if bits <= 64 else -(-bits // 8)
+        assert qpoly._field_size(bits) == want, bits
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 9])
 def test_pack_and_unpack_round_trip(size):
     top = 256**size - 1
@@ -404,6 +412,7 @@ INT_ARGUMENTS = {
     "verify.state": (lambda n: verify.state(n, []), "edge bound", 0),
     "verify.reroot": (verify.reroot, "edge bound", 0),
     "verify.double_boundary": (lambda n: verify.double_boundary(n, -1), "leaf bound", 0),
+    "verify.double_boundary-q": (lambda n: verify.double_boundary(0, n), "q_value", None),
     "verify.reduction": (verify.reduction, "leaf bound", 0),
     "sample_block_specs-count": (lambda n: invariant.sample_block_specs(n, 3), "spec count", 0),
     "sample_block_specs-edges": (lambda n: invariant.sample_block_specs(0, n), "edge bound", 0),

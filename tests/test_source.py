@@ -60,6 +60,29 @@ def test_the_int_rule_is_written_once():
     ]
 
 
+def checked_qpoly_builders() -> list[str]:
+    """Every function in the package whose body calls the checked QPoly
+    constructor, QPoly(...), rather than QPoly._trusted."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "QPoly"
+                for call in ast.walk(node)
+            ):
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def test_internal_polynomials_skip_the_coefficient_checks():
+    # The checked constructor tests every coefficient, so it is kept for
+    # values from outside: an int operand (qpoly._coerce), the command
+    # line's search target and the module constants ZERO, ONE and q.  The
+    # package's own results, built from checked values, go through
+    # QPoly._trusted.
+    assert checked_qpoly_builders() == ["cli._cmd_search_delayed", "qpoly._coerce"]
+
+
 def test_exported_names_resolve():
     # A name removed from a module must leave its __all__ and the package
     # root with it.
