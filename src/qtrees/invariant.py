@@ -29,6 +29,7 @@ from .trees import (
     PlaneTree,
     RootHasNoEdge,
     _checked_delays,
+    _delayed_word,
     dyck_word,
     edge_count,
     enumerate_plane_trees,
@@ -296,7 +297,7 @@ def q_poly_delayed(delayed: DelayedTree) -> QPoly:
     with no delay-1 leaf gives 0 (the sum is empty); all labels 1 give
     q_poly, from the same memo entry (_removal_sum).
     """
-    return _removal_sum(dyck_word(delayed.tree), delayed.delays)
+    return _removal_sum(*_delayed_word(delayed))
 
 
 # -- constant-delay blocks -------------------------------------------------------
@@ -319,6 +320,14 @@ class BlockSpec:
         object.__setattr__(self, "blocks", blocks)
 
 
+def _blocks(spec: BlockSpec) -> tuple[tuple[PlaneTree, int], ...]:
+    """The blocks of a block spec, after refusing with TypeError anything
+    but a BlockSpec."""
+    if not isinstance(spec, BlockSpec):
+        raise TypeError(f"block spec must be a BlockSpec, got {type(spec).__name__}")
+    return spec.blocks
+
+
 def q_poly_block(spec: BlockSpec) -> QPoly:
     """Closed formula for a wedge of constant-delay blocks.
 
@@ -326,9 +335,10 @@ def q_poly_block(spec: BlockSpec) -> QPoly:
     chain is admissible; inadmissible specs are refused rather than
     evaluated.  Its block factors are state products, not the recursion.
     """
-    if not spec.blocks:
+    blocks = _blocks(spec)
+    if not blocks:
         raise ValueError("empty block list")
-    (first, prev), *rest = reversed(spec.blocks)
+    (first, prev), *rest = reversed(blocks)
     if prev != 1:
         raise InadmissibleDelays("the rightmost block must have delay 1")
     out = ONE
@@ -340,16 +350,17 @@ def q_poly_block(spec: BlockSpec) -> QPoly:
         out = out * q_multinomial((edges_i, prefix - delay_i + 1))
         prefix += edges_i
         prev = delay_i
-    for tree_i, _ in spec.blocks:
+    for tree_i, _ in blocks:
         out = out * q_poly_state(tree_i)
     return out
 
 
 def assemble_blocks(spec: BlockSpec) -> DelayedTree:
     """Wedge the blocks and label each block's leaves with its delay."""
-    tree = wedge([t for t, _ in spec.blocks])
+    blocks = _blocks(spec)
+    tree = wedge([t for t, _ in blocks])
     labels: list[int] = []
-    for t, s in spec.blocks:
+    for t, s in blocks:
         labels += [s] * trees._leaf_count(dyck_word(t))
     return DelayedTree(tree, labels)
 

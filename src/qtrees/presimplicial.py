@@ -215,14 +215,14 @@ def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
 
 
 def _chain_items(chain: Mapping) -> list:
-    """The (Dyck word, coefficient) pairs of a chain, after refusing with
-    TypeError a key that is not a PlaneTree or a coefficient that is not a
-    QPoly or an int (a bool is neither)."""
-    items = list(dict(chain).items())
-    for tree, coeff in items:
-        if not isinstance(tree, PlaneTree) or isinstance(coeff, bool) or not isinstance(coeff, (QPoly, int)):
-            raise TypeError("terms must map PlaneTree to QPoly or int")
-    return [(dyck_word(tree), coeff) for tree, coeff in items]
+    """The (Dyck word, coefficient) pairs of a chain; a key is read through
+    dyck_word, and a coefficient that is not a QPoly or an int (a bool is
+    neither) is refused with TypeError in dyck_word's form."""
+    items = [(dyck_word(tree), coeff) for tree, coeff in dict(chain).items()]
+    for _, coeff in items:
+        if isinstance(coeff, bool) or not isinstance(coeff, (QPoly, int)):
+            raise TypeError(f"coefficient must be a QPoly or an int, got {type(coeff).__name__}")
+    return items
 
 
 def _face_sum(items: Iterable, add) -> dict:

@@ -8,7 +8,8 @@ meaning 1.
 
 A vertex is addressed by the sequence of 0-based child indices walked from
 the root; the empty address is the root itself.  A tree is held as its Dyck
-word alone (see dyck_word), and every walk is a scan of the word.
+word, which every function outside PlaneTree reads through dyck_word alone,
+and every walk is a scan of the word.
 """
 
 from __future__ import annotations
@@ -79,30 +80,24 @@ class BoundExceeded(ValueError):
 
 
 class PlaneTree:
-    """A plane rooted tree, held as its Dyck word (see dyck_word) and the
-    word's hash: the subtree rooted at one vertex, a leaf if it has no
-    children.  Equality and the hash read the word, so trees of any depth
-    compare and work as dictionary keys.  PlaneTree(children) builds a tree
-    from its child subtrees, left to right; the package builds every tree
-    from its word with _of, and every walk reads the word.
+    """A plane rooted tree, held as its Dyck word (see dyck_word) and, once
+    read, its children: the subtree rooted at one vertex, a leaf if it has
+    no children.  Equality and the hash read the word, so trees of any
+    depth compare and work as dictionary keys.  PlaneTree(children) builds
+    a tree from its child subtrees, left to right; the package builds every
+    tree from its word with _of, and every walk reads the word.
     """
 
-    __slots__ = ("_word", "_hash", "_kids")
+    __slots__ = ("_word", "_kids")
 
     def __init__(self, children: Iterable["PlaneTree"] = ()):
-        words = []
-        for c in children:
-            if not isinstance(c, PlaneTree):
-                raise TypeError("children must be PlaneTree values")
-            words.append(c._word)
-        word = _planted(words)
-        self._word, self._hash, self._kids = word, hash(word), None
+        self._word, self._kids = _planted([dyck_word(c) for c in children]), None
 
     @classmethod
     def _of(cls, word: int) -> "PlaneTree":
         """The tree with the given Dyck word, which must be one."""
         tree = object.__new__(cls)
-        tree._word, tree._hash, tree._kids = word, hash(word), None
+        tree._word, tree._kids = word, None
         return tree
 
     @property
@@ -130,7 +125,7 @@ class PlaneTree:
         return self._word == other._word
 
     def __hash__(self):
-        return self._hash
+        return hash(self._word)
 
     def __repr__(self):
         return f"PlaneTree({serialize(self)!r})"
@@ -184,10 +179,12 @@ def _spans(tree: PlaneTree, addr: VertexAddr) -> tuple[str, list[tuple[int, int]
     """The tree's steps and, for the root and each vertex on the way to the
     addressed one, the positions of its steps down and back up (-1 and the
     step count for the root), from one forward walk over the matched
-    steps.  Raises InvalidAddress for an address that leaves the tree."""
-    steps, match, _ = _pairs(tree._word)
+    steps.  A child index must be an int (not a bool); one that leaves the
+    tree, -1 included, raises InvalidAddress."""
+    steps, match, _ = _pairs(dyck_word(tree))
     spans = [(-1, len(steps))]
     for i in addr:
+        i = _checked_int(i, "child index")
         down, up = spans[-1]
         child = down + 1  # the first child steps down just after its parent
         while i > 0 and child < up:
@@ -202,7 +199,7 @@ def _spans(tree: PlaneTree, addr: VertexAddr) -> tuple[str, list[tuple[int, int]
 def _addresses(tree: PlaneTree, leaves_only: bool) -> list[VertexAddr]:
     """The address of every vertex below the root, or of every leaf, in
     pre-order, from one forward walk over the tree's steps."""
-    steps = _steps(tree._word)
+    steps = _steps(dyck_word(tree))
     out = []
     path: list[int] = []  # the child index of each open vertex below the root
     index = 0  # the index of the next child of the innermost open vertex
@@ -274,7 +271,8 @@ def _parse(text: str, labelled: bool) -> tuple[PlaneTree, list[int]]:
 
 def serialize(tree: PlaneTree) -> str:
     """Canonical text, whitespace-free; round-trips through parse_tree."""
-    return "(" + _steps(tree._word).replace("10", ".").translate(_BRACKETS) + ")" if tree._word else "."
+    steps = _steps(dyck_word(tree))
+    return "(" + steps.replace("10", ".").translate(_BRACKETS) + ")" if steps else "."
 
 
 # -- structure queries -------------------------------------------------------
@@ -289,7 +287,7 @@ def node_at(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
 
 def edge_count(tree: PlaneTree) -> int:
     """Number of edges: one per vertex below the root."""
-    return tree._word.bit_length() // 2
+    return dyck_word(tree).bit_length() // 2
 
 
 def leaves(tree: PlaneTree) -> tuple[VertexAddr, ...]:
@@ -302,7 +300,8 @@ def dyck_word(tree: PlaneTree) -> int:
     significant bit: 1 steps down an edge, 0 steps back up.  The point is 0
     and every other word starts with 1, so shapes and ints match one to one
     and the bit length is twice the edge count.  Every tree keeps its word
-    from construction.  Anything but a PlaneTree is refused with TypeError."""
+    from construction, and outside PlaneTree only this reads it: anything
+    but a PlaneTree is refused here, with TypeError."""
     if not isinstance(tree, PlaneTree):
         raise TypeError(f"tree must be a PlaneTree, got {type(tree).__name__}")
     return tree._word
@@ -335,7 +334,7 @@ def wedge(parts: Iterable[PlaneTree]) -> PlaneTree:
     ps = tuple(parts)
     if not ps:
         raise ValueError("wedge of no trees")
-    return PlaneTree._of(int("".join(_steps(p._word) for p in ps) or "0", 2))
+    return PlaneTree._of(int("".join(_steps(dyck_word(p)) for p in ps) or "0", 2))
 
 
 def star(rays: int) -> PlaneTree:
@@ -348,8 +347,10 @@ def side_edge_counts(tree: PlaneTree, addr: VertexAddr) -> tuple[int, int]:
     vertex; the two counts plus the edge itself sum to the total."""
     if not addr:
         raise RootHasNoEdge("the root has no incoming edge")
-    below = edge_count(node_at(tree, addr))
-    return edge_count(tree) - 1 - below, below
+    steps, spans = _spans(tree, addr)
+    down, up = spans[-1]
+    below = (up - down) // 2
+    return len(steps) // 2 - 1 - below, below
 
 
 def reroot_across_edge(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
@@ -472,6 +473,14 @@ class DelayedTree:
         return out
 
 
+def _delayed_word(delayed: DelayedTree) -> tuple[int, tuple[int, ...]]:
+    """The Dyck word and leaf labels of a delayed tree, after refusing with
+    TypeError anything but a DelayedTree."""
+    if not isinstance(delayed, DelayedTree):
+        raise TypeError(f"delayed tree must be a DelayedTree, got {type(delayed).__name__}")
+    return dyck_word(delayed.tree), delayed.delays
+
+
 def parse_delayed(text: str) -> DelayedTree:
     """Parse the delayed grammar: leaves are positive integers, "." means 1.
 
@@ -479,18 +488,18 @@ def parse_delayed(text: str) -> DelayedTree:
     top level is the point, whose label is vacuous (the root is not a leaf).
     """
     node, delays = _parse(text, labelled=True)
-    return DelayedTree(node, delays if node._word else ())
+    return DelayedTree(node, delays if dyck_word(node) else ())
 
 
 def serialize_delayed(delayed: DelayedTree) -> str:
     """Canonical delayed text: integer leaves, single spaces between
     children; round-trips through parse_delayed.  Siblings meet where a
     step up is followed by a step down."""
-    word = delayed.tree._word
+    word, delays = _delayed_word(delayed)
     if not word:
         return "."
     pieces = _steps(word).replace("01", "0 1").split("10")  # a leaf between each two
     out = [pieces[0].translate(_BRACKETS)]
-    for label, piece in zip(delayed.delays, pieces[1:]):
+    for label, piece in zip(delays, pieces[1:]):
         out += (str(label), piece.translate(_BRACKETS))
     return "(" + "".join(out) + ")"

@@ -557,6 +557,16 @@ def test_evaluators_refuse_what_is_not_a_plane_tree():
         for evaluate in (q_poly, q_poly_state, q_degree):
             with pytest.raises(TypeError, match=rf"^tree must be a PlaneTree, got {name}$"):
                 evaluate(tree)
+    # a delayed tree and a block spec each have one check, shared by their
+    # two readers
+    for delayed, name in (("(1 2)", "str"), (parse_tree("(..)"), "PlaneTree")):
+        for read in (q_poly_delayed, serialize_delayed):
+            with pytest.raises(TypeError, match=rf"^delayed tree must be a DelayedTree, got {name}$"):
+                read(delayed)
+    for spec, name in (("x", "str"), (parse_delayed("(1 2)"), "DelayedTree")):
+        for read in (q_poly_block, assemble_blocks):
+            with pytest.raises(TypeError, match=rf"^block spec must be a BlockSpec, got {name}$"):
+                read(spec)
 
 
 def test_block_spec_refuses_bad_trees_and_delays():

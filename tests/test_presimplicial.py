@@ -326,10 +326,17 @@ def test_chains_are_dicts_of_int_or_qpoly_coefficients():
     assert q_boundary(cancelling) == {POINT: QPoly((1, 1))}
     assert q_boundary_at({CHERRY: QPoly((1, 1)), star(3): 0}, -1) == {}
     assert q_boundary_at({CHERRY: 3, star(3): QPoly((0, 1))}, 2) == {POINT: 9, CHERRY: 14}
-    for chain in ({CHERRY: 1.5}, {CHERRY: True}, {CHERRY: "3"}, {"(..)": 1}):
-        with pytest.raises(TypeError, match="terms must map PlaneTree to QPoly or int"):
+    # a key is read through dyck_word and refused by it; a coefficient gets
+    # a refusal in the same form
+    for chain, message in (
+        ({CHERRY: 1.5}, "coefficient must be a QPoly or an int, got float"),
+        ({CHERRY: True}, "coefficient must be a QPoly or an int, got bool"),
+        ({CHERRY: "3"}, "coefficient must be a QPoly or an int, got str"),
+        ({"(..)": 1}, "tree must be a PlaneTree, got str"),
+    ):
+        with pytest.raises(TypeError, match=rf"^{message}$"):
             q_boundary(chain)
-        with pytest.raises(TypeError, match="terms must map PlaneTree to QPoly or int"):
+        with pytest.raises(TypeError, match=rf"^{message}$"):
             q_boundary_at(chain, 2)
     for q_value in (2.0, True, "2"):
         with pytest.raises(TypeError, match="q_value must be an int"):

@@ -395,6 +395,9 @@ def test_eval_is_a_ring_map(a_coeffs, b_coeffs, x):
 
 # -- integer arguments -------------------------------------------------------------
 
+# the second child index of an address, under a first child with two children
+ADDRESSED = trees.parse_tree("((..).)")
+
 # Each entry point that takes a count or an integer, as a call with that
 # argument in place of n, the argument's name in the messages, and the least
 # value it admits (None: any int).
@@ -402,6 +405,11 @@ INT_ARGUMENTS = {
     "enumerate_plane_trees": (trees.enumerate_plane_trees, "edge count", 0),
     "random_plane_tree": (lambda n: trees.random_plane_tree(n, random.Random(0)), "edge count", 0),
     "star": (trees.star, "ray count", 0),
+    "node_at": (lambda n: trees.node_at(ADDRESSED, (0, n)), "child index", None),
+    "remove_leaf": (lambda n: trees.remove_leaf(ADDRESSED, (0, n)), "child index", None),
+    "side_edge_counts": (lambda n: trees.side_edge_counts(ADDRESSED, (0, n)), "child index", None),
+    "reroot_across_edge": (lambda n: trees.reroot_across_edge(ADDRESSED, (0, n)), "child index", None),
+    "check_reroot": (lambda n: invariant.check_reroot(ADDRESSED, (0, n)), "child index", None),
     "enumerate_top_trees": (presimplicial.enumerate_top_trees, "leaf count", 1),
     "face": (lambda n: presimplicial.face(CHERRY, n), "leaf index", None),
     "degeneracy": (lambda n: presimplicial.degeneracy(CHERRY, n), "leaf index", None),

@@ -136,6 +136,26 @@ def test_size_caps_live_in_the_cli():
     assert reads_env == ["cli"]
 
 
+def word_readers() -> list[str]:
+    """Every top-level function or class in the package, class PlaneTree
+    aside, whose body names an attribute _word, and <module> for a
+    statement outside them."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if (path.stem, getattr(top, "name", None)) == ("trees", "PlaneTree"):
+                continue
+            if any(isinstance(node, ast.Attribute) and node.attr == "_word" for node in ast.walk(top)):
+                found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_the_word_has_one_reader():
+    # A tree is its Dyck word, read outside PlaneTree's own methods only by
+    # trees.dyck_word, so a value that is not a tree meets one refusal.
+    assert word_readers() == ["trees.dyck_word"]
+
+
 def test_walks_read_the_word():
     # Every walk over a tree runs on its Dyck word: no module reads
     # .children, which decodes the child subtrees for callers outside the

@@ -5,7 +5,16 @@ from types import MappingProxyType
 
 import pytest
 
-from qtrees.presimplicial import degeneracy, face, leaf_count, normalize_topological, reduce_to_point
+from qtrees import invariant
+from qtrees.presimplicial import (
+    degeneracy,
+    face,
+    leaf_count,
+    normalize_topological,
+    q_boundary,
+    q_boundary_at,
+    reduce_to_point,
+)
 from qtrees.qpoly import ONE, QPoly
 from qtrees.trees import (
     POINT,
@@ -252,7 +261,7 @@ def test_children_decode_on_first_read():
     assert tree.children is kids and kids[1].children[1].children == (POINT, POINT)
     assert PlaneTree(kids) == tree and PlaneTree(kids).children == kids
     assert POINT.children == () and PlaneTree().children == ()
-    with pytest.raises(TypeError, match="children must be PlaneTree values"):
+    with pytest.raises(TypeError, match=r"^tree must be a PlaneTree, got str$"):
         PlaneTree([POINT, "."])
 
 
@@ -500,6 +509,41 @@ def test_trees_refuse_foreign_operands_and_show_their_text():
     assert tree.__eq__("((..).)") is NotImplemented
     assert tree != "((..).)"
     assert repr(tree) == "PlaneTree('((..).)')"
+
+
+# Every public function that takes a PlaneTree reads it through dyck_word.
+# q_poly, q_poly_state and q_degree are held to the same rule in
+# test_invariant.test_evaluators_refuse_what_is_not_a_plane_tree.
+TREE_ARGUMENTS = {
+    "PlaneTree": lambda t: PlaneTree([POINT, t]),
+    "dyck_word": dyck_word,
+    "serialize": serialize,
+    "edge_count": edge_count,
+    "leaves": leaves,
+    "node_at": lambda t: node_at(t, (0,)),
+    "remove_leaf": lambda t: remove_leaf(t, (0,)),
+    "side_edge_counts": lambda t: side_edge_counts(t, (0,)),
+    "reroot_across_edge": lambda t: reroot_across_edge(t, (0,)),
+    "wedge": lambda t: wedge([CHERRY, t]),
+    "DelayedTree": lambda t: DelayedTree(t, (1, 1)),
+    "check_reroot": lambda t: invariant.check_reroot(t, (0,)),
+    "BlockSpec": lambda t: invariant.BlockSpec(((t, 1),)),
+    "normalize_topological": normalize_topological,
+    "leaf_count": leaf_count,
+    "face": lambda t: face(t, 0),
+    "degeneracy": lambda t: degeneracy(t, 0),
+    "reduce_to_point": reduce_to_point,
+    "q_boundary": lambda t: q_boundary({t: 1}),
+    "q_boundary_at": lambda t: q_boundary_at({t: 1}, 2),
+}
+
+
+@pytest.mark.parametrize("call", TREE_ARGUMENTS.values(), ids=TREE_ARGUMENTS)
+def test_a_tree_argument_is_a_plane_tree(call):
+    # the text of a tree and a delayed tree are both refused, never read
+    for value in ("(..)", parse_delayed("(1 2)")):
+        with pytest.raises(TypeError, match=r"^tree must be a PlaneTree, got (str|DelayedTree)$"):
+            call(value)
 
 
 def test_enumeration_is_deterministic():
