@@ -17,17 +17,17 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 from operator import add
 from typing import NamedTuple
 
 from . import presimplicial, qpoly, trees
-from .qpoly import ONE, QPoly, _checked_int, _field_size, _unpack, q_integer, q_multinomial
+from .qpoly import ONE, QPoly, _checked_int, _checked_type, _field_size, _unpack, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
-    RootHasNoEdge,
     _checked_delays,
     _delayed_word,
     dyck_word,
@@ -275,8 +275,6 @@ def check_reroot(tree: PlaneTree, addr: tuple) -> RerootCheck:
     q-polynomial rooted at the far endpoint times [e1 + 1].  Stated
     multiplicatively, so everything stays in Z[q].
     """
-    if not addr:
-        raise RootHasNoEdge("the root has no incoming edge")
     near_edges, far_edges = side_edge_counts(tree, addr)
     rooted_near = tree if len(addr) == 1 else reroot_across_edge(tree, addr[:-1])
     rooted_far = reroot_across_edge(tree, addr)
@@ -313,7 +311,7 @@ class BlockSpec:
     blocks: tuple[tuple[PlaneTree, int], ...]
 
     def __post_init__(self):
-        blocks = tuple((tree, delay) for tree, delay in self.blocks)
+        blocks = tuple((tree, delay) for tree, delay in _checked_type(self.blocks, Iterable, "blocks", "iterable"))
         for tree, delay in blocks:
             dyck_word(tree)
             _checked_delays((delay,))
@@ -323,9 +321,7 @@ class BlockSpec:
 def _blocks(spec: BlockSpec) -> tuple[tuple[PlaneTree, int], ...]:
     """The blocks of a block spec, after refusing with TypeError anything
     but a BlockSpec."""
-    if not isinstance(spec, BlockSpec):
-        raise TypeError(f"block spec must be a BlockSpec, got {type(spec).__name__}")
-    return spec.blocks
+    return _checked_type(spec, BlockSpec, "block spec", "a BlockSpec").blocks
 
 
 def q_poly_block(spec: BlockSpec) -> QPoly:

@@ -4,18 +4,21 @@ q-weighted boundary, and reduction of every tree to a multiple of the point.
 Topological means no vertex has exactly one child; subdivision points are
 smoothed away.  A tree with n + 1 leaves sits in level n and carries faces
 d_0..d_n (remove the i-th leaf, then smooth) and degeneracies s_0..s_n
-(replace the i-th leaf by a two-leaf cherry).  The point counts its root as
-its single leaf, so the cherry can be planted on it.  The exhaustive checks
-of the face/degeneracy relations live in ``qtrees.verify``.
+(replace the i-th leaf by a two-leaf cherry).  Smoothing keeps every leaf,
+so a face of any tree is that face of its smoothing, and one routine smooths
+a tree and cuts its faces.  The point counts its root as its single leaf, so
+the cherry can be planted on it.  The exhaustive checks of the
+face/degeneracy relations live in ``qtrees.verify``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Mapping
+import re
+from collections.abc import Iterable, Mapping
 
-from .qpoly import QPoly, _checked_int, _field_size, _unpack
+from .qpoly import QPoly, _checked_int, _checked_type, _field_size, _unpack
 from .trees import PlaneTree, _leaf_count, _pairs, _planted, dyck_word
 
 __all__ = [
@@ -48,30 +51,28 @@ def _check_index(index: int, total: int) -> None:
         raise IndexError(f"leaf index {index} out of range 0..{total - 1}")
 
 
-def _smooth(word: int) -> int:
-    """The word with every unary vertex smoothed away, a unary root handing
-    the root over to its child: each only child's pair of steps is deleted,
-    its children going to its parent."""
-    steps, match, only = _pairs(word)
-    if not only:
-        return word
-    drop = set(only).union(match[q] for q in only)
-    kept = "".join(step for p, step in enumerate(steps) if p not in drop)
-    return int(kept or "0", 2)
+def _leaf_cuts(word: int) -> tuple[int, list[tuple[int, ...]]]:
+    """The word smoothed, and for each leaf, left to right, the bits,
+    highest first, whose deletion from the smoothed word leaves its face.
 
-
-def _leaf_cuts(word: int) -> tuple[list[tuple[int, ...]], bool]:
-    """For each leaf of the tree with the given nonzero word, left to right,
-    the bits, highest first, whose deletion leaves its face; and whether the
-    tree is topological.
-
-    Removing a leaf leaves its parent unary exactly when the parent had two
-    children, and in a topological tree that is the only smoothing a face
-    needs: the sibling's pair goes too (for the root, the pair around
-    everything that is left).  In any other tree a face is the leaf's pair
-    alone, to be smoothed whole.
+    Smoothing deletes each only child's pair of steps, its children going
+    to its parent (a unary root hands the root to its child).  It keeps
+    every leaf in order, an only child's place going to its parent, so a
+    face of any tree is the same face of its smoothing, or, cut (), the
+    smoothing itself when the leaf is an only child; a path smooths to the
+    point.  In a topological tree removing a leaf leaves its parent unary
+    exactly when the parent had two children, and then the sibling's pair
+    goes too (for the root, the pair around everything that is left).
     """
     steps, match, only = _pairs(word)
+    alone = []  # whether each leaf is an only child, if any vertex is one
+    if only:
+        drop = set(only).union(match[q] for q in only)
+        alone = [leaf.start() in drop for leaf in re.finditer("10", steps)]
+        word = int("".join(step for p, step in enumerate(steps) if p not in drop) or "0", 2)
+        if not word:
+            return 0, [()]
+        steps, match, _ = _pairs(word)
     size = len(steps)
     top = size - 1
     cuts = []
@@ -80,8 +81,8 @@ def _leaf_cuts(word: int) -> tuple[list[tuple[int, ...]], bool]:
         j = top - p
         cut = (j, j - 1)
         after = p + 2
-        if only:
-            pass
+        if alone and alone[len(cuts)]:
+            cut = ()
         elif p and steps[p - 1] == "0":  # a sibling ends just before the leaf
             first = match[p - 1]
             if (not first or steps[first - 1] == "1") and (after == size or steps[after] == "0"):
@@ -92,7 +93,7 @@ def _leaf_cuts(word: int) -> tuple[list[tuple[int, ...]], bool]:
                 cut = (j, j - 1, top - after, top - last)
         cuts.append(cut)
         p = steps.find("10", after)
-    return cuts, not only
+    return word, cuts
 
 
 def _cut(word: int, bits: tuple[int, ...]) -> int:
@@ -104,10 +105,10 @@ def _cut(word: int, bits: tuple[int, ...]) -> int:
 
 
 def normalize_topological(tree: PlaneTree) -> PlaneTree:
-    """Smooth away every vertex with exactly one child; a unary root hands
-    the root over to its child.  Idempotent."""
+    """Smooth away every vertex with exactly one child (_leaf_cuts); a unary
+    root hands the root over to its child.  Idempotent."""
     word = dyck_word(tree)
-    smooth = _smooth(word)
+    smooth = _leaf_cuts(word)[0]
     return tree if smooth == word else PlaneTree._of(smooth)
 
 
@@ -117,14 +118,15 @@ def leaf_count(tree: PlaneTree) -> int:
 
 
 def face(tree: PlaneTree, index: int) -> PlaneTree:
-    """Remove the index-th leaf and smooth.  Drops one level.  The face is
-    read off the tree's face list (_faces), so a call on a topological
-    tree with at most 8 leaves keeps that list in _FACES_MEMO."""
+    """Remove the index-th leaf and smooth.  Drops one level.  Only that
+    leaf is cut (_leaf_cuts), in one or two scans of the word, and the
+    face memo is neither read nor filled."""
     word = dyck_word(tree)
     if not word:
         raise ValueError("the point has no faces")
     _check_index(index, _leaf_count(word))
-    return PlaneTree._of(_faces(word)[index])
+    smooth, cuts = _leaf_cuts(word)
+    return PlaneTree._of(_cut(smooth, cuts[index]))
 
 
 # The face words of each topological tree with at most _FACE_MEMO_LEAVES
@@ -135,10 +137,11 @@ _FACE_MEMO_LEAVES = 8
 
 def _faces(word: int) -> tuple[int, ...]:
     """The words of d_0, d_1, ... of the tree with the given word, in index
-    order; the point has none.
+    order, each cut from the tree's smoothing (_leaf_cuts); the point has
+    none.
 
-    face, the reduction to the point, both boundaries and verify.identities
-    ask for the faces of the same small trees again and again, so the lists
+    The reduction to the point, both boundaries and verify.identities ask
+    for the faces of the same small trees again and again, so the lists
     of topological trees with at most 8 leaves, the presimplicial cap, are
     kept in _FACES_MEMO: at most 5,439 words, about 2 MB.  A tree that is
     not topological is not kept, since with few leaves it can still be
@@ -150,11 +153,9 @@ def _faces(word: int) -> tuple[int, ...]:
         return faces
     if not word:
         return ()
-    cuts, topological = _leaf_cuts(word)
-    if not topological:
-        return tuple(_smooth(_cut(word, bits)) for bits in cuts)
-    faces = tuple(_cut(word, bits) for bits in cuts)
-    if len(faces) <= _FACE_MEMO_LEAVES:
+    smooth, cuts = _leaf_cuts(word)
+    faces = tuple(_cut(smooth, bits) for bits in cuts)
+    if smooth == word and len(faces) <= _FACE_MEMO_LEAVES:
         _FACES_MEMO[word] = faces
     return faces
 
@@ -215,10 +216,11 @@ def enumerate_top_trees(leaf_total: int) -> tuple[PlaneTree, ...]:
 
 
 def _chain_items(chain: Mapping) -> list:
-    """The (Dyck word, coefficient) pairs of a chain; a key is read through
-    dyck_word, and a coefficient that is not a QPoly or an int (a bool is
+    """The (Dyck word, coefficient) pairs of a chain, which must be a
+    mapping; a key is read through dyck_word, and a coefficient that is not a QPoly or an int (a bool is
     neither) is refused with TypeError in dyck_word's form."""
-    items = [(dyck_word(tree), coeff) for tree, coeff in dict(chain).items()]
+    chain = _checked_type(chain, Mapping, "chain", "a mapping")
+    items = [(dyck_word(tree), coeff) for tree, coeff in chain.items()]
     for _, coeff in items:
         if isinstance(coeff, bool) or not isinstance(coeff, (QPoly, int)):
             raise TypeError(f"coefficient must be a QPoly or an int, got {type(coeff).__name__}")

@@ -12,8 +12,9 @@ from __future__ import annotations
 import sys
 from array import array
 from collections import Counter
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 __all__ = [
     "QPoly",
@@ -51,13 +52,22 @@ def _checked_int(value, what: str, least: int | None = None) -> int:
     return value
 
 
+def _checked_type(value, kind, what: str, noun: str):
+    """The value, after refusing with TypeError one that is not an instance
+    of kind, in the form "<what> must be <noun>, got <type>".  Every
+    argument whose type no other check reads is checked here."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{what} must be {noun}, got {type(value).__name__}")
+    return value
+
+
 class QPoly:
     """A polynomial in Z[q]; the last stored coefficient is always nonzero."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = [_checked_int(c, "coefficient") for c in coeffs]
+        cs = [_checked_int(c, "coefficient") for c in _checked_type(coeffs, Iterable, "coefficients", "iterable")]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -335,6 +345,7 @@ def q_multinomial(parts: Iterable[int]) -> QPoly:
     bottom up; every partial result is a product of Gaussian binomials, so
     it stays in Z[q].  Taking the largest part first makes the fewest steps.
     """
+    parts = _checked_type(parts, Iterable, "parts", "iterable")
     parts = sorted([_checked_int(a, "part", 0) for a in parts], reverse=True)
     if len(parts) < 2 or not parts[1]:  # at most one part is nonzero
         return ONE
@@ -409,7 +420,7 @@ def cyclotomic_factor(poly: QPoly) -> CyclotomicFactorization:
     remainder is 1.  Reassembling q**k * prod(phi_d ** mult) * remainder
     always gives back the input.
     """
-    if not poly:
+    if not _checked_type(poly, QPoly, "polynomial", "a QPoly"):
         raise ValueError("zero polynomial")
     k = 0
     while poly.coeffs[k] == 0:

@@ -18,7 +18,7 @@ import random
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
-from .qpoly import _checked_int
+from .qpoly import _checked_int, _checked_type
 
 __all__ = [
     "PlaneTree",
@@ -91,6 +91,7 @@ class PlaneTree:
     __slots__ = ("_word", "_kids")
 
     def __init__(self, children: Iterable["PlaneTree"] = ()):
+        children = _checked_type(children, Iterable, "children", "iterable")
         self._word, self._kids = _planted([dyck_word(c) for c in children]), None
 
     @classmethod
@@ -179,8 +180,10 @@ def _spans(tree: PlaneTree, addr: VertexAddr) -> tuple[str, list[tuple[int, int]
     """The tree's steps and, for the root and each vertex on the way to the
     addressed one, the positions of its steps down and back up (-1 and the
     step count for the root), from one forward walk over the matched
-    steps.  A child index must be an int (not a bool); one that leaves the
-    tree, -1 included, raises InvalidAddress."""
+    steps.  The address must be a tuple or a list, and a child index an int
+    (not a bool); one that leaves the tree, -1 included, raises
+    InvalidAddress."""
+    _checked_type(addr, (tuple, list), "address", "a tuple or a list")
     steps, match, _ = _pairs(dyck_word(tree))
     spans = [(-1, len(steps))]
     for i in addr:
@@ -231,7 +234,7 @@ def _parse(text: str, labelled: bool) -> tuple[PlaneTree, list[int]]:
     grammars.  The text is read as steps, "(" down, ")" up and a leaf both,
     with a depth count, so any nesting parses; inside the root's own two
     steps they are the Dyck word."""
-    end = len(text)
+    end = len(_checked_type(text, str, "text", "a str"))
     labels: list[int] = []
     steps: list[str] = []
     depth = 0  # parentheses open
@@ -317,9 +320,9 @@ def _leaf_count(word: int) -> int:
 def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     """Delete a leaf and its edge.  No smoothing: a parent left childless
     becomes a new leaf."""
+    steps, spans = _spans(tree, addr)
     if not addr:
         raise NotALeaf("the root is not a leaf")
-    steps, spans = _spans(tree, addr)
     down, up = spans[-1]
     if up != down + 1:
         raise NotALeaf(f"vertex {'.'.join(map(str, addr))} has children")
@@ -331,7 +334,7 @@ def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
 
 def wedge(parts: Iterable[PlaneTree]) -> PlaneTree:
     """Glue trees at their roots; children concatenate left to right."""
-    ps = tuple(parts)
+    ps = tuple(_checked_type(parts, Iterable, "parts", "iterable"))
     if not ps:
         raise ValueError("wedge of no trees")
     return PlaneTree._of(int("".join(_steps(dyck_word(p)) for p in ps) or "0", 2))
@@ -345,9 +348,9 @@ def star(rays: int) -> PlaneTree:
 def side_edge_counts(tree: PlaneTree, addr: VertexAddr) -> tuple[int, int]:
     """Edge counts (root side, far side) of the edge above the addressed
     vertex; the two counts plus the edge itself sum to the total."""
+    steps, spans = _spans(tree, addr)
     if not addr:
         raise RootHasNoEdge("the root has no incoming edge")
-    steps, spans = _spans(tree, addr)
     down, up = spans[-1]
     below = (up - down) // 2
     return len(steps) // 2 - 1 - below, below
@@ -361,9 +364,9 @@ def reroot_across_edge(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     tree is unchanged.  So the new root's steps are its own, then one more
     child's: each former parent's other children, from the nearest up.
     """
+    steps, spans = _spans(tree, addr)
     if not addr:
         raise RootHasNoEdge("the root has no incoming edge")
-    steps, spans = _spans(tree, addr)
     down, up = spans[-1]
     out = [steps[down + 1 : up]]
     for (above, back), (down, up) in zip(reversed(spans[:-1]), reversed(spans[1:])):
@@ -403,6 +406,7 @@ def random_plane_tree(edges: int, rng: random.Random) -> PlaneTree:
     at both ends, so the search walks in from both ends at once.  The
     steps are written as the vertices open and close."""
     _checked_int(edges, "edge count", 0)
+    _checked_type(rng, random.Random, "rng", "a random.Random")
     catalan = [1]
     for n in range(edges):
         catalan.append(catalan[-1] * 2 * (2 * n + 1) // (n + 2))
@@ -458,7 +462,7 @@ class DelayedTree:
         leaf_total = _leaf_count(dyck_word(self.tree))
         if isinstance(self.delays, Mapping):
             raise ValueError("delays must be labels in leaf order, not a mapping")
-        delays = tuple(self.delays)
+        delays = tuple(_checked_type(self.delays, Iterable, "delays", "iterable"))
         if len(delays) != leaf_total:
             raise ValueError(f"need one delay per leaf: {leaf_total} leaves, {len(delays)} delays")
         object.__setattr__(self, "delays", _checked_delays(delays))
@@ -476,8 +480,7 @@ class DelayedTree:
 def _delayed_word(delayed: DelayedTree) -> tuple[int, tuple[int, ...]]:
     """The Dyck word and leaf labels of a delayed tree, after refusing with
     TypeError anything but a DelayedTree."""
-    if not isinstance(delayed, DelayedTree):
-        raise TypeError(f"delayed tree must be a DelayedTree, got {type(delayed).__name__}")
+    _checked_type(delayed, DelayedTree, "delayed tree", "a DelayedTree")
     return dyck_word(delayed.tree), delayed.delays
 
 

@@ -215,6 +215,34 @@ def test_a_warm_face_list_equals_a_cold_one():
         assert not word or warm is faces is presimplicial._FACES_MEMO[word]
 
 
+def test_a_face_and_a_boundary_scan_the_word_at_most_twice(monkeypatch):
+    # a tree that is not topological is smoothed once, in one scan, and its
+    # faces are cut from the smoothing in one more, never smoothed one by one
+    tree = random_plane_tree(200, random.Random(1))
+    assert leaf_count(tree) == 106 and normalize_topological(tree) != tree
+    faces = [smoothed(remove_leaf(tree, addr)) for addr in leaves(tree)]
+    scans = []
+    scan = presimplicial._pairs
+    monkeypatch.setattr(presimplicial, "_pairs", lambda word: scans.append(word) or scan(word))
+    for call in (lambda: face(tree, 3) == faces[3], lambda: q_boundary({tree: 1}).keys() == set(faces)):
+        scans.clear()
+        assert call()
+        assert 1 <= len(scans) <= 2
+
+
+def test_a_face_leaves_the_face_memo_alone():
+    # face cuts its own leaf: it neither fills the memo of a small
+    # topological tree nor reads a list already there
+    clear_caches()
+    assert face(star(6), 2) == star(5)
+    assert not presimplicial._FACES_MEMO
+    presimplicial._FACES_MEMO[dyck_word(star(6))] = (0,) * 6
+    try:
+        assert face(star(6), 2) == star(5)
+    finally:
+        clear_caches()
+
+
 def test_maps_refuse_what_is_not_a_tree_or_an_index():
     for call in (
         lambda: face("(..)", 0),

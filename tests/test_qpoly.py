@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import math
@@ -446,6 +447,64 @@ def test_an_integer_argument_is_an_int(call, what, least):
         for value in (-1, least - 1):
             with pytest.raises(ValueError, match=rf"^{what} must be {('nonnegative', 'positive')[least]}$"):
                 call(value)
+
+
+# The sweep below puts each bad value into one argument of each public
+# callable of the package root at a time, the others taken from this table
+# by parameter name.  The values stay small: the library has no size caps,
+# and a huge count runs until memory runs out.
+SWEPT = trees.parse_tree("((..).)")
+VALID_ARGUMENTS = {
+    "tree": SWEPT,
+    "addr": (0, 0),
+    "delays": (1, 1, 1),
+    "index": 1,
+    "n": 4,
+    "k": 2,
+    "chain": {SWEPT: 1},
+    "q_value": 2,
+    "edges": 3,
+    "rng": random.Random(0),
+    "count": 2,
+    "max_total_edges": 4,
+    "target": q_integer(2),
+    "max_edges": 3,
+    "monomial_exponent": 0,
+    "factors": {},
+    "remainder": ONE,
+    "lhs": ONE,
+    "rhs": ONE,
+    "holds": True,
+}
+BAD_VALUES = (None, "x", 1.5, True, -1, (), [], object())
+# messages the interpreter writes when an argument was never checked
+LEAKED = ("not iterable", "has no attribute", "has no len()", "unhashable type", "not supported between")
+
+
+def test_every_public_argument_is_checked():
+    import qtrees
+
+    swept = 0
+    for name in sorted(vars(qtrees)):
+        call = getattr(qtrees, name)
+        if name.startswith("_") or not callable(call) or isinstance(call, type) and issubclass(call, Exception):
+            continue
+        params = inspect.signature(call).parameters
+        required = [p for p, param in params.items() if param.default is inspect.Parameter.empty]
+        for param in params:
+            for bad in BAD_VALUES:
+                if name == "q_binomial" and isinstance(bad, list):
+                    # its lru_cache hashes the arguments before the checks
+                    # run, and stays on the public name for its statistics
+                    continue
+                args = {p: VALID_ARGUMENTS[p] for p in required if p != param}
+                args[param] = bad
+                swept += 1
+                try:
+                    call(**args)
+                except (TypeError, ValueError, IndexError) as error:
+                    assert not any(text in str(error) for text in LEAKED), (name, param, bad, error)
+    assert swept > 400
 
 
 def test_q_binomial_refuses_a_bool_whose_int_is_cached():

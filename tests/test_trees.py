@@ -597,6 +597,26 @@ def test_seeded_draws_are_pinned():
         assert [serialize(permute_children(parse_tree(text), seed)) for seed in range(3)] == by_seed
 
 
+def test_an_address_is_a_tuple_or_a_list():
+    # nothing else is read, so an int or None is never taken for the root,
+    # while () and [] both are
+    tree = parse_tree("((..).)")
+    calls = (node_at, remove_leaf, side_edge_counts, reroot_across_edge, invariant.check_reroot)
+    for call in calls:
+        for addr in (0, 1, 1.5, None, "0", range(1)):
+            with pytest.raises(TypeError, match=rf"^address must be a tuple or a list, got {type(addr).__name__}$"):
+                call(tree, addr)
+    for addr in ((), []):
+        assert node_at(tree, addr) == tree
+        with pytest.raises(NotALeaf, match=r"^the root is not a leaf$"):
+            remove_leaf(tree, addr)
+        for call in calls[2:]:
+            with pytest.raises(RootHasNoEdge, match=r"^the root has no incoming edge$"):
+                call(tree, addr)
+    for call in calls:
+        assert call(tree, [0, 1]) == call(tree, (0, 1))
+
+
 def test_address_errors_name_the_vertex():
     with pytest.raises(InvalidAddress, match=r"^no vertex at address 1\.0$"):
         node_at(CHERRY, (1, 0))
