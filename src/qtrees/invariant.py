@@ -63,28 +63,32 @@ class InadmissibleDelays(ValueError):
 
 # One memo for both games on trees of at most _NARROW_EDGES edges: plain
 # states, all labels 1 included, are keyed by the tree's Dyck word, labelled
-# states with some label above 1 by (word, delays) (_removal_sum).
+# states with some label above 1 by (word, delays), each value a packed int
+# (_removal_sum).
 _QPOLY_MEMO: dict = {}
+# The polynomial each key of _QPOLY_MEMO unpacks to, once a call returned it.
+_RETURNED_MEMO: dict = {}
 # The delayed search's value index per edge count (_value_index).
 _SEARCH_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop the four memos of the package: the one shared by the plain and
-    delayed recursion, the delayed search's value indexes, the Gaussian
-    binomials of qpoly.q_binomial and the face lists of the topological
-    trees with at most 8 leaves (presimplicial._faces).  Results are
-    unaffected, only speed.
+    """Drop the five memos of the package: the one shared by the plain and
+    delayed recursion, the polynomials it has returned, the delayed
+    search's value indexes, the Gaussian binomials of qpoly.q_binomial and
+    the face lists of the topological trees with at most 8 leaves
+    (presimplicial._faces).  Results are unaffected, only speed.
 
     The recursion's memo holds the states of trees with at most 20 edges,
-    each value packed into one int, 8 bytes per coefficient, and beside it
-    the polynomial once a call has returned it, so a hit returns that
-    object; a larger tree's states live only for its call (_removal_sum).
-    The search's indexes hold an 8-byte rank per candidate with a nonzero
-    value, one flag byte per candidate, 1 where its value is zero, and each
-    distinct value once, as one packed int (_value_index): 2.2 MB for 0 to
-    6 edges, about 40 MB with 7 (tracemalloc)."""
+    each value packed into one int, 8 bytes per coefficient; _RETURNED_MEMO
+    keeps the polynomial of each state a call has returned, so a hit
+    returns that object; a larger tree's states live only for its call
+    (_removal_sum).  The search's indexes hold an 8-byte rank per candidate
+    with a nonzero value, one flag byte per candidate, 1 where its value is
+    zero, and each distinct value once, as one packed int (_value_index):
+    2.2 MB for 0 to 6 edges, about 40 MB with 7 (tracemalloc)."""
     _QPOLY_MEMO.clear()
+    _RETURNED_MEMO.clear()
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
     presimplicial._FACES_MEMO.clear()
@@ -106,49 +110,64 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     labels the leaves left to right as in q_poly_delayed, or is () for the
     plain game, every leaf free to move.  Labels that are all 1 play the
     plain game too, so a state is keyed (word, delays) while some label is
-    above 1 and by its word otherwise; () settles that without a scan.
-
-    A leaf is a down-step followed by an up-step, so the leaves are the set
-    bits of word & ~(word << 1), left to right from the high end.  Removing
-    the leaf at bit j deletes bits j and j - 1, and r(v) counts the
-    down-steps after them, in the lower bits.  The leaf was an only child exactly when a
-    down-step comes just before it (bit j + 1) and an up-step just after it
-    (bit j - 2).  A state waits on an explicit stack until every state it
-    reaches is in the memo.
+    above 1 and by its word otherwise; () settles that without a scan.  The
+    moves are trees._leaf_moves, under the delayed rule when labelled
+    (_moves).
 
     A state's value is kept packed into one int (qpoly._pack), the
     coefficient of q**k in bytes [k * size, (k + 1) * size), so a move
     adds the value of T - v shifted by r(v) fields in one big-int
     shift-add.  Fields are sized by qpoly._field_size.  A tree with at most
     _NARROW_EDGES edges shares _QPOLY_MEMO, in the 8-byte fields 20! needs;
-    only a value returned is unpacked, and the memo then keeps the pair
-    (packed, polynomial), so a later hit returns the same object.  A larger
-    tree fills a memo of its own, which it drops on return, in the fields
-    of L(T) (_removal_count): a coefficient of any state reached counts
+    only a value returned is unpacked, and _RETURNED_MEMO keeps the
+    polynomial, so a later hit returns the same object.  A larger tree
+    fills a memo of its own, which it drops on return, in the fields of
+    L(T) (_removal_count): a coefficient of any state reached counts
     removal sequences of that state, each of which extends to one of T.
     """
     if not word:
         return ONE
     key = (word, delays) if delays and max(delays) > 1 else word
-    val = _QPOLY_MEMO.get(key)
-    if val is None:
+    poly = _RETURNED_MEMO.get(key)
+    if poly is None:
         if word.bit_count() > _NARROW_EDGES:
             size = _field_size(_removal_count(word).bit_length())
             memo: dict = {}
             _fill_memo(memo, key, size)
             return _unpack(memo[key], size)
         _fill_memo(_QPOLY_MEMO, key, 8)
-        val = _QPOLY_MEMO[key]
-    if val.__class__ is tuple:
-        return val[1]
-    poly = _unpack(val, 8)
-    _QPOLY_MEMO[key] = (val, poly)
+        poly = _RETURNED_MEMO[key] = _unpack(_QPOLY_MEMO[key], 8)
     return poly
+
+
+def _moves(key) -> list:
+    """(r(v), key of T - v) for each leaf v that may move in the state with
+    the given key (_removal_sum), left to right.  A plain state's are
+    trees._leaf_moves.  In a labelled one only a leaf labelled 1 moves;
+    the other labels tick down, and the leaf's slot goes, unless T - v
+    kept T's leaf count, when the slot is the exposed parent's, labelled 1.
+    """
+    if key.__class__ is not tuple:
+        return trees._leaf_moves(key)
+    word, delays = key
+    ticked = [d - 1 if d > 2 else 1 for d in delays]
+    moves = []
+    for i, (r, rest) in enumerate(trees._leaf_moves(word)):
+        if delays[i] == 1:
+            labels = ticked.copy()
+            if trees._leaf_count(rest) == len(delays):
+                labels[i] = 1  # the parent is exposed as a new leaf
+            else:
+                del labels[i]  # the leaf slot disappears
+            moves.append((r, (rest, tuple(labels)) if max(labels, default=1) > 1 else rest))
+    return moves
 
 
 def _fill_memo(memo: dict, key, size: int) -> None:
     """Store the packed value of the state with the given key (_removal_sum),
-    and of every state it reaches, in memo, in fields of `size` bytes."""
+    and of every state it reaches, in memo, in fields of `size` bytes.  A
+    state waits on an explicit stack, its moves listed (_moves), until
+    every state they reach is in memo; the point is keyed 0."""
     width = 8 * size
     stack = [[key, None]]  # key, moves once listed
     while stack:
@@ -158,40 +177,17 @@ def _fill_memo(memo: dict, key, size: int) -> None:
             if key in memo:  # finished meanwhile, reached from another state
                 stack.pop()
                 continue
-            moves = frame[1] = []  # (shift by r(v) fields, key of T - v), the point keyed 0
-            word, delays = key if key.__class__ is tuple else (key, ())
+            moves = frame[1] = _moves(key)
             depth = len(stack)
-            found = word & ~(word << 1)
-            i = -1
-            while found:
-                j = found.bit_length() - 1
-                found ^= 1 << j
-                i += 1
-                low = word & ((1 << (j - 1)) - 1)
-                rest = ((word >> (j + 1)) << (j - 1)) | low
-                if not delays:
-                    sub = rest
-                elif delays[i] != 1:
-                    continue
-                else:
-                    ticked = [d - 1 if d > 2 else 1 for d in delays]
-                    if (word >> (j + 1)) & 1 and not (word >> (j - 2)) & 1:
-                        ticked[i] = 1  # the parent is exposed as a new leaf
-                    else:
-                        del ticked[i]  # the leaf slot disappears
-                    sub = (rest, tuple(ticked)) if max(ticked, default=1) > 1 else rest
-                moves.append((low.bit_count() * width, sub))
+            for _, sub in moves:
                 if sub and sub not in memo:
                     stack.append([sub, None])
             if len(stack) > depth:
                 continue
         stack.pop()
         acc = 0
-        for shift, sub in moves:
-            val = memo[sub] if sub else 1
-            if val.__class__ is tuple:
-                val = val[0]
-            acc += val << shift
+        for r, sub in moves:
+            acc += (memo[sub] if sub else 1) << (r * width)
         memo[key] = acc
 
 
@@ -311,11 +307,15 @@ class BlockSpec:
     blocks: tuple[tuple[PlaneTree, int], ...]
 
     def __post_init__(self):
-        blocks = tuple((tree, delay) for tree, delay in _checked_type(self.blocks, Iterable, "blocks", "iterable"))
-        for tree, delay in blocks:
+        blocks = []
+        for block in _checked_type(self.blocks, Iterable, "blocks", "iterable"):
+            if len(_checked_type(block, (tuple, list), "block", "a (tree, delay) pair")) != 2:
+                raise ValueError(f"block must be a (tree, delay) pair, got length {len(block)}")
+            tree, delay = block
             dyck_word(tree)
             _checked_delays((delay,))
-        object.__setattr__(self, "blocks", blocks)
+            blocks.append((tree, delay))
+        object.__setattr__(self, "blocks", tuple(blocks))
 
 
 def _blocks(spec: BlockSpec) -> tuple[tuple[PlaneTree, int], ...]:
@@ -452,12 +452,13 @@ def _value_index(edges: int) -> _ValueIndex:
     zeros = bytearray()
     starts: list[int] = []
     cells: list[tuple] = []
+    moves: dict = {}  # shared by the trees' walks (_delayed_values)
     for tree in enumerate_plane_trees(edges):
         word = dyck_word(tree)
         count = trees._leaf_count(word)
         starts.append(len(zeros))
         cells.append((tree, *tables[count]))
-        for line in _delayed_values(word, runs, width):
+        for line in _delayed_values(word, runs, width, moves):
             nonzero = -(-line.bit_length() // span)
             first = len(zeros)
             zeros += tails[nonzero]
@@ -492,7 +493,7 @@ def _witnesses(index: _ValueIndex, target: QPoly) -> list[DelayedTree]:
     return out
 
 
-def _delayed_values(word: int, runs: list[int], width: int) -> list[int]:
+def _delayed_values(word: int, runs: list[int], width: int, moves: dict) -> list[int]:
     """The delayed values of the tree with the given Dyck word under every
     delay vector in (1..side)**leaves, side = len(runs) and leaves the
     tree's leaf count, read off the word, in itertools.product order, each
@@ -514,9 +515,16 @@ def _delayed_values(word: int, runs: list[int], width: int) -> list[int]:
     then leave the value for delays d in cell d: each of leaves - 1 passes
     sums along the outermost axis of the lines and rotates it to the
     innermost place, so one slice form serves every axis and the last pass
-    restores their order.  The sequences are walked as in _removal_sum, on
-    an explicit stack, with the ids of the original leaves left to right,
-    -1 for an exposed parent.
+    restores their order.  The sequences are walked on an explicit stack,
+    with the ids of the original leaves left to right, -1 for an exposed
+    parent.
+
+    The walk shares only trees._leaf_moves with the recursion: each word's
+    moves are listed once in `moves`, the dict of its edge count
+    (_value_index), with a flag for an exposed parent, where T - v keeps
+    T's leaf count.  Their r(v) and T - v are checked by the plain
+    recursion against the state product, which has no move code; each
+    evaluator reads exposure on its own, and verify block checks it.
     """
     edges = word.bit_count()
     leaves = trees._leaf_count(word)
@@ -530,21 +538,15 @@ def _delayed_values(word: int, runs: list[int], width: int) -> list[int]:
             lines[cell // side] += runs[cell % side] << (weight * width)
             continue
         move = edges - word.bit_count()  # moves made so far: the cell coordinate of this one
-        found = word & ~(word << 1)
-        i = -1
-        while found:
-            j = found.bit_length() - 1
-            found ^= 1 << j
-            i += 1
-            low = word & ((1 << (j - 1)) - 1)
-            rest = ((word >> (j + 1)) << (j - 1)) | low
+        listed = moves.get(word)
+        if listed is None:
+            count = trees._leaf_count(word)
+            listed = moves[word] = [(r, rest, trees._leaf_count(rest) == count) for r, rest in trees._leaf_moves(word)]
+        for i, (r, rest, exposed) in enumerate(listed):
             leaf = ids[i]
-            if (word >> (j + 1)) & 1 and not (word >> (j - 2)) & 1:
-                next_ids = ids[:i] + (-1,) + ids[i + 1 :]  # the parent is exposed as a new leaf
-            else:
-                next_ids = ids[:i] + ids[i + 1 :]
+            next_ids = ids[:i] + (-1,) + ids[i + 1 :] if exposed else ids[:i] + ids[i + 1 :]
             moved = cell + move * place[leaf] if leaf >= 0 else cell
-            stack.append((rest, next_ids, moved, weight + low.bit_count()))
+            stack.append((rest, next_ids, moved, weight + r))
     # suffix sums: each of the `side` blocks of the outermost axis, from the
     # second-last down, takes in the next; then that axis is rotated innermost
     block = len(lines) // side

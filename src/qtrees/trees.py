@@ -317,6 +317,23 @@ def _leaf_count(word: int) -> int:
     return (word & ~(word << 1)).bit_count()
 
 
+def _leaf_moves(word: int) -> list[tuple[int, int]]:
+    """(r(v), word of T - v) for each leaf v of the tree T with the given
+    Dyck word, left to right, r(v) the edges strictly right of the
+    root-to-v path.  Removing the leaf at bit j (_leaf_count) deletes bits
+    j and j - 1, and r(v) counts the down-steps after them, in the lower
+    bits.  T - v keeps T's leaf count exactly when v was an only child
+    below a non-root vertex, so that its parent becomes a new leaf."""
+    moves = []
+    found = word & ~(word << 1)
+    while found:
+        j = found.bit_length() - 1
+        found ^= 1 << j
+        low = word & ((1 << (j - 1)) - 1)
+        moves.append((low.bit_count(), ((word >> (j + 1)) << (j - 1)) | low))
+    return moves
+
+
 def remove_leaf(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
     """Delete a leaf and its edge.  No smoothing: a parent left childless
     becomes a new leaf."""

@@ -288,6 +288,22 @@ def test_a_memo_hit_unpacks_nothing():
     assert invariant._QPOLY_MEMO == before
 
 
+def test_the_recursion_memo_holds_packed_values_only():
+    # the recursion's memo keeps one packed int per state, returned or not;
+    # the polynomials calls returned sit in a memo of their own
+    clear_caches()
+    tree = parse_tree("((..)(.(..))..)")
+    returned = [q_poly(tree), q_poly(wedge([tree, CHERRY])), q_poly_delayed(parse_delayed("((1 2)(1 (3 1)) 1 2)"))]
+    for edges in range(5):
+        for tree in enumerate_plane_trees(edges):
+            for combo in itertools.product(range(1, 3), repeat=len(leaves(tree))):
+                returned.append(q_poly_delayed(DelayedTree(tree, combo)))
+    assert any(type(key) is tuple for key in invariant._QPOLY_MEMO)
+    assert all(type(value) is int for value in invariant._QPOLY_MEMO.values())
+    assert set(invariant._RETURNED_MEMO) <= set(invariant._QPOLY_MEMO)
+    assert all(any(value is poly for poly in returned) for value in invariant._RETURNED_MEMO.values())
+
+
 # -- the state product ----------------------------------------------------------
 
 
@@ -579,6 +595,18 @@ def test_block_spec_refuses_bad_trees_and_delays():
     assert BlockSpec([[edge, 2], (edge, 1)]).blocks == ((edge, 2), (edge, 1))
 
 
+def test_block_spec_refuses_a_block_that_is_not_a_pair():
+    edge = parse_tree("(.)")
+    for block, name in ((1, "int"), ("ab", "str"), (None, "NoneType"), (edge, "PlaneTree")):
+        with pytest.raises(TypeError, match=rf"^block must be a \(tree, delay\) pair, got {name}$"):
+            BlockSpec([block, (edge, 1)])
+    for block in ((edge, 1, 3), (edge,), (), []):
+        with pytest.raises(ValueError, match=rf"^block must be a \(tree, delay\) pair, got length {len(block)}$"):
+            BlockSpec([block, (edge, 1)])
+    with pytest.raises(TypeError, match=r"^block must be a \(tree, delay\) pair, got int$"):
+        BlockSpec((1,))
+
+
 def test_assemble_blocks():
     spec = BlockSpec(((CHERRY, 2), (parse_tree("(.)"), 1)))
     delayed = assemble_blocks(spec)
@@ -819,6 +847,7 @@ def test_clear_caches_empties_every_memo():
     filled = memo_sizes()
     assert {
         "qtrees.invariant._QPOLY_MEMO",
+        "qtrees.invariant._RETURNED_MEMO",
         "qtrees.invariant._SEARCH_MEMO",
         "qtrees.qpoly.q_binomial",
         "qtrees.presimplicial._FACES_MEMO",

@@ -5,7 +5,7 @@ from types import MappingProxyType
 
 import pytest
 
-from qtrees import invariant
+from qtrees import invariant, trees
 from qtrees.presimplicial import (
     degeneracy,
     face,
@@ -357,6 +357,22 @@ def test_remove_leaf_drops_one_edge():
         for tree in enumerate_plane_trees(edges):
             for leaf in leaves(tree):
                 assert edge_count(remove_leaf(tree, leaf)) == edges - 1
+
+
+def test_leaf_moves_match_the_oracles():
+    # the one list of leaf moves that the recursion and the delayed search
+    # read: (r(v), word of T - v) per leaf, left to right, and T - v keeps
+    # T's leaf count exactly when v was an only child below a non-root vertex
+    for edges in range(9):
+        for tree in enumerate_plane_trees(edges):
+            word = dyck_word(tree)
+            moves = trees._leaf_moves(word)
+            assert len(moves) == len(leaves(tree))
+            for i, addr in enumerate(leaves(tree)):
+                r, rest = moves[i]
+                assert (r, rest) == (right_weight(tree, addr), dyck_word(remove_leaf(tree, addr))), (tree, addr)
+                exposed = len(addr) > 1 and len(node_at(tree, addr[:-1]).children) == 1
+                assert (trees._leaf_count(rest) == trees._leaf_count(word)) == exposed, (tree, addr)
 
 
 def test_right_weight_examples():
