@@ -30,7 +30,7 @@ _MIN_SIZES = {"presimplicial": (1, "at least 1 leaf"), "block": (2, "at least 2 
 _HARD_CAPS = {
     "wedge": 10,
     "state": 10,
-    "reroot": 9,
+    "reroot": 10,
     "block": 12,
     "presimplicial": 8,
     "enumerate-plane": 10,

@@ -34,8 +34,6 @@ from .trees import (
     edge_count,
     enumerate_plane_trees,
     random_plane_tree,
-    reroot_across_edge,
-    side_edge_counts,
     wedge,
 )
 
@@ -258,6 +256,9 @@ def _hook_lengths(word: int) -> list[int]:
 
 
 class RerootCheck(NamedTuple):
+    """The two cross-multiplied sides of the change-of-root identity
+    (check_reroot) and whether they are equal."""
+
     lhs: QPoly
     rhs: QPoly
     holds: bool
@@ -269,13 +270,15 @@ def check_reroot(tree: PlaneTree, addr: tuple) -> RerootCheck:
     With near/far edge counts (e1, e2) on the two sides of the edge, the
     q-polynomial rooted at the near endpoint times [e2 + 1] must equal the
     q-polynomial rooted at the far endpoint times [e1 + 1].  Stated
-    multiplicatively, so everything stays in Z[q].
+    multiplicatively, so everything stays in Z[q].  The two sides compare
+    the recursion's values of two Dyck words, both read by trees._rerooted
+    off one walk of the address (trees._edge): the tree rooted at the
+    address's parent (the tree itself for an edge at the root) and the
+    tree rooted at the address.  Neither is built as a PlaneTree.
     """
-    near_edges, far_edges = side_edge_counts(tree, addr)
-    rooted_near = tree if len(addr) == 1 else reroot_across_edge(tree, addr[:-1])
-    rooted_far = reroot_across_edge(tree, addr)
-    lhs = q_poly(rooted_near) * q_integer(far_edges + 1)
-    rhs = q_poly(rooted_far) * q_integer(near_edges + 1)
+    steps, spans, near_edges, far_edges = trees._edge(tree, addr)
+    lhs = _removal_sum(trees._rerooted(steps, spans[:-1]), ()) * q_integer(far_edges + 1)
+    rhs = _removal_sum(trees._rerooted(steps, spans), ()) * q_integer(near_edges + 1)
     return RerootCheck(lhs, rhs, lhs == rhs)
 
 

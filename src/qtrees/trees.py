@@ -362,15 +362,35 @@ def star(rays: int) -> PlaneTree:
     return PlaneTree._of(int("10" * _checked_int(rays, "ray count", 0) or "0", 2))
 
 
-def side_edge_counts(tree: PlaneTree, addr: VertexAddr) -> tuple[int, int]:
-    """Edge counts (root side, far side) of the edge above the addressed
-    vertex; the two counts plus the edge itself sum to the total."""
+def _edge(tree: PlaneTree, addr: VertexAddr) -> tuple[str, list[tuple[int, int]], int, int]:
+    """The tree's steps, the span chain of _spans and the edge counts
+    (root side, far side) of the edge above the addressed vertex, from one
+    walk.  The root has no such edge and raises RootHasNoEdge."""
     steps, spans = _spans(tree, addr)
     if not addr:
         raise RootHasNoEdge("the root has no incoming edge")
     down, up = spans[-1]
     below = (up - down) // 2
-    return len(steps) // 2 - 1 - below, below
+    return steps, spans, len(steps) // 2 - 1 - below, below
+
+
+def _rerooted(steps: str, spans: list[tuple[int, int]]) -> int:
+    """The Dyck word of the tree with the given steps re-rooted at the last
+    vertex of a span chain from _spans; a chain of the root alone gives the
+    word itself.  The new root's steps are its own, then one more child's:
+    each former parent's other children, from the nearest up."""
+    down, up = spans[-1]
+    out = [steps[down + 1 : up]]
+    for (above, back), (down, up) in zip(reversed(spans[:-1]), reversed(spans[1:])):
+        out += ("1", steps[above + 1 : down], steps[up + 1 : back])
+    out.append("0" * (len(spans) - 1))
+    return int("".join(out), 2)
+
+
+def side_edge_counts(tree: PlaneTree, addr: VertexAddr) -> tuple[int, int]:
+    """Edge counts (root side, far side) of the edge above the addressed
+    vertex; the two counts plus the edge itself sum to the total."""
+    return _edge(tree, addr)[2:]
 
 
 def reroot_across_edge(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
@@ -378,18 +398,10 @@ def reroot_across_edge(tree: PlaneTree, addr: VertexAddr) -> PlaneTree:
 
     The former parent chain is reversed: each former parent is attached as
     the last child of its former child.  The abstract (unordered) rooted
-    tree is unchanged.  So the new root's steps are its own, then one more
-    child's: each former parent's other children, from the nearest up.
+    tree is unchanged.
     """
-    steps, spans = _spans(tree, addr)
-    if not addr:
-        raise RootHasNoEdge("the root has no incoming edge")
-    down, up = spans[-1]
-    out = [steps[down + 1 : up]]
-    for (above, back), (down, up) in zip(reversed(spans[:-1]), reversed(spans[1:])):
-        out += ("1", steps[above + 1 : down], steps[up + 1 : back])
-    out.append("0" * len(addr))
-    return PlaneTree._of(int("".join(out), 2))
+    steps, spans, _, _ = _edge(tree, addr)
+    return PlaneTree._of(_rerooted(steps, spans))
 
 
 # -- enumeration and randomization --------------------------------------------

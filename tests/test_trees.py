@@ -15,7 +15,7 @@ from qtrees.presimplicial import (
     q_boundary_at,
     reduce_to_point,
 )
-from qtrees.qpoly import ONE, QPoly
+from qtrees.qpoly import ONE, QPoly, q_integer
 from qtrees.trees import (
     POINT,
     DelayedTree,
@@ -272,6 +272,8 @@ def test_walks_take_any_depth():
     assert edge_count(path) == depth
     assert leaves(path) == (bottom,)
     assert right_weight(path, bottom) == 0
+    assert reroot_across_edge(path, bottom) == path
+    assert side_edge_counts(path, bottom) == (depth - 1, 0)
     assert normalize_topological(path) == POINT
     assert not is_topological(path)
     assert serialize(permute_children(path, 1)) == serialize(path)
@@ -284,6 +286,11 @@ def test_walks_take_any_depth():
     assert dyck_word(planted) == ((1 << depth) - 1) << (depth + 4) | 0b1010 << depth
     assert reduce_to_point(path) == ONE
     assert reduce_to_point(planted) == QPoly((1, 1))
+    # both rooted words of the check come off one deep address walk; Q of a
+    # path is 1 and Q of a path rooted one step above its leaf is [levels]
+    levels = 2_000
+    short = parse_tree("(" * levels + "." + ")" * levels)
+    assert invariant.check_reroot(short, (0,) * levels) == (q_integer(levels), q_integer(levels), True)
 
     tree = random_plane_tree(5000, random.Random(SEED))
     assert edge_count(tree) == 5000
@@ -485,6 +492,50 @@ def test_reroot_preserves_abstract_tree():
                 if len(addr) == 1:
                     # moving across a root edge and back restores the shape
                     assert unordered_form(reroot_across_edge(moved, (len(moved.children) - 1,))) == unordered_form(tree)
+
+
+# The plane order of every re-rooted tree, with the side counts and the
+# change-of-root check, over every edge of every tree with <= 7 edges: one
+# line "<re-rooted text> <counts> <check>" per edge in pre-order.
+REROOT_SHA256 = "35c6701994dac445293156e7b78c857e744d9b69b067688a009f6d73c552cf23"
+
+
+def test_reroot_is_pinned():
+    lines = [
+        f"{serialize(reroot_across_edge(tree, addr))} {side_edge_counts(tree, addr)} "
+        f"{invariant.check_reroot(tree, addr)!r}"
+        for edges in range(8)
+        for tree in enumerate_plane_trees(edges)
+        for addr in all_vertices(tree)
+        if addr
+    ]
+    assert len(lines) == 4081
+    assert lines[1] == "((.)) (1, 0) RerootCheck(lhs=QPoly('1 + q'), rhs=QPoly('1 + q'), holds=True)"
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REROOT_SHA256
+
+
+def test_an_edge_walks_its_address_once(monkeypatch):
+    # the side counts, the re-rooted tree and both rooted words of the
+    # check all come from one scan of the word, the recursion stubbed out
+    tree = random_plane_tree(200, random.Random(1))
+    addr = max(leaves(tree), key=len)
+    assert len(addr) >= 3
+    near, far = side_edge_counts(tree, addr)
+    moved = [reroot_across_edge(tree, addr[:-1]), reroot_across_edge(tree, addr)]
+    summed = []
+    monkeypatch.setattr(invariant, "_removal_sum", lambda word, delays: summed.append(word) or ONE)
+    scans = []
+    scan = trees._pairs
+    monkeypatch.setattr(trees, "_pairs", lambda word: scans.append(word) or scan(word))
+    for call, expected in (
+        (side_edge_counts, (near, far)),
+        (reroot_across_edge, moved[1]),
+        (invariant.check_reroot, (q_integer(far + 1), q_integer(near + 1), False)),
+    ):
+        scans.clear()
+        assert call(tree, addr) == expected
+        assert len(scans) == 1
+    assert summed == [dyck_word(t) for t in moved]
 
 
 # -- enumeration -----------------------------------------------------------------
