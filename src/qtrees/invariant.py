@@ -24,7 +24,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import presimplicial, qpoly, trees
-from .qpoly import ONE, QPoly, _checked_int, _checked_type, _field_size, _unpack, q_integer, q_multinomial
+from .qpoly import ONE, QPoly, _checked_int, _checked_type, _field_size, _fill_memo, _unpack, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
@@ -71,11 +71,13 @@ _SEARCH_MEMO: dict = {}
 
 
 def clear_caches() -> None:
-    """Drop the five memos of the package: the one shared by the plain and
+    """Drop the six memos of the package: the one shared by the plain and
     delayed recursion, the polynomials it has returned, the delayed
-    search's value indexes, the Gaussian binomials of qpoly.q_binomial and
-    the face lists of the topological trees with at most 8 leaves
-    (presimplicial._faces).  Results are unaffected, only speed.
+    search's value indexes, the Gaussian binomials of qpoly.q_binomial, the
+    face lists of the topological trees with at most 8 leaves
+    (presimplicial._faces) and the reductions to the point of those trees,
+    one table per field size (presimplicial.reduce_to_point).  Results are
+    unaffected, only speed.
 
     The recursion's memo holds the states of trees with at most 20 edges,
     each value packed into one int, 8 bytes per coefficient; _RETURNED_MEMO
@@ -90,6 +92,7 @@ def clear_caches() -> None:
     _SEARCH_MEMO.clear()
     qpoly.q_binomial.cache_clear()
     presimplicial._FACES_MEMO.clear()
+    presimplicial._REDUCED_MEMO.clear()
 
 
 def q_poly(tree: PlaneTree) -> QPoly:
@@ -110,7 +113,7 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     plain game too, so a state is keyed (word, delays) while some label is
     above 1 and by its word otherwise; () settles that without a scan.  The
     moves are trees._leaf_moves, under the delayed rule when labelled
-    (_moves).
+    (_moves), and the one memo engine, qpoly._fill_memo, sums them.
 
     A state's value is kept packed into one int (qpoly._pack), the
     coefficient of q**k in bytes [k * size, (k + 1) * size), so a move
@@ -131,9 +134,9 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
         if word.bit_count() > _NARROW_EDGES:
             size = _field_size(_removal_count(word).bit_length())
             memo: dict = {}
-            _fill_memo(memo, key, size)
+            _fill_memo(memo, key, size, _moves)
             return _unpack(memo[key], size)
-        _fill_memo(_QPOLY_MEMO, key, 8)
+        _fill_memo(_QPOLY_MEMO, key, 8, _moves)
         poly = _RETURNED_MEMO[key] = _unpack(_QPOLY_MEMO[key], 8)
     return poly
 
@@ -159,34 +162,6 @@ def _moves(key) -> list:
                 del labels[i]  # the leaf slot disappears
             moves.append((r, (rest, tuple(labels)) if max(labels, default=1) > 1 else rest))
     return moves
-
-
-def _fill_memo(memo: dict, key, size: int) -> None:
-    """Store the packed value of the state with the given key (_removal_sum),
-    and of every state it reaches, in memo, in fields of `size` bytes.  A
-    state waits on an explicit stack, its moves listed (_moves), until
-    every state they reach is in memo; the point is keyed 0."""
-    width = 8 * size
-    stack = [[key, None]]  # key, moves once listed
-    while stack:
-        frame = stack[-1]
-        key, moves = frame
-        if moves is None:
-            if key in memo:  # finished meanwhile, reached from another state
-                stack.pop()
-                continue
-            moves = frame[1] = _moves(key)
-            depth = len(stack)
-            for _, sub in moves:
-                if sub and sub not in memo:
-                    stack.append([sub, None])
-            if len(stack) > depth:
-                continue
-        stack.pop()
-        acc = 0
-        for r, sub in moves:
-            acc += (memo[sub] if sub else 1) << (r * width)
-        memo[key] = acc
 
 
 # 20! < 2**64: a tree with at most this many edges has fewer removal

@@ -7,8 +7,11 @@ d_0..d_n (remove the i-th leaf, then smooth) and degeneracies s_0..s_n
 (replace the i-th leaf by a two-leaf cherry).  Smoothing keeps every leaf,
 so a face of any tree is that face of its smoothing, and one routine smooths
 a tree and cuts its faces.  The point counts its root as its single leaf, so
-the cherry can be planted on it.  The exhaustive checks of the
-face/degeneracy relations live in ``qtrees.verify``.
+the cherry can be planted on it.  The reduction to the point sums faces on
+the memo engine of the leaf-removal recursion (qpoly._fill_memo), and the
+face lists and reductions of the topological trees with at most 8 leaves
+are kept across calls.  The exhaustive checks of the face/degeneracy
+relations live in ``qtrees.verify``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 import re
 from collections.abc import Iterable, Mapping
 
-from .qpoly import QPoly, _checked_int, _checked_type, _field_size, _unpack
+from .qpoly import QPoly, _checked_int, _checked_type, _field_size, _fill_memo, _unpack
 from .trees import PlaneTree, _leaf_count, _pairs, _planted, dyck_word
 
 __all__ = [
@@ -133,6 +136,10 @@ def face(tree: PlaneTree, index: int) -> PlaneTree:
 # leaves, keyed by its Dyck word (_faces).
 _FACES_MEMO: dict[int, tuple[int, ...]] = {}
 _FACE_MEMO_LEAVES = 8
+# Per field size in bytes, the packed reductions of the topological trees
+# with at most _FACE_MEMO_LEAVES leaves that reduce_to_point has filled,
+# keyed by Dyck word.
+_REDUCED_MEMO: dict[int, dict[int, int]] = {}
 
 
 def _faces(word: int) -> tuple[int, ...]:
@@ -147,6 +154,8 @@ def _faces(word: int) -> tuple[int, ...]:
     not topological is not kept, since with few leaves it can still be
     arbitrarily deep, and neither is a tree above the cap, so that reducing
     a large tree, say the 200-leaf star, leaves nothing behind it.
+    reduce_to_point reads whether a tree's list was kept to tell whether
+    it is topological.
     """
     faces = _FACES_MEMO.get(word)
     if faces is not None:
@@ -271,21 +280,31 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
     tree with n leaves is the q-factorial of n.  The tree is not normalized
     first: the faces of another tree with n leaves may keep all n.
 
-    The rounds run on Dyck words, each coefficient kept as its value at
-    q = 256**size, which is the polynomial packed into one int, size bytes
-    per coefficient (qpoly._pack); it is nonzero, as every coefficient is a
-    sum of powers of q.  A coefficient counts face paths, at most n * n! of
-    them, and size is the field qpoly._field_size gives for that bound.
-    The term q**i c of a face is c shifted left by 8 * size * i bits.  The
-    point's value is unpacked once, at the end.
+    The rewriting is the recursion R(T) = sum over i of q**i R(d_i T),
+    R(point) = 1, run by the one memo engine, qpoly._fill_memo, on Dyck
+    words, its moves each face's index and word (_faces).  Each value is
+    kept packed into one int, size bytes per coefficient (qpoly._pack),
+    so a face's term folds in as one shift.  A coefficient counts face
+    paths, at most n * n! of them, and size is the field qpoly._field_size
+    gives for that bound; the tree's value is unpacked once, at the end.
+
+    A tree with at most _FACE_MEMO_LEAVES (8) leaves shares the table of
+    its field size in _REDUCED_MEMO, so later calls read what earlier ones
+    filled.  Every face is topological, so a table holds topological trees
+    with at most 8 leaves only, at most 5,439 of them: the tree itself is
+    dropped after its call unless it is topological, which _faces tells
+    by keeping its face list, since with few leaves it can still be
+    arbitrarily deep.  A larger tree fills a memo of its own, which it
+    drops on return; until then it holds the value of every tree reached,
+    all 200 levels of the 200-leaf star at once.
     """
     word = dyck_word(tree)
     n = _leaf_count(word) or 1
     size = _field_size((n * math.factorial(n)).bit_length())
-    width = 8 * size
-    chain = {word: 1}
-    point = 0
-    while chain:
-        point += chain.get(0, 0)
-        chain = _face_sum(chain.items(), lambda total, weight, i: (total or 0) + (weight << width * i))
-    return _unpack(point, size)
+    shared = n <= _FACE_MEMO_LEAVES
+    memo = _REDUCED_MEMO.setdefault(size, {}) if shared else {}
+    packed = memo.get(word) if word else 1
+    if packed is None:
+        _fill_memo(memo, word, size, lambda key: list(enumerate(_faces(key))))
+        packed = memo.pop(word) if shared and word not in _FACES_MEMO else memo[word]
+    return _unpack(packed, size)

@@ -257,7 +257,8 @@ def _kronecker_mul(a: tuple[int, ...], b: tuple[int, ...], size: int) -> QPoly:
 # coefficient k in bytes [k * size, (k + 1) * size): its value at q = 256**size.
 # Sums and products of packed values stay exact while no coefficient outgrows
 # its field.  Every packed value that is unpacked has the fields _field_size
-# picks for its coefficient bound.
+# picks for its coefficient bound.  _fill_memo sums packed values over the
+# states of a recursion.
 
 # The array typecode of each machine field size in bytes, read off the platform.
 _FIELD_CODES = {array(code).itemsize: code for code in "BHIQ"}
@@ -296,6 +297,42 @@ def _unpack(packed: int, size: int) -> QPoly:
     if sys.byteorder == "big":
         fields.byteswap()
     return QPoly._trusted(fields.tolist())
+
+
+def _fill_memo(memo: dict, key, size: int, moves) -> None:
+    """Store the packed value of the state with the given key, and of every
+    state it reaches, in memo, in fields of `size` bytes.  A state's value
+    is the sum, over the (shift, sub-key) pairs of the list moves(key), of
+    the sub-key's value shifted left by `shift` fields; the end state is
+    keyed 0 and its value is 1.  A state waits on an explicit stack, its
+    moves listed, until every state they reach is in memo, so each state's
+    moves are listed once per fill and a state already in memo not at all.
+    Every coefficient of every value must fit its field.
+
+    This is the one memo engine: the leaf-removal recursion passes its leaf
+    moves (invariant._removal_sum), and the reduction to the point its
+    faces, each shifted by its index (presimplicial.reduce_to_point)."""
+    width = 8 * size
+    stack = [[key, None]]  # key, moves once listed
+    while stack:
+        frame = stack[-1]
+        key, listed = frame
+        if listed is None:
+            if key in memo:  # finished meanwhile, reached from another state
+                stack.pop()
+                continue
+            listed = frame[1] = moves(key)
+            depth = len(stack)
+            for _, sub in listed:
+                if sub and sub not in memo:
+                    stack.append([sub, None])
+            if len(stack) > depth:
+                continue
+        stack.pop()
+        acc = 0
+        for shift, sub in listed:
+            acc += (memo[sub] if sub else 1) << (shift * width)
+        memo[key] = acc
 
 
 def _coerce(value) -> QPoly | None:

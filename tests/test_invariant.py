@@ -851,6 +851,7 @@ def test_clear_caches_empties_every_memo():
         "qtrees.invariant._SEARCH_MEMO",
         "qtrees.qpoly.q_binomial",
         "qtrees.presimplicial._FACES_MEMO",
+        "qtrees.presimplicial._REDUCED_MEMO",
     } <= set(filled)
     assert all(filled.values()), filled
     clear_caches()

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -463,3 +465,51 @@ def test_reduce_fields_follow_the_one_rule(monkeypatch):
 def test_reduce_is_shape_independent():
     for total, tree in basis(5):
         assert reduce_to_point(tree) == q_factorial(total)
+
+
+def test_reduce_is_the_face_sum_on_every_plane_tree():
+    # oracle with no packing: R(T) = sum over i of q**i R(d_i T) by the
+    # public face and QPoly.shift, on every plane tree with at most 7 edges,
+    # those that are not topological included; a face has fewer edges, so
+    # with R(point) = 1 this fixes R on all of them
+    assert reduce_to_point(POINT) == ONE
+    for edges in range(1, 8):
+        for tree in enumerate_plane_trees(edges):
+            terms = [reduce_to_point(face(tree, i)).shift(i) for i in range(leaf_count(tree))]
+            assert reduce_to_point(tree) == sum(terms, QPoly(()))
+
+
+def test_reductions_are_pinned():
+    # every plane tree with at most 9 edges and the stars with 9 to 22
+    # leaves, which run every field size from 1 to 10 bytes; the digest was
+    # taken from a round-by-round reduction, one level of faces at a time
+    digest = hashlib.sha256()
+    pinned = [tree for edges in range(10) for tree in enumerate_plane_trees(edges)]
+    for tree in pinned + [star(n) for n in range(9, 23)]:
+        digest.update(repr(reduce_to_point(tree).coeffs).encode() + b"\n")
+    assert digest.hexdigest() == "2766e36192b877e263d08e3c0d5fb172b0bd89316d038acf6474b22dd5f99f46"
+
+
+def test_reductions_are_shared_across_calls(monkeypatch):
+    # verify.reduction(7) lists each nonpoint topological word's faces once
+    # per table holding its reduction: once for the 2-byte table of 5 to 7
+    # leaves, which holds every such word, and once more for the 1-byte
+    # table for each of the 15 with at most 4 leaves
+    clear_caches()
+    listed = Counter()
+    faces = presimplicial._faces
+    monkeypatch.setattr(presimplicial, "_faces", lambda word: listed.update((word,)) or faces(word))
+    assert verify.reduction(7) == (1161, 0)
+    tables = presimplicial._REDUCED_MEMO
+    assert {size: len(table) for size, table in tables.items()} == {1: 15, 2: 1160}
+    assert listed == Counter(word for table in tables.values() for word in table)
+    assert sum(listed.values()) == 1175
+    # a tree that is not topological, however deep, leaves no entry, and a
+    # tree with more than 8 leaves fills a memo of its own
+    kept = {size: dict(table) for size, table in tables.items()}
+    assert reduce_to_point(parse_tree("((.).)")) == QPoly((1, 2))
+    assert reduce_to_point(parse_tree("(" * 2000 + "(..)" + ")" * 2000)) == QPoly((1, 1))
+    assert reduce_to_point(star(12)) == q_factorial(12)
+    assert tables == kept
+    clear_caches()
+    assert not tables

@@ -162,3 +162,30 @@ def test_walks_read_the_word():
     # package.  The property itself reads the word.
     assert isinstance(vars(qtrees.trees.PlaneTree)["children"], property)
     assert _modules_where(lambda node: isinstance(node, ast.Attribute) and node.attr == "children") == []
+
+
+def functions_named(name: str) -> list[str]:
+    """Every function in the package, closures and methods included, with
+    the given name."""
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+                found.append(f"{path.stem}.{node.name}")
+    return found
+
+
+def names_called(module: str, function: str) -> set[str]:
+    """The names of everything the given top-level function calls."""
+    tree = ast.parse((SOURCE / f"{module}.py").read_text())
+    (top,) = [node for node in tree.body if getattr(node, "name", None) == function]
+    return {_attr_name(node.func) for node in ast.walk(top) if isinstance(node, ast.Call)}
+
+
+def test_the_memo_fill_is_written_once():
+    # One memo engine sums a state's moves, packed: the leaf-removal
+    # recursion passes its leaf moves and the reduction to the point its
+    # faces.  The reduction runs no rounds of face sums of its own.
+    assert functions_named("_fill_memo") == ["qpoly._fill_memo"]
+    assert "_fill_memo" in names_called("presimplicial", "reduce_to_point")
+    assert "_face_sum" not in names_called("presimplicial", "reduce_to_point")
