@@ -5,13 +5,14 @@ Topological means no vertex has exactly one child; subdivision points are
 smoothed away.  A tree with n + 1 leaves sits in level n and carries faces
 d_0..d_n (remove the i-th leaf, then smooth) and degeneracies s_0..s_n
 (replace the i-th leaf by a two-leaf cherry).  Smoothing keeps every leaf,
-so a face of any tree is that face of its smoothing, and one routine smooths
-a tree and cuts its faces.  The point counts its root as its single leaf, so
-the cherry can be planted on it.  The reduction to the point sums faces on
-the memo engine of the leaf-removal recursion (qpoly._fill_memo), and the
-face lists and reductions of the topological trees with at most 8 leaves
-are kept across calls.  The exhaustive checks of the face/degeneracy
-relations live in ``qtrees.verify``.
+so a face of any tree is that face of its smoothing: one routine smooths a
+tree, and one cuts its faces from the smoothing as runs of bits.  The point
+counts its root as its single leaf, so the cherry can be planted on it.
+The reduction to the point sums faces on the memo engine of the
+leaf-removal recursion (qpoly._fill_memo), and the face lists and
+reductions of the topological trees with at most 8 leaves are kept across
+calls.  The exhaustive checks of the face/degeneracy relations live in
+``qtrees.verify``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import itertools
 import math
 import re
 from collections.abc import Iterable, Mapping
+from functools import partial
+from operator import methodcaller, mul
 
 from .qpoly import QPoly, _checked_int, _checked_type, _field_size, _fill_memo, _unpack
 from .trees import PlaneTree, _leaf_count, _pairs, _planted, dyck_word
@@ -54,64 +57,81 @@ def _check_index(index: int, total: int) -> None:
         raise IndexError(f"leaf index {index} out of range 0..{total - 1}")
 
 
-def _leaf_cuts(word: int) -> tuple[int, list[tuple[int, ...]]]:
-    """The word smoothed, and for each leaf, left to right, the bits,
-    highest first, whose deletion from the smoothed word leaves its face.
+def _smoothed(word: int) -> tuple[int, str, list[int], list[bool]]:
+    """The word smoothed, its steps and the position of each step's partner
+    (trees._pairs), and whether each leaf, left to right, was an only child
+    before smoothing, the list empty when no vertex was one.
 
     Smoothing deletes each only child's pair of steps, its children going
     to its parent (a unary root hands the root to its child).  It keeps
-    every leaf in order, an only child's place going to its parent, so a
-    face of any tree is the same face of its smoothing, or, cut (), the
-    smoothing itself when the leaf is an only child; a path smooths to the
-    point.  In a topological tree removing a leaf leaves its parent unary
-    exactly when the parent had two children, and then the sibling's pair
-    goes too (for the root, the pair around everything that is left).
+    every leaf in order, an only child's place going to its parent; a path
+    smooths to the point.
     """
     steps, match, only = _pairs(word)
-    alone = []  # whether each leaf is an only child, if any vertex is one
+    alone = []
     if only:
         drop = set(only).union(match[q] for q in only)
         alone = [leaf.start() in drop for leaf in re.finditer("10", steps)]
         word = int("".join(step for p, step in enumerate(steps) if p not in drop) or "0", 2)
-        if not word:
-            return 0, [()]
         steps, match, _ = _pairs(word)
+    return word, steps, match, alone
+
+
+def _leaf_cuts(word: int) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+    """The word smoothed (_smoothed), and for each leaf, left to right, the
+    runs of bits (hi, lo), hi down to lo inclusive and highest run first,
+    whose deletion from the smoothed word leaves its face.
+
+    A face of any tree is the same face of its smoothing, or, no runs, the
+    smoothing itself when the leaf was an only child.  In a topological
+    tree a leaf with its 1 at bit j owns bits j and j - 1, one run, and
+    removing it leaves its parent unary exactly when the parent had two
+    children; then the sibling's pair goes too (for the root, the pair
+    around everything that is left).  The sibling's step next to the leaf
+    joins the leaf's run, so a cut is ((j, j - 1),), ((d, d), (j + 1, j -
+    1)) for a leaf after its sibling, whose step down is at bit d, and ((j,
+    j - 2), (u, u)) for a leaf before it, whose step up is at bit u.
+    """
+    word, steps, match, alone = _smoothed(word)
+    if not word:
+        return 0, [()]
     size = len(steps)
     top = size - 1
     cuts = []
     p = steps.find("10")
     while p >= 0:
         j = top - p
-        cut = (j, j - 1)
+        cut = ((j, j - 1),)
         after = p + 2
         if alone and alone[len(cuts)]:
             cut = ()
         elif p and steps[p - 1] == "0":  # a sibling ends just before the leaf
             first = match[p - 1]
             if (not first or steps[first - 1] == "1") and (after == size or steps[after] == "0"):
-                cut = (top - first, j + 1, j, j - 1)
+                cut = ((top - first, top - first), (j + 1, j - 1))
         else:  # the leaf is a first child, so a sibling starts after it
             last = match[after]
             if last == top or steps[last + 1] == "0":
-                cut = (j, j - 1, top - after, top - last)
+                cut = ((j, j - 2), (top - last, top - last))
         cuts.append(cut)
         p = steps.find("10", after)
     return word, cuts
 
 
-def _cut(word: int, bits: tuple[int, ...]) -> int:
-    """The word with the given bits deleted, highest first, so that each
-    deletion leaves the lower indices in place."""
-    for b in bits:
-        word = ((word >> (b + 1)) << b) | (word & ((1 << b) - 1))
+def _cut(word: int, runs: tuple[tuple[int, int], ...]) -> int:
+    """The word with each run of bits (hi, lo), hi down to lo inclusive,
+    deleted, highest run first, so that each deletion leaves the lower
+    runs in place."""
+    for hi, lo in runs:
+        word = ((word >> (hi + 1)) << lo) | (word & ((1 << lo) - 1))
     return word
 
 
 def normalize_topological(tree: PlaneTree) -> PlaneTree:
-    """Smooth away every vertex with exactly one child (_leaf_cuts); a unary
+    """Smooth away every vertex with exactly one child (_smoothed); a unary
     root hands the root over to its child.  Idempotent."""
     word = dyck_word(tree)
-    smooth = _leaf_cuts(word)[0]
+    smooth = _smoothed(word)[0]
     return tree if smooth == word else PlaneTree._of(smooth)
 
 
@@ -236,39 +256,46 @@ def _chain_items(chain: Mapping) -> list:
     return items
 
 
-def _face_sum(items: Iterable, add) -> dict:
+def _face_sum(items: Iterable, step) -> dict[PlaneTree, object]:
     """Sum over (word, coeff) items and leaf indices i of q**i coeff
-    d_i(word), each term folded into its face's total by add(total, coeff,
-    i), total None for a face not seen before.  The point and zero
-    coefficients contribute nothing; keys keep first-insertion order and
-    totals that come to zero are dropped."""
+    d_i(word), as a chain.  A face's term i starts at coeff and step builds
+    term i + 1 from term i, one call with no Python frame of its own (a
+    functools.partial or an operator.methodcaller); a face's total starts
+    at its first term, and each later one is added to it.  The point and
+    zero coefficients contribute nothing; keys keep first-insertion order
+    and totals that come to zero are dropped."""
     acc: dict = {}
     for word, coeff in items:
         if coeff:
+            term = coeff
             for i, piece in enumerate(_faces(word)):
-                acc[piece] = add(acc.get(piece), coeff, i)
-    return {piece: total for piece, total in acc.items() if total}
+                if i:
+                    term = step(term)
+                total = acc.get(piece)
+                acc[piece] = term if total is None else total + term
+    return {PlaneTree._of(piece): total for piece, total in acc.items() if total}
 
 
 def q_boundary(chain: Mapping) -> dict[PlaneTree, QPoly]:
     """Linear extension of T -> sum over leaf indices i of q**i * d_i(T);
-    the point maps to zero.  An int coefficient is a constant polynomial."""
+    the point maps to zero.  An int coefficient is a constant polynomial.
+    Term i + 1 is term i shifted once (_face_sum), so each term costs one
+    shift, as q**i coeff did."""
     polys = ((word, QPoly._trusted([c]) if isinstance(c, int) else c) for word, c in _chain_items(chain))
-    sums = _face_sum(polys, lambda total, poly, i: poly.shift(i) if total is None else total + poly.shift(i))
-    return {PlaneTree._of(word): poly for word, poly in sums.items()}
+    return _face_sum(polys, methodcaller("shift", 1))
 
 
 def q_boundary_at(chain: Mapping, q_value: int) -> dict[PlaneTree, int]:
     """The boundary with q specialized to an integer, as a chain with int
     coefficients.  At q = -1 this is the alternating face sum and squares
     to zero; at generic integers it does not.  q_value must be an int (not
-    a bool)."""
+    a bool).  Term i + 1 is term i times q_value (_face_sum), so no power
+    of q_value is taken."""
     _checked_int(q_value, "q_value")
     weights = (
         (word, coeff.eval_int(q_value) if isinstance(coeff, QPoly) else coeff) for word, coeff in _chain_items(chain)
     )
-    sums = _face_sum(weights, lambda total, weight, i: (total or 0) + weight * q_value**i)
-    return {PlaneTree._of(word): weight for word, weight in sums.items()}
+    return _face_sum(weights, partial(mul, q_value))
 
 
 def reduce_to_point(tree: PlaneTree) -> QPoly:
@@ -279,6 +306,12 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
     topological, so the process terminates; the result for a topological
     tree with n leaves is the q-factorial of n.  The tree is not normalized
     first: the faces of another tree with n leaves may keep all n.
+
+    So verify.reduction checks the face maps' leaf counts and no more: by
+    induction on R(T) = sum over i of q**i R(d_i T), the reductions give
+    [n]_q! exactly when each topological tree with n leaves has n faces,
+    each a topological tree with n - 1 leaves.  Which tree each face is,
+    the relation checks of verify.identities test.
 
     The rewriting is the recursion R(T) = sum over i of q**i R(d_i T),
     R(point) = 1, run by the one memo engine, qpoly._fill_memo, on Dyck

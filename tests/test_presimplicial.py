@@ -418,6 +418,29 @@ def test_boundaries_are_face_sums():
             assert list(got.items()) == [(t, w) for t, w in weights.items() if w]
 
 
+def test_boundaries_of_chains_are_pinned():
+    # sums across trees: every topological tree with at most 6 leaves
+    # weighted by [n]_q!, the same with alternating signs, and the plane
+    # trees with at most 6 edges that are not topological, whose faces
+    # collide and partly cancel, with int, negative, zero and QPoly
+    # coefficients in turn; the digest pins each total, its key order and
+    # every cancellation, and was taken from boundaries that summed
+    # q**i coeff term by term
+    weighted = {tree: q_factorial(total) for total, tree in basis(6)}
+    signed = {tree: -c if k % 2 else c for k, (tree, c) in enumerate(weighted.items())}
+    cycle = (2, -1, 0, QPoly((1, -2, 1)), -3, QPoly((0, 1)), QPoly((-1,)), 1)
+    rough = [t for e in range(7) for t in enumerate_plane_trees(e) if not is_topological(t)]
+    mixed = {tree: cycle[k % len(cycle)] for k, tree in enumerate(rough)}
+    faces = {face(t, i) for t, c in mixed.items() if c for i in range(leaf_count(t))}
+    assert len(q_boundary_at(mixed, -1)) < len(faces)
+    digest = hashlib.sha256()
+    for chain in (weighted, signed, mixed):
+        digest.update(repr(list(q_boundary(chain).items())).encode() + b"\n")
+        for q_value in (-1, 0, 2, -3):
+            digest.update(repr(list(q_boundary_at(chain, q_value).items())).encode() + b"\n")
+    assert digest.hexdigest() == "857a9b212842d44f08d41bb5e24800cd7d08fe011489bb31ca0411bbb46768fe"
+
+
 def test_boundary_of_point_vanishes():
     assert q_boundary_at({POINT: 1}, 5) == {}
 
