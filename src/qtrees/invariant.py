@@ -76,8 +76,8 @@ def clear_caches() -> None:
     search's value indexes, the Gaussian binomials of qpoly.q_binomial, the
     face lists of the topological trees with at most 8 leaves
     (presimplicial._faces) and the reductions to the point of those trees,
-    one table per field size (presimplicial.reduce_to_point).  Results are
-    unaffected, only speed.
+    one table in the 4-byte fields of the cap's bound 8 * 8!
+    (presimplicial.reduce_to_point).  Results are unaffected, only speed.
 
     The recursion's memo holds the states of trees with at most 20 edges,
     each value packed into one int, 8 bytes per coefficient; _RETURNED_MEMO
@@ -133,11 +133,8 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     if poly is None:
         if word.bit_count() > _NARROW_EDGES:
             size = _field_size(_removal_count(word).bit_length())
-            memo: dict = {}
-            _fill_memo(memo, key, size, _moves)
-            return _unpack(memo[key], size)
-        _fill_memo(_QPOLY_MEMO, key, 8, _moves)
-        poly = _RETURNED_MEMO[key] = _unpack(_QPOLY_MEMO[key], 8)
+            return _unpack(_fill_memo({}, key, size, _moves), size)
+        poly = _RETURNED_MEMO[key] = _unpack(_fill_memo(_QPOLY_MEMO, key, 8, _moves), 8)
     return poly
 
 

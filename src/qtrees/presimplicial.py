@@ -156,10 +156,11 @@ def face(tree: PlaneTree, index: int) -> PlaneTree:
 # leaves, keyed by its Dyck word (_faces).
 _FACES_MEMO: dict[int, tuple[int, ...]] = {}
 _FACE_MEMO_LEAVES = 8
-# Per field size in bytes, the packed reductions of the topological trees
-# with at most _FACE_MEMO_LEAVES leaves that reduce_to_point has filled,
-# keyed by Dyck word.
-_REDUCED_MEMO: dict[int, dict[int, int]] = {}
+# The packed reductions of the topological trees with at most
+# _FACE_MEMO_LEAVES leaves that reduce_to_point has filled, keyed by Dyck
+# word, all in the one field size the cap's bound of 8 * 8! face paths needs.
+_REDUCED_MEMO: dict[int, int] = {}
+_REDUCED_SIZE = _field_size((_FACE_MEMO_LEAVES * math.factorial(_FACE_MEMO_LEAVES)).bit_length())
 
 
 def _faces(word: int) -> tuple[int, ...]:
@@ -187,6 +188,12 @@ def _faces(word: int) -> tuple[int, ...]:
     if smooth == word and len(faces) <= _FACE_MEMO_LEAVES:
         _FACES_MEMO[word] = faces
     return faces
+
+
+def _face_moves(word: int) -> list[tuple[int, int]]:
+    """(i, word of d_i) for each face of the tree with the given word: the
+    moves of the reduction to the point on qpoly._fill_memo."""
+    return list(enumerate(_faces(word)))
 
 
 def _degeneracies(word: int) -> list[int]:
@@ -315,29 +322,29 @@ def reduce_to_point(tree: PlaneTree) -> QPoly:
 
     The rewriting is the recursion R(T) = sum over i of q**i R(d_i T),
     R(point) = 1, run by the one memo engine, qpoly._fill_memo, on Dyck
-    words, its moves each face's index and word (_faces).  Each value is
-    kept packed into one int, size bytes per coefficient (qpoly._pack),
-    so a face's term folds in as one shift.  A coefficient counts face
-    paths, at most n * n! of them, and size is the field qpoly._field_size
-    gives for that bound; the tree's value is unpacked once, at the end.
+    words, its moves each face's index and word (_face_moves).  Each value
+    is kept packed into one int, size bytes per coefficient (qpoly._pack),
+    so a face's term folds in as one shift, and _fill_memo returns the
+    tree's value, which is unpacked once, at the end.  A coefficient counts
+    face paths, at most n * n! of them for n leaves.
 
-    A tree with at most _FACE_MEMO_LEAVES (8) leaves shares the table of
-    its field size in _REDUCED_MEMO, so later calls read what earlier ones
-    filled.  Every face is topological, so a table holds topological trees
-    with at most 8 leaves only, at most 5,439 of them: the tree itself is
-    dropped after its call unless it is topological, which _faces tells
-    by keeping its face list, since with few leaves it can still be
-    arbitrarily deep.  A larger tree fills a memo of its own, which it
-    drops on return; until then it holds the value of every tree reached,
-    all 200 levels of the 200-leaf star at once.
+    A tree with at most _FACE_MEMO_LEAVES (8) leaves shares _REDUCED_MEMO,
+    one table whose fields are the 4 bytes qpoly._field_size gives for the
+    cap's bound 8 * 8! (_REDUCED_SIZE), so later calls read what earlier
+    ones filled and each tree is reduced once.  Every face is topological,
+    so the table holds topological trees with at most 8 leaves only, at
+    most 5,439 of them: the tree itself is dropped after its call unless it
+    is topological, which _faces tells by keeping its face list, since with
+    few leaves it can still be arbitrarily deep.  A larger tree fills a
+    memo of its own, in the fields _field_size gives for its own n * n!,
+    which it drops on return; until then it holds the value of every tree
+    reached, all 200 levels of the 200-leaf star at once.
     """
     word = dyck_word(tree)
-    n = _leaf_count(word) or 1
-    size = _field_size((n * math.factorial(n)).bit_length())
-    shared = n <= _FACE_MEMO_LEAVES
-    memo = _REDUCED_MEMO.setdefault(size, {}) if shared else {}
-    packed = memo.get(word) if word else 1
-    if packed is None:
-        _fill_memo(memo, word, size, lambda key: list(enumerate(_faces(key))))
-        packed = memo.pop(word) if shared and word not in _FACES_MEMO else memo[word]
-    return _unpack(packed, size)
+    if (n := _leaf_count(word)) > _FACE_MEMO_LEAVES:
+        size = _field_size((n * math.factorial(n)).bit_length())
+        return _unpack(_fill_memo({}, word, size, _face_moves), size)
+    packed = _fill_memo(_REDUCED_MEMO, word, _REDUCED_SIZE, _face_moves) if word else 1
+    if word not in _FACES_MEMO:  # dropped unless topological (_faces)
+        _REDUCED_MEMO.pop(word, None)
+    return _unpack(packed, _REDUCED_SIZE)

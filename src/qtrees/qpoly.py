@@ -274,7 +274,9 @@ def _field_size(bits: int) -> int:
     """Bytes per field for a coefficient bound of the given bit length: the
     narrowest machine field of 1, 2, 4 or 8 bytes that holds it, and past
     64 bits the fewest bytes.  Products, the leaf-removal recursion and the
-    reduction to the point all size their fields here."""
+    reduction to the point all size their fields here; each shared memo
+    takes one size, for its cap's bound (20! for the recursion, 8 * 8! for
+    the reduction), and a tree past the cap the size for its own bound."""
     return _NARROW_FIELDS[bits][0] if bits < len(_NARROW_FIELDS) else (bits + 7) // 8
 
 
@@ -299,15 +301,16 @@ def _unpack(packed: int, size: int) -> QPoly:
     return QPoly._trusted(fields.tolist())
 
 
-def _fill_memo(memo: dict, key, size: int, moves) -> None:
+def _fill_memo(memo: dict, key, size: int, moves) -> int:
     """Store the packed value of the state with the given key, and of every
-    state it reaches, in memo, in fields of `size` bytes.  A state's value
-    is the sum, over the (shift, sub-key) pairs of the list moves(key), of
-    the sub-key's value shifted left by `shift` fields; the end state is
-    keyed 0 and its value is 1.  A state waits on an explicit stack, its
-    moves listed, until every state they reach is in memo, so each state's
-    moves are listed once per fill and a state already in memo not at all.
-    Every coefficient of every value must fit its field.
+    state it reaches, in memo, in fields of `size` bytes, and return the
+    key's value.  A state's value is the sum, over the (shift, sub-key)
+    pairs of the list moves(key), of the sub-key's value shifted left by
+    `shift` fields; the end state is keyed 0 and its value is 1.  A state
+    waits on an explicit stack, its moves listed, until every state they
+    reach is in memo, so each state's moves are listed once per fill and a
+    state already in memo not at all.  Every coefficient of every value
+    must fit its field.
 
     This is the one memo engine: the leaf-removal recursion passes its leaf
     moves (invariant._removal_sum), and the reduction to the point its
@@ -333,6 +336,7 @@ def _fill_memo(memo: dict, key, size: int, moves) -> None:
         for shift, sub in listed:
             acc += (memo[sub] if sub else 1) << (shift * width)
         memo[key] = acc
+    return memo[key]  # the bottom frame, popped last, holds the given key
 
 
 def _coerce(value) -> QPoly | None:

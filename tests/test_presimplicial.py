@@ -469,9 +469,10 @@ def test_reduce_holds_coefficients_past_64_bits():
 
 
 def test_reduce_fields_follow_the_one_rule(monkeypatch):
-    # the point's value is unpacked from the fields qpoly._field_size gives
-    # for n * n!: each machine field of 1, 2, 4 and 8 bytes, then the
-    # fewest bytes past 64 bits
+    # the point's value is unpacked from the fields qpoly._field_size gives:
+    # a tree with at most 8 leaves shares the table in the 4 bytes of the
+    # cap's bound 8 * 8!, and a larger one takes its own n * n!, 4 bytes at
+    # 9 leaves, 8 at 12, then the fewest bytes past 64 bits
     handed = []
     unpack = presimplicial._unpack
 
@@ -480,9 +481,9 @@ def test_reduce_fields_follow_the_one_rule(monkeypatch):
         return unpack(packed, size)
 
     monkeypatch.setattr(presimplicial, "_unpack", recording)
-    for n in (3, 5, 8, 12, 20, 22):
+    for n in (3, 5, 8, 9, 12, 20, 22):
         assert reduce_to_point(star(n)) == q_factorial(n)
-    assert handed == [1, 2, 4, 8, 9, 10]
+    assert handed == [4, 4, 4, 4, 8, 9, 10]
 
 
 def test_reduce_is_shape_independent():
@@ -514,25 +515,27 @@ def test_reductions_are_pinned():
 
 
 def test_reductions_are_shared_across_calls(monkeypatch):
-    # verify.reduction(7) lists each nonpoint topological word's faces once
-    # per table holding its reduction: once for the 2-byte table of 5 to 7
-    # leaves, which holds every such word, and once more for the 1-byte
-    # table for each of the 15 with at most 4 leaves
+    # one table holds every reduction under the cap, so verify.reduction(7)
+    # lists the faces of each of the 1,160 nonpoint topological words once,
+    # and a cold verify.reduction(8) lists each of its 5,439 words' once
     clear_caches()
     listed = Counter()
     faces = presimplicial._faces
     monkeypatch.setattr(presimplicial, "_faces", lambda word: listed.update((word,)) or faces(word))
     assert verify.reduction(7) == (1161, 0)
-    tables = presimplicial._REDUCED_MEMO
-    assert {size: len(table) for size, table in tables.items()} == {1: 15, 2: 1160}
-    assert listed == Counter(word for table in tables.values() for word in table)
-    assert sum(listed.values()) == 1175
+    table = presimplicial._REDUCED_MEMO
+    assert len(table) == 1160
+    assert listed == dict.fromkeys(table, 1)
     # a tree that is not topological, however deep, leaves no entry, and a
     # tree with more than 8 leaves fills a memo of its own
-    kept = {size: dict(table) for size, table in tables.items()}
+    kept = dict(table)
     assert reduce_to_point(parse_tree("((.).)")) == QPoly((1, 2))
     assert reduce_to_point(parse_tree("(" * 2000 + "(..)" + ")" * 2000)) == QPoly((1, 1))
     assert reduce_to_point(star(12)) == q_factorial(12)
-    assert tables == kept
+    assert table == kept
     clear_caches()
-    assert not tables
+    assert not table
+    listed.clear()
+    assert verify.reduction(8) == (5440, 0)
+    assert len(table) == sum(listed.values()) == 5439
+    clear_caches()
