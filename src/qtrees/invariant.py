@@ -24,7 +24,7 @@ from operator import add
 from typing import NamedTuple
 
 from . import presimplicial, qpoly, trees
-from .qpoly import ONE, QPoly, _checked_int, _checked_type, _field_size, _fill_memo, _unpack, q_integer, q_multinomial
+from .qpoly import ONE, QPoly, _checked_int, _checked_type, _field_size, _fill_memo, _pack, _unpack, q_integer, q_multinomial
 from .trees import (
     DelayedTree,
     PlaneTree,
@@ -59,11 +59,15 @@ class InadmissibleDelays(ValueError):
     block formula."""
 
 
-# One memo for both games on trees of at most _NARROW_EDGES edges: plain
+# One memo for both games on trees of at most _SHARED_EDGES edges: plain
 # states, all labels 1 included, are keyed by the tree's Dyck word, labelled
 # states with some label above 1 by (word, delays), each value a packed int
-# (_removal_sum).
+# in fields of _SHARED_SIZE bytes (_removal_sum).
 _QPOLY_MEMO: dict = {}
+# 12! < 2**32 <= 13!: a tree with at most this many edges has fewer removal
+# sequences than a 32-bit field holds, whatever its shape
+_SHARED_EDGES = 12
+_SHARED_SIZE = _field_size(math.factorial(_SHARED_EDGES).bit_length())
 # The polynomial each key of _QPOLY_MEMO unpacks to, once a call returned it.
 _RETURNED_MEMO: dict = {}
 # The delayed search's value index per edge count (_value_index).
@@ -79,14 +83,16 @@ def clear_caches() -> None:
     one table in the 4-byte fields of the cap's bound 8 * 8!
     (presimplicial.reduce_to_point).  Results are unaffected, only speed.
 
-    The recursion's memo holds the states of trees with at most 20 edges,
-    each value packed into one int, 8 bytes per coefficient; _RETURNED_MEMO
-    keeps the polynomial of each state a call has returned, so a hit
-    returns that object; a larger tree's states live only for its call
-    (_removal_sum).  The search's indexes hold an 8-byte rank per candidate
-    with a nonzero value, one flag byte per candidate, 1 where its value is
-    zero, and each distinct value once, as one packed int (_value_index):
-    2.2 MB for 0 to 6 edges, about 40 MB with 7 (tracemalloc)."""
+    The recursion's memo holds the states with at most 12 edges, at most
+    the 290,511 plain words with 1 to 12 edges and the labelled states of
+    the delayed calls made, each value packed into one int, 4 bytes per
+    coefficient; _RETURNED_MEMO keeps the polynomial of each state a call
+    has returned, so a hit returns that object; a larger tree's states with
+    more than 12 edges live only for its call (_removal_sum).  The search's
+    indexes hold an 8-byte rank per candidate with a nonzero value, one
+    flag byte per candidate, 1 where its value is zero, and each distinct
+    value once, as one packed int (_value_index): 2.2 MB for 0 to 6 edges,
+    about 40 MB with 7 (tracemalloc)."""
     _QPOLY_MEMO.clear()
     _RETURNED_MEMO.clear()
     _SEARCH_MEMO.clear()
@@ -100,7 +106,7 @@ def q_poly(tree: PlaneTree) -> QPoly:
 
     The point maps to 1; otherwise sum q**r(v) * Q(T - v) over all leaves v,
     where r(v) counts the edges strictly right of the root-to-v path.
-    Results are memoized on the tree shape for trees of at most 20 edges.
+    Results are memoized on the tree shape for trees of at most 12 edges.
     """
     return _removal_sum(dyck_word(tree), ())
 
@@ -119,23 +125,50 @@ def _removal_sum(word: int, delays: tuple[int, ...]) -> QPoly:
     coefficient of q**k in bytes [k * size, (k + 1) * size), so a move
     adds the value of T - v shifted by r(v) fields in one big-int
     shift-add.  Fields are sized by qpoly._field_size.  A tree with at most
-    _NARROW_EDGES edges shares _QPOLY_MEMO, in the 8-byte fields 20! needs;
-    only a value returned is unpacked, and _RETURNED_MEMO keeps the
-    polynomial, so a later hit returns the same object.  A larger tree
-    fills a memo of its own, which it drops on return, in the fields of
-    L(T) (_removal_count): a coefficient of any state reached counts
-    removal sequences of that state, each of which extends to one of T.
+    _SHARED_EDGES (12) edges shares _QPOLY_MEMO, in the 4-byte fields 12!
+    needs (_SHARED_SIZE); only a value returned is unpacked, and
+    _RETURNED_MEMO keeps the polynomial, so a later hit returns the same
+    object.  A larger tree fills a memo of its own, which it drops on
+    return, in the fields of L(T) (_removal_count): a coefficient of any
+    state reached counts removal sequences of that state, each of which
+    extends to one of T.  Every move removes one edge, so that fill reaches
+    the states with at most 12 edges only through the moves of its 13-edge
+    states, which take their 12-edge values from _QPOLY_MEMO
+    (_private_moves): the states other trees share are filled once, and
+    nothing past 12 edges is kept.
     """
     if not word:
         return ONE
     key = (word, delays) if delays and max(delays) > 1 else word
     poly = _RETURNED_MEMO.get(key)
     if poly is None:
-        if word.bit_count() > _NARROW_EDGES:
+        if word.bit_count() > _SHARED_EDGES:
             size = _field_size(_removal_count(word).bit_length())
-            return _unpack(_fill_memo({}, key, size, _moves), size)
-        poly = _RETURNED_MEMO[key] = _unpack(_fill_memo(_QPOLY_MEMO, key, 8, _moves), 8)
+            memo: dict = {}
+            return _unpack(_fill_memo(memo, key, size, partial(_private_moves, memo, size)), size)
+        poly = _RETURNED_MEMO[key] = _unpack(_fill_memo(_QPOLY_MEMO, key, _SHARED_SIZE, _moves), _SHARED_SIZE)
     return poly
+
+
+def _private_moves(memo: dict, size: int, key) -> list:
+    """_moves(key) for a fill of a tree past _SHARED_EDGES edges in its own
+    memo, in fields of `size` bytes.  A 13-edge state's moves reach 12-edge
+    states, so before they are listed each of those not yet in memo is put
+    there with its value from _QPOLY_MEMO, which is filled for it first if
+    it is absent, re-packed from the 4-byte fields when size differs: a
+    coefficient of any state reached fits the private fields
+    (_removal_sum).  Only clear_caches deletes from _QPOLY_MEMO, so a value
+    read there stays while other threads fill it."""
+    moves = _moves(key)
+    word = key[0] if key.__class__ is tuple else key
+    if word.bit_count() == _SHARED_EDGES + 1:
+        for _, sub in moves:
+            if sub not in memo:
+                packed = _QPOLY_MEMO.get(sub)
+                if packed is None:
+                    packed = _fill_memo(_QPOLY_MEMO, sub, _SHARED_SIZE, _moves)
+                memo[sub] = packed if size == _SHARED_SIZE else _pack(_unpack(packed, _SHARED_SIZE).coeffs, size)
+    return moves
 
 
 def _moves(key) -> list:
@@ -159,11 +192,6 @@ def _moves(key) -> list:
                 del labels[i]  # the leaf slot disappears
             moves.append((r, (rest, tuple(labels)) if max(labels, default=1) > 1 else rest))
     return moves
-
-
-# 20! < 2**64: a tree with at most this many edges has fewer removal
-# sequences than a 64-bit field holds, whatever its shape
-_NARROW_EDGES = 20
 
 
 def _removal_count(word: int) -> int:

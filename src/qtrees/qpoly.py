@@ -275,16 +275,26 @@ def _field_size(bits: int) -> int:
     narrowest machine field of 1, 2, 4 or 8 bytes that holds it, and past
     64 bits the fewest bytes.  Products, the leaf-removal recursion and the
     reduction to the point all size their fields here; each shared memo
-    takes one size, for its cap's bound (20! for the recursion, 8 * 8! for
-    the reduction), and a tree past the cap the size for its own bound."""
+    takes one size, for its cap's bound (12! for the recursion, 8 * 8! for
+    the reduction), both 4 bytes, and a tree past the cap the size for its
+    own bound."""
     return _NARROW_FIELDS[bits][0] if bits < len(_NARROW_FIELDS) else (bits + 7) // 8
 
 
 def _pack(coeffs: Iterable[int], size: int) -> int:
-    """The int holding the given coefficients, `size` bytes each.  Only wide
-    products pack here (_kronecker_mul), in fields of 9 bytes or more; a
-    narrow product packs its machine fields in QPoly.__mul__."""
-    return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+    """The int holding the given coefficients, `size` bytes each, written
+    as _unpack reads them: as an array for a machine field size, one by one
+    for a wider size.  Wide products pack here (_kronecker_mul), in fields
+    of 9 bytes or more, and the recursion re-packs a shared value in the
+    fields of a larger tree's memo (invariant._private_moves); a narrow
+    product packs its machine fields in QPoly.__mul__."""
+    code = _FIELD_CODES.get(size)
+    if code is None:
+        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+    fields = array(code, coeffs)
+    if sys.byteorder == "big":
+        fields.byteswap()
+    return int.from_bytes(fields, "little")
 
 
 def _unpack(packed: int, size: int) -> QPoly:
@@ -314,7 +324,11 @@ def _fill_memo(memo: dict, key, size: int, moves) -> int:
 
     This is the one memo engine: the leaf-removal recursion passes its leaf
     moves (invariant._removal_sum), and the reduction to the point its
-    faces, each shifted by its index (presimplicial.reduce_to_point)."""
+    faces, each shifted by its index (presimplicial.reduce_to_point).  A
+    moves function may put values of the sub-keys it lists into memo
+    itself, which are then not filled: a larger tree's private fill takes
+    the values of its 12-edge states from the recursion's shared memo that
+    way (invariant._private_moves)."""
     width = 8 * size
     stack = [[key, None]]  # key, moves once listed
     while stack:

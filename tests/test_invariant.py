@@ -187,9 +187,11 @@ def removal_states(tree):
     return seen
 
 
-def test_narrow_fields_take_every_tree_up_to_20_edges(monkeypatch):
-    # the constant of the shared memo's 8-byte fields
-    assert math.factorial(invariant._NARROW_EDGES) < 2**64 <= math.factorial(invariant._NARROW_EDGES + 1)
+def test_shared_fields_take_every_tree_up_to_12_edges(monkeypatch):
+    # the constant of the shared memo's 4-byte fields
+    assert math.factorial(12) < 2**32 <= math.factorial(13)
+    assert invariant._SHARED_EDGES == 12
+    assert invariant._SHARED_SIZE == 4
     handed = []
     unpack = invariant._unpack
 
@@ -201,17 +203,19 @@ def test_narrow_fields_take_every_tree_up_to_20_edges(monkeypatch):
 
     def size(tree):
         # the bytes qpoly's one field rule gives for L(T), which are the
-        # bytes the recursion unpacks its value from
+        # bytes the recursion unpacks its value from; a shared value re-packed
+        # for a private memo is unpacked before, from the shared fields
         rule = qpoly._field_size(invariant._removal_count(trees.dyck_word(tree)).bit_length())
         clear_caches()
         handed.clear()
         assert q_poly(tree) == q_poly_state(tree)
-        assert handed == [rule], serialize(tree)[:40]
+        assert handed[-1] == rule, serialize(tree)[:40]
+        assert set(handed[:-1]) <= {invariant._SHARED_SIZE}
         return rule
 
     assert size(star(20)) == 8
     assert size(star(21)) == 9
-    # past 20 edges the size follows the count of removal sequences, not the edge count
+    # past 12 edges the size follows the count of removal sequences, not the edge count
     assert size(parse_tree("(" * 40 + "." + ")" * 40)) == 1
     assert size(parse_tree("(." + "(" * 3_000 + "." + ")" * 3_000 + ")")) == 2
     assert size(star(35)) == 17
@@ -232,33 +236,34 @@ def test_wide_fields_in_the_delayed_game():
         assert value == q_factorial(20) * q_integer(21 - j)
 
 
-def test_only_trees_of_at_most_20_edges_share_the_memo():
-    def keys(states):
-        return {trees.dyck_word(state) for state in states}
+def shared_keys(tree):
+    # the words of the removal states of tree with at most 12 edges
+    return {trees.dyck_word(state) for state in removal_states(tree) if edge_count(state) <= 12}
 
-    small = random_plane_tree(16, random.Random(5))
-    # a tree of at most 20 edges adds exactly its removal states, keyed by
-    # word; a larger one, however narrow its fields, adds nothing
-    runs = [
-        (star(20), keys(removal_states(star(20)))),
-        (small, keys(removal_states(small)) - keys(removal_states(star(20)))),
-        (star(21), set()),
-        (star(30), set()),
-        (parse_tree("(." + "(" * 3_000 + "." + ")" * 3_000 + ")"), set()),
-    ]
+
+def key_edges(key):
+    # the edge count of a recursion memo key, a word or (word, delays)
+    return (key[0] if type(key) is tuple else key).bit_count()
+
+
+def test_only_states_of_at_most_12_edges_share_the_memo():
+    # a tree of at most 12 edges adds exactly its removal states, keyed by
+    # word; a larger one, whatever its fields, adds exactly those of its
+    # removal states that have at most 12 edges
+    rng = random.Random(5)
     clear_caches()
-    for tree, added in runs:
+    for tree in (star(12), random_plane_tree(12, rng), random_plane_tree(16, rng), star(20), star(21), star(30)):
         before = set(invariant._QPOLY_MEMO)
         assert q_poly(tree) == q_poly_state(tree)
-        assert set(invariant._QPOLY_MEMO) - before == added, serialize(tree)[:40]
+        assert set(invariant._QPOLY_MEMO) == before | shared_keys(tree), serialize(tree)[:40]
     before = set(invariant._QPOLY_MEMO)
     assert q_poly_delayed(DelayedTree(star(21), (2,) + (1,) * 20)) == q_factorial(20) * q_integer(20)
     assert set(invariant._QPOLY_MEMO) == before
-    assert len(invariant._QPOLY_MEMO) == sum(len(added) for _, added in runs)
 
 
 def test_a_deep_tree_leaves_its_states_behind():
-    # a root with a leaf beside a 3,000-level path reaches 6,002 states
+    # a root with a leaf beside a 3,000-level path reaches 6,002 states; its
+    # states with at most 12 edges are those of the same shape with 13 edges
     deep = parse_tree("(." + "(" * 3_000 + "." + ")" * 3_000 + ")")
     clear_caches()
     tracemalloc.start()
@@ -269,7 +274,8 @@ def test_a_deep_tree_leaves_its_states_behind():
         tracemalloc.stop()
     assert value == q_poly_state(deep)
     assert retained < 1_000_000
-    assert not invariant._QPOLY_MEMO
+    assert set(invariant._QPOLY_MEMO) == shared_keys(parse_tree("(." + "(" * 11 + "." + ")" * 11 + ")"))
+    assert not invariant._RETURNED_MEMO
 
 
 def test_a_memo_hit_unpacks_nothing():
@@ -278,14 +284,40 @@ def test_a_memo_hit_unpacks_nothing():
     delayed = parse_delayed("((1 2)(1 (3 1)) 1 2)")
     clear_caches()
     top = q_poly(wedge([tree, CHERRY]))
+    assert edge_count(wedge([tree, CHERRY])) == 12
     assert q_poly(wedge([tree, CHERRY])) is top
     value = q_poly(tree)  # a state the call above reached but did not return
     assert q_poly(tree) is value
     assert q_poly_delayed(delayed) is q_poly_delayed(delayed)
-    # past 20 edges nothing is kept, so a second call evaluates again
+    # a tree past 12 edges is evaluated again and adds no key past 12 edges
+    first = q_poly(star(13))
     before = dict(invariant._QPOLY_MEMO)
-    assert q_poly(star(21)) == q_poly(star(21))
+    again = q_poly(star(13))
+    assert again == first and again is not first
     assert invariant._QPOLY_MEMO == before
+    assert max(map(key_edges, invariant._QPOLY_MEMO)) == 12
+
+
+def test_the_memo_stays_within_12_edges_in_4_byte_fields():
+    # 50 random 16-edge trees and a labelled 14-edge tree fill the shared
+    # memo only with states of at most 12 edges, each of whose values a
+    # fill of its own in 8-byte fields gives again from 4-byte fields
+    rng = random.Random(42)
+    pool = [random_plane_tree(16, rng) for _ in range(50)]
+    spec = BlockSpec(((random_plane_tree(6, rng), 5), (random_plane_tree(8, rng), 1)))
+    clear_caches()
+    assert [q_poly(tree) for tree in pool] == [q_poly_state(tree) for tree in pool]
+    delayed = assemble_blocks(spec)
+    assert edge_count(delayed.tree) == 14
+    assert q_poly_delayed(delayed) == q_poly_block(spec)
+    assert max(map(key_edges, invariant._QPOLY_MEMO)) == 12
+    assert all(key_edges(key) <= 12 for key in invariant._RETURNED_MEMO)
+    assert any(type(key) is tuple for key in invariant._QPOLY_MEMO)
+    wide: dict = {}
+    for key, packed in invariant._QPOLY_MEMO.items():
+        value = qpoly._unpack(packed, 4)
+        assert qpoly._unpack(qpoly._fill_memo(wide, key, 8, invariant._moves), 8) == value
+        assert qpoly._pack(value.coeffs, 4) == packed
 
 
 def test_the_recursion_memo_holds_packed_values_only():
@@ -331,7 +363,7 @@ def test_state_product_matches_recursion():
 
 
 def test_state_product_matches_recursion_at_20_edges():
-    # 20 edges is the largest size whose states share the recursion memo
+    # 20 edges is the largest size whose removal sequences fit 64-bit fields
     rng = random.Random(20)
     for _ in range(10):
         tree = random_plane_tree(20, rng)
@@ -982,10 +1014,17 @@ def test_concurrent_computation_matches_sequential():
 
 def test_concurrent_words_and_memo_match_the_state_product():
     # fresh trees, half of them wedges sharing subtrees with the other half,
-    # so threads race to fill the same memo entries
+    # so threads race to fill the same memo entries; and trees of 13-16
+    # edges, a 12-edge tree wedged with one of 1-4 edges on either side, whose
+    # private fills share 12-edge states, so they read the shared memo while
+    # other threads fill it
     texts = [serialize(tree) for edges in range(7) for tree in enumerate_plane_trees(edges)]
     fresh = [parse_tree(text) for text in texts]
-    pool = fresh + [wedge([a, b]) for a, b in zip(fresh, reversed(fresh))]
+    rng = random.Random(12)
+    bases = [random_plane_tree(12, rng) for _ in range(2)]
+    small = [tree for tree in fresh if 1 <= edge_count(tree) <= 4]
+    large = [wedge(pair) for base in bases for tree in small for pair in ([base, tree], [tree, base])]
+    pool = fresh + [wedge([a, b]) for a, b in zip(fresh, reversed(fresh))] + large
     expected = [q_poly_state(tree) for tree in pool]
     clear_caches()
     switch = sys.getswitchinterval()
