@@ -211,11 +211,19 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
     plus the hanging edge) of its child subtrees, which is 1 for a vertex
     with fewer than two children.  Agrees with q_poly on every tree.  One
     pass over the Dyck word, the root's own steps added around it, finishes
-    each vertex at its step up and lists the weights other than 1.  The
-    list is then multiplied Huffman-style: the two pending weights with the
-    fewest coefficients, ties in listing order, give way to their product,
-    so no product pairs a long accumulator with a short factor.  The point
-    and the paths list no weight and give 1.
+    each vertex at its step up and lists the weights other than 1.
+
+    Every weight is palindromic, so their product is, of degree D the sum
+    of their degrees: it is fixed by its coefficients 0..D // 2, and only
+    those, keep = D // 2 + 1 of them, are multiplied out, then mirrored
+    once.  Coefficient k of a product reads only coefficients up to k of
+    its operands, so a weight longer than keep is cut to keep, and so is a
+    product; no cut drops a trailing zero, since every coefficient from 0
+    to a weight's degree is positive.  The list is multiplied
+    Huffman-style: the two pending weights with the fewest kept
+    coefficients, ties in listing order, give way to their product, so no
+    product pairs a long accumulator with a short factor.  The point and
+    the paths list no weight and give 1.
     """
     weights: list[QPoly] = []
     stack: list[list[int]] = [[]]  # per open vertex: where it stepped down, then its children's sizes
@@ -227,14 +235,26 @@ def q_poly_state(tree: PlaneTree) -> QPoly:
         if len(sizes) > 1:
             weights.append(q_multinomial(sizes))
         stack[-1].append((p - down + 1) // 2)
+    if not weights:
+        return ONE
+    degree = sum(weight.degree for weight in weights)
+    keep = degree // 2 + 1
+    weights = [_cut(weight, keep) for weight in weights]
     heap = [(len(weight.coeffs), order, weight) for order, weight in enumerate(weights)]
     heapq.heapify(heap)
     for order in range(len(weights), 2 * len(weights) - 1):  # one product per weight but the first
         _, _, a = heapq.heappop(heap)
         _, _, b = heapq.heappop(heap)
-        product = a * b
+        product = _cut(a * b, keep)
         heapq.heappush(heap, (len(product.coeffs), order, product))
-    return heap[0][2] if heap else ONE
+    low = heap[0][2].coeffs
+    return QPoly._trusted([*low, *low[degree - keep :: -1]])  # coefficient degree - k is coefficient k
+
+
+def _cut(poly: QPoly, keep: int) -> QPoly:
+    """poly's coefficients 0..keep - 1, for a poly whose coefficients are
+    positive up to its degree (q_poly_state), so none is a trailing zero."""
+    return poly if len(poly.coeffs) <= keep else QPoly._trusted(list(poly.coeffs[:keep]))
 
 
 def q_degree(tree: PlaneTree) -> int:

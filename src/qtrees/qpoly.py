@@ -3,7 +3,8 @@
 A polynomial is a dense ascending tuple of arbitrary-precision integer
 coefficients; the zero polynomial is the empty tuple.  Everything here is
 exact: no floats, no modular reduction, no silent overflow.  Every Gaussian
-coefficient comes from the one loop in q_multinomial: q_binomial and
+coefficient comes from the one loop in q_multinomial, over the low half of
+the palindromic coefficient list, then mirrored: q_binomial and
 q_factorial are calls into it.
 """
 
@@ -14,6 +15,8 @@ from array import array
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import NamedTuple
 
 __all__ = [
@@ -394,31 +397,40 @@ def q_multinomial(parts: Iterable[int]) -> QPoly:
 
     With the parts sorted descending, a1 >= a2 >= ..., this is the product
     over each later part a, t the sum of the parts before it, of
-    C(t + a, a) = prod_{i=1..a} (1 - q**(t+i)) / (1 - q**i).  Each step
-    multiplies a coefficient list in place by its numerator factor from the
-    top down, then divides exactly by its denominator factor from the
-    bottom up; every partial result is a product of Gaussian binomials, so
-    it stays in Z[q].  Taking the largest part first makes the fewest steps.
+    C(t + a, a) = prod_{i=1..a} (1 - q**(t+i)) / (1 - q**i).  Taking the
+    largest part first makes the fewest steps.  The result is palindromic,
+    of degree D = (n**2 - sum of a**2) / 2, n the sum of the parts, so only
+    its coefficients 0..D // 2 are computed, as a power series truncated
+    there, and mirrored; every coefficient from 0 to D is positive.  Each
+    step multiplies by its numerator factor as one slice difference over
+    the old list, then divides by its denominator factor (1 - q**i) as one
+    running sum per residue class mod i (itertools.accumulate), both over
+    the coefficients up to the degree of the product so far, since every
+    partial result is a product of Gaussian binomials, a polynomial.  A
+    factor whose exponent is past D // 2 leaves the kept coefficients as
+    they are and is skipped.
     """
     parts = _checked_type(parts, Iterable, "parts", "iterable")
     parts = sorted([_checked_int(a, "part", 0) for a in parts], reverse=True)
     if len(parts) < 2 or not parts[1]:  # at most one part is nonzero
         return ONE
     n = sum(parts)
-    # the result's degree, plus room for a numerator factor before its division
-    out = [1] + [0] * ((n * n - sum(a * a for a in parts)) // 2 + n)
+    degree = (n * n - sum(a * a for a in parts)) // 2
+    keep = degree // 2 + 1
+    out = [1] + [0] * (keep - 1)
     top = 0  # degree of the product so far
     total = parts[0]
     for a in parts[1:]:
-        for i in range(1, a + 1):
+        for i in range(1, min(a + 1, keep)):  # by step keep - 1, top is at least keep - 1
             m = total + i
-            top += m
-            for j in range(top, m - 1, -1):
-                out[j] -= out[j - m]
-            for j in range(i, top + 1):
-                out[j] += out[j - i]
-            top -= i
+            top += total  # the quotient's degree, top + m - i
+            end = top + 1 if top < keep else keep  # the coefficients past end are zero, and stay so
+            if m < end:
+                out[m:end] = map(sub, out[m:end], out[: end - m])
+            for r in range(i if 2 * i < end else end - i):  # a class of one coefficient keeps it
+                out[r:end:i] = accumulate(out[r:end:i])
         total += a
+    out += out[degree - keep :: -1]  # coefficient degree - k is coefficient k
     return QPoly._trusted(out)
 
 

@@ -387,7 +387,9 @@ def test_state_product_matches_the_hook_formula_past_20_edges():
         assert hooks.pop() == edges + 1  # the root's subtree, the whole tree
         assert len(hooks) == edges
         value = q_poly_state(tree)
-        for x in (2, 3):
+        # q = -2 reads the coefficients with alternating signs, so a mirror
+        # off by one place, which q = 2 and 3 could miss, changes the value
+        for x in (2, 3, -2):
             numerator = math.prod(x**k - 1 for k in range(1, edges + 1))
             denominator = math.prod(x**h - 1 for h in hooks)
             assert numerator % denominator == 0
@@ -396,7 +398,10 @@ def test_state_product_matches_the_hook_formula_past_20_edges():
 
 def test_state_product_multiplies_the_two_shortest_weights_first(monkeypatch):
     tree = random_plane_tree(60, random.Random(26))
-    # coefficient counts of the branching vertices' weights, in post-order
+    # the product is palindromic, so only its coefficients 0..D // 2 are
+    # multiplied out: every weight and product the heap holds is cut to keep
+    keep = q_degree(tree) // 2 + 1
+    # kept coefficient counts of the branching vertices' weights, in post-order
     lengths = []
     stack = [(tree, False)]
     while stack:
@@ -404,7 +409,7 @@ def test_state_product_multiplies_the_two_shortest_weights_first(monkeypatch):
         if finished:
             if len(node.children) > 1:
                 sizes = [edge_count(kid) + 1 for kid in node.children]
-                lengths.append(len(q_multinomial(sizes).coeffs))
+                lengths.append(min(len(q_multinomial(sizes).coeffs), keep))
             continue
         stack.append((node, True))
         stack.extend((kid, False) for kid in reversed(node.children))
@@ -426,9 +431,31 @@ def test_state_product_multiplies_the_two_shortest_weights_first(monkeypatch):
     heapq.heapify(pending)
     for a, b in products:
         assert (a, b) == (heapq.heappop(pending), heapq.heappop(pending))
-        # nonnegative coefficients do not cancel: degrees add
-        heapq.heappush(pending, a + b - 1)
-    assert pending == [q_degree(tree) + 1]
+        # nonnegative coefficients do not cancel: degrees add, then the cut
+        heapq.heappush(pending, min(a + b - 1, keep))
+    assert pending == [keep]
+
+
+@pytest.mark.parametrize("text, degree", [("((................)(....))", 211), ("((................)(.....))", 232)])
+def test_state_product_cuts_a_weight_past_the_low_half(monkeypatch, text, degree):
+    # the star weight [16]_q! has degree 120, past D // 2 for odd and even D,
+    # so it enters the product cut, and the last product pairs it with the
+    # rest: the mirrored low half must be the recursion's value exactly
+    tree = parse_tree(text)
+    keep = degree // 2 + 1
+    products = []
+    multiply = QPoly.__mul__
+
+    def recording(a, b):
+        products.append((len(a.coeffs), len(b.coeffs)))
+        return multiply(a, b)
+
+    monkeypatch.setattr(QPoly, "__mul__", recording)
+    value = q_poly_state(tree)
+    monkeypatch.undo()
+    assert value.degree == q_degree(tree) == degree
+    assert keep in products[-1] and sum(products[-1]) - 1 > keep
+    assert value == q_poly(tree)
 
 
 def test_state_product_vertex_weights():

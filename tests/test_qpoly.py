@@ -635,15 +635,32 @@ def test_q_multinomial_with_one_nonzero_part_is_one():
 
 def test_q_multinomial_matches_binomial_products():
     # independent route: the telescoping product
-    # C(a1+a2, a2) * C(a1+a2+a3, a3) * ... of q-Pascal binomials
+    # C(a1+a2, a2) * C(a1+a2+a3, a3) * ... of q-Pascal binomials, on every
+    # composition of a total up to 12, every list of at most four parts with
+    # such a total, zeros included, and a few longer lists; only the
+    # coefficients 0..D // 2 are computed and then mirrored, so degrees 0 to
+    # 3, where the mirror's slice bounds are edge cases, must be among them
     rows = q_pascal_rows(24)
-    pool = [*itertools.product(range(5), repeat=3), (1,) * 12, (7, 5, 3, 2, 1), (0, 9, 0, 4), (1, 2, 3, 4, 5, 6)]
+    pool = {parts for length in range(1, 5) for parts in itertools.product(range(13), repeat=length) if sum(parts) <= 12}
+    for total in range(1, 13):
+        for count in range(total):
+            for cuts in itertools.combinations(range(1, total), count):
+                bounds = (0, *cuts, total)
+                pool.add(tuple(b - a for a, b in zip(bounds, bounds[1:])))
+    pool |= {(7, 5, 3, 2, 1), (0, 9, 0, 4), (1, 2, 3, 4, 5, 6)}
+    degrees = set()
     for parts in pool:
         product, total = ONE, parts[0]
         for a in parts[1:]:
             total += a
             product = product * rows[total][a]
-        assert q_multinomial(parts) == product
+        value = q_multinomial(parts)
+        assert value == product
+        # every coefficient from 0 to the degree is positive, so a low half
+        # cut from a product of them never ends in a zero (q_poly_state)
+        assert min(value.coeffs) > 0
+        degrees.add(value.degree)
+    assert set(range(4)) <= degrees
 
 
 def test_q_multinomial_is_symmetric():
