@@ -451,7 +451,8 @@ def _value_index(edges: int) -> _ValueIndex:
     cells of a line, which differ in the last label only, are a prefix:
     the spans its bit length fills.  That count picks the line's zero flags,
     and only those cells are split off and filed, under the packed int as
-    it comes; a lookup packs the target instead.
+    it comes; a lookup packs the target instead.  An all-zero line, about
+    half the lines at 6 edges, is flagged whole and files nothing.
 
     Indexes are kept in _SEARCH_MEMO and published there only once
     complete, so a thread sees a whole index or none.
@@ -482,6 +483,9 @@ def _value_index(edges: int) -> _ValueIndex:
         starts.append(len(zeros))
         cells.append((tree, *tables[count]))
         for line in _delayed_values(word, runs, width, moves):
+            if not line:
+                zeros += tails[0]
+                continue
             nonzero = -(-line.bit_length() // span)
             first = len(zeros)
             zeros += tails[nonzero]
@@ -538,16 +542,27 @@ def _delayed_values(word: int, runs: list[int], width: int, moves: dict) -> list
     then leave the value for delays d in cell d: each of leaves - 1 passes
     sums along the outermost axis of the lines and rotates it to the
     innermost place, so one slice form serves every axis and the last pass
-    restores their order.  The sequences are walked on an explicit stack,
-    with the ids of the original leaves left to right, -1 for an exposed
-    parent.
+    restores their order: the blocks of the outermost axis are summed from
+    the last one down, each sum written straight to its rotated place.  The
+    sequences are walked on an explicit stack, with the ids of the original
+    leaves left to right, -1 for an exposed parent.
 
-    The walk shares only trees._leaf_moves with the recursion: each word's
-    moves are listed once in `moves`, the dict of its edge count
-    (_value_index), with a flag for an exposed parent, where T - v keeps
-    T's leaf count.  Their r(v) and T - v are checked by the plain
-    recursion against the state product, which has no move code; each
-    evaluator reads exposure on its own, and verify block checks it.
+    A state with at most one leaf, the point or a path, ends its walk: its
+    one leaf must go at the current move, then each exposed parent up the
+    path, every r(v) on a path is 0, so the weight is final, and only an
+    original leaf (id >= 0) moves the cell, the parents exposed after it
+    touching no axis.  So its sequence is deposited at once.  That walks
+    18,501 states over the 6-edge trees and 240,941 over the 7-edge ones,
+    where walking every sequence down to the point would take 33,165 and
+    431,574.
+
+    The walk shares only trees._leaf_moves with the recursion: the moves
+    of each word with two or more leaves are listed once in `moves`, the
+    dict of its edge count (_value_index), with a flag for an exposed
+    parent, where T - v keeps T's leaf count.  Their r(v) and T - v are
+    checked by the plain recursion against the state product, which has no
+    move code; each evaluator reads exposure on its own, and verify block
+    checks it.
     """
     edges = word.bit_count()
     leaves = trees._leaf_count(word)
@@ -557,10 +572,12 @@ def _delayed_values(word: int, runs: list[int], width: int, moves: dict) -> list
     stack = [(word, tuple(range(leaves)), 0, 0)]  # word, leaf ids, cell, weight
     while stack:
         word, ids, cell, weight = stack.pop()
-        if not word:
+        move = edges - word.bit_count()  # moves made so far: the cell coordinate of this one
+        if len(ids) < 2:  # the point or a path: the rest of the game is forced
+            if ids and ids[0] >= 0:
+                cell += move * place[ids[0]]
             lines[cell // side] += runs[cell % side] << (weight * width)
             continue
-        move = edges - word.bit_count()  # moves made so far: the cell coordinate of this one
         listed = moves.get(word)
         if listed is None:
             count = trees._leaf_count(word)
@@ -570,15 +587,18 @@ def _delayed_values(word: int, runs: list[int], width: int, moves: dict) -> list
             next_ids = ids[:i] + (-1,) + ids[i + 1 :] if exposed else ids[:i] + ids[i + 1 :]
             moved = cell + move * place[leaf] if leaf >= 0 else cell
             stack.append((rest, next_ids, moved, weight + r))
-    # suffix sums: each of the `side` blocks of the outermost axis, from the
-    # second-last down, takes in the next; then that axis is rotated innermost
+    # suffix sums, one pass per axis but the last; each block is dropped once
+    # read, so the old values are freed as the sums are made
     block = len(lines) // side
     for _ in range(leaves - 1):
-        for lo in range((side - 2) * block, -1, -block):
-            lines[lo : lo + block] = map(add, lines[lo : lo + block], lines[lo + block : lo + 2 * block])
         rotated = [0] * len(lines)
-        for c in range(side):
-            rotated[c::side] = lines[c * block : (c + 1) * block]
+        total = lines[(side - 1) * block :]
+        del lines[(side - 1) * block :]
+        rotated[side - 1 :: side] = total
+        for c in range(side - 2, -1, -1):
+            total = list(map(add, lines[c * block :], total))
+            del lines[c * block :]
+            rotated[c::side] = total
         lines = rotated
     return lines
 

@@ -10,13 +10,14 @@ q_factorial are calls into it.
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, repeat
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 __all__ = [
@@ -286,14 +287,16 @@ def _field_size(bits: int) -> int:
 
 def _pack(coeffs: Iterable[int], size: int) -> int:
     """The int holding the given coefficients, `size` bytes each, written
-    as _unpack reads them: as an array for a machine field size, one by one
-    for a wider size.  Wide products pack here (_kronecker_mul), in fields
-    of 9 bytes or more, and the recursion re-packs a shared value in the
-    fields of a larger tree's memo (invariant._private_moves); a narrow
-    product packs its machine fields in QPoly.__mul__."""
+    as _unpack reads them: as an array for a machine field size, and for a
+    wider size as the join of each coefficient's bytes, mapped by
+    int.to_bytes with no Python-level call per coefficient.  Wide products
+    pack here (_kronecker_mul), in fields of 9 bytes or more, and the
+    recursion re-packs a shared value in the fields of a larger tree's memo
+    (invariant._private_moves); a narrow product packs its machine fields
+    in QPoly.__mul__."""
     code = _FIELD_CODES.get(size)
     if code is None:
-        return int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+        return int.from_bytes(b"".join(map(int.to_bytes, coeffs, repeat(size), repeat("little"))), "little")
     fields = array(code, coeffs)
     if sys.byteorder == "big":
         fields.byteswap()
@@ -303,11 +306,14 @@ def _pack(coeffs: Iterable[int], size: int) -> int:
 def _unpack(packed: int, size: int) -> QPoly:
     """The polynomial whose coefficient of q**k is field k of packed,
     `size` bytes each, read as _pack writes them: as an array for a
-    machine field size, one by one for a wider size."""
+    machine field size, and for a wider size as struct.iter_unpack's
+    fields, each mapped through int.from_bytes, with no Python-level call
+    per coefficient."""
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * size)) * size, "little")
     code = _FIELD_CODES.get(size)
     if code is None:
-        return QPoly._trusted([int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)])
+        fields = map(itemgetter(0), struct.iter_unpack(f"{size}s", raw))
+        return QPoly._trusted(list(map(int.from_bytes, fields, repeat("little"))))
     fields = array(code, raw)
     if sys.byteorder == "big":
         fields.byteswap()

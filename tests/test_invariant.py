@@ -857,6 +857,68 @@ def test_value_index_is_compact():
     assert retained < 6 * 2**20, retained
 
 
+def delayed_grid(word, moves):
+    # the tree's removal-time grid (_delayed_values), with the runs and width
+    # _value_index passes at its edge count, read one label vector's cell at
+    # a time, decoded to its coefficients
+    edges = word.bit_count()
+    side = max(edges, 1)
+    width = math.factorial(edges).bit_length()
+    span = (edges * (edges - 1) // 2 + 1) * width
+    runs = list(itertools.accumulate(1 << (c * span) for c in range(side)))
+    lines = invariant._delayed_values(word, runs, width, moves)
+
+    def cell(labels):
+        rank = sum((d - 1) * side**k for k, d in enumerate(reversed(labels)))
+        field = lines[rank // side] >> (rank % side * span) & ((1 << span) - 1)
+        coeffs = []
+        while field:
+            coeffs.append(field & ((1 << width) - 1))
+            field >>= width
+        return tuple(coeffs)
+
+    return cell
+
+
+def test_the_walk_ends_at_a_path():
+    # a state with at most one leaf deposits its sequence at once, so the
+    # point and the trees with one or two leaves reach that deposit from
+    # the start or after one move; each cell must be the recursion's value,
+    # zero where no game finishes
+    assert delayed_grid(0, {})(()) == invariant._removal_sum(0, ()).coeffs
+    checked = 0
+    few_leaves = [t for t in enumerate_plane_trees(7) if len(leaves(t)) <= 2]
+    assert len(few_leaves) == 22
+    for tree in few_leaves:
+        word = trees.dyck_word(tree)
+        cell = delayed_grid(word, {})
+        for labels in itertools.product(range(1, 8), repeat=len(leaves(tree))):
+            assert cell(labels) == invariant._removal_sum(word, labels).coeffs, (tree, labels)
+            checked += 1
+    assert checked == 1036
+    rng = random.Random(44)
+    all_trees = list(enumerate_plane_trees(7))
+    grids = {}
+    for _ in range(200):
+        word = trees.dyck_word(rng.choice(all_trees))
+        labels = tuple(rng.randint(1, 7) for _ in range(trees._leaf_count(word)))
+        if word not in grids:
+            grids[word] = delayed_grid(word, {})
+        assert grids[word](labels) == invariant._removal_sum(word, labels).coeffs, (word, labels)
+    clear_caches()
+
+
+def test_the_walk_lists_no_path():
+    # one moves dict shared by every 6-edge grid, as _value_index shares
+    # it: a path ends its walk, so only states with two or more leaves list
+    # their moves
+    moves = {}
+    for tree in enumerate_plane_trees(6):
+        delayed_grid(trees.dyck_word(tree), moves)
+    assert min(map(trees._leaf_count, moves)) >= 2
+    assert len(moves) == 190
+
+
 def test_witnesses_equal_checked_delayed_trees():
     # the search builds its witnesses unchecked (DelayedTree._of); each must
     # be the tree the validating constructor builds

@@ -306,6 +306,28 @@ def test_pack_and_unpack_round_trip(size):
         assert qpoly._unpack(packed, size).coeffs == tuple(coeffs)
 
 
+@pytest.mark.parametrize("size", [9, 16, 17, 33])
+def test_wide_codec_matches_one_coefficient_at_a_time(size):
+    # past 8 bytes the codec maps int.to_bytes and int.from_bytes over the
+    # fields; each result must be the one of a loop over the coefficients
+    rng = random.Random(size)
+    top_bit = 1 << (8 * size - 1)
+    for coeffs in (
+        [top_bit],
+        [3, 0, 0, top_bit | 5, 0, 1],
+        [0, 0, 256**size - 1],
+        [rng.randrange(256**size) if i % 3 else 0 for i in range(1, 41)],
+    ):
+        packed = qpoly._pack(coeffs, size)
+        assert packed == int.from_bytes(b"".join([c.to_bytes(size, "little") for c in coeffs]), "little")
+        raw = packed.to_bytes(len(coeffs) * size, "little")
+        assert qpoly._unpack(packed, size).coeffs == tuple(
+            int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)
+        )
+        assert qpoly._unpack(packed, size).coeffs == tuple(coeffs)
+    assert qpoly._pack([], size) == 0 and qpoly._unpack(0, size).coeffs == ()
+
+
 def test_mul_signed_operands():
     rng = random.Random(19)
     for la, lb in ((9, 9), (8, 40), (30, 25)):
