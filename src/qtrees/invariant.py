@@ -89,10 +89,10 @@ def clear_caches() -> None:
     coefficient; _RETURNED_MEMO keeps the polynomial of each state a call
     has returned, so a hit returns that object; a larger tree's states with
     more than 12 edges live only for its call (_removal_sum).  The search's
-    indexes hold an 8-byte rank per candidate with a nonzero value, one
-    flag byte per candidate, 1 where its value is zero, and each distinct
-    value once, as one packed int (_value_index): 2.2 MB for 0 to 6 edges,
-    about 40 MB with 7 (tracemalloc)."""
+    indexes hold an 8-byte rank per candidate with a nonzero value and
+    each distinct value once, as one packed int, and nothing for a zero
+    candidate (_value_index): 2.0 MB for 0 to 6 edges, about 35 MB with 7
+    (tracemalloc)."""
     _QPOLY_MEMO.clear()
     _RETURNED_MEMO.clear()
     _SEARCH_MEMO.clear()
@@ -423,10 +423,13 @@ class _ValueIndex(NamedTuple):
     candidate's rank counts the cells of the trees before it, in
     enumerate_plane_trees order, plus its own cell: the mixed-radix number
     of its labels, itertools.product order.  A value is filed packed, as
-    its value at q = 2**width (_delayed_values)."""
+    its value at q = 2**width (_delayed_values).  Only nonzero values are
+    filed: a rank below `candidates` that no value lists is a zero
+    candidate, so the zero answer is kept once, as what the map leaves
+    out."""
 
     ranks: dict[int, array]  # each nonzero packed value's candidates, ascending
-    zeros: bytes  # one byte per candidate, 1 where its value is zero
+    candidates: int  # the ranks are 0..candidates - 1; those filed under no value are zero
     starts: list[int]  # each tree's first rank
     cells: list[tuple]  # each tree, side**(low digits), high-digit labels, low-digit labels
     width: int  # bits per coefficient of a packed value
@@ -436,10 +439,10 @@ def _value_index(edges: int) -> _ValueIndex:
     """Every delayed tree with the given edge count and delays in
     1..max(edges, 1), as a rank (_ValueIndex), filed under its delayed
     q-polynomial when that is nonzero.  Each value's ranks are an
-    array("q"), ascending; the zero candidates are not filed, but flagged,
-    one byte each, and listed in rank order on lookup (_witnesses).  The
-    label tables of every leaf count, the deposit runs and the zero flags
-    of a line are built once, before the first tree.
+    array("q"), ascending; the zero candidates are the ranks filed under
+    no value, counted but not stored, and listed in rank order on lookup
+    (_witnesses).  The label tables of every leaf count and the deposit
+    runs are built once, before the first tree.
 
     One pass over each tree's removal sequences gives its value under every
     delay vector at once (_delayed_values), so no vector is evaluated alone
@@ -448,11 +451,11 @@ def _value_index(edges: int) -> _ValueIndex:
     the tree, at most edges! of them, so edges!.bit_length() bits hold it.
     They come side to a line, in fields of `span` bits, enough for degree
     C(edges, 2).  Raising a label only drops sequences, so the nonzero
-    cells of a line, which differ in the last label only, are a prefix:
-    the spans its bit length fills.  That count picks the line's zero flags,
-    and only those cells are split off and filed, under the packed int as
-    it comes; a lookup packs the target instead.  An all-zero line, about
-    half the lines at 6 edges, is flagged whole and files nothing.
+    cells of a line, which differ in the last label only, are a prefix of
+    it: its cells are split off and filed, under the packed int as it
+    comes, until what is left of the line is 0, and each line moves the
+    rank on by side.  A lookup packs the target instead.  An all-zero
+    line, about half the lines at 6 edges, files nothing.
 
     Indexes are kept in _SEARCH_MEMO and published there only once
     complete, so a thread sees a whole index or none.
@@ -471,41 +474,41 @@ def _value_index(edges: int) -> _ValueIndex:
         for low in [count // 2]
     ]
     runs = list(itertools.accumulate(1 << (c * span) for c in range(side)))  # fields 0..t of a line set to 1
-    tails = [bytes(m) + b"\1" * (side - m) for m in range(side + 1)]  # zero flags of a line, m cells nonzero
     by_packed: defaultdict[int, array] = defaultdict(partial(array, "q"))
-    zeros = bytearray()
+    candidates = 0
     starts: list[int] = []
     cells: list[tuple] = []
     moves: dict = {}  # shared by the trees' walks (_delayed_values)
     for tree in enumerate_plane_trees(edges):
         word = dyck_word(tree)
         count = trees._leaf_count(word)
-        starts.append(len(zeros))
+        starts.append(candidates)
         cells.append((tree, *tables[count]))
         for line in _delayed_values(word, runs, width, moves):
-            if not line:
-                zeros += tails[0]
-                continue
-            nonzero = -(-line.bit_length() // span)
-            first = len(zeros)
-            zeros += tails[nonzero]
-            for rank in range(first, first + nonzero):
+            rank = candidates
+            candidates += side
+            while line:  # the nonzero cells, a prefix of the line
                 by_packed[line & mask].append(rank)
+                rank += 1
                 line >>= span
-    return _SEARCH_MEMO.setdefault(edges, _ValueIndex(dict(by_packed), bytes(zeros), starts, cells, width))
+    return _SEARCH_MEMO.setdefault(edges, _ValueIndex(dict(by_packed), candidates, starts, cells, width))
 
 
 def _witnesses(index: _ValueIndex, target: QPoly) -> list[DelayedTree]:
     """The delayed trees of the index whose value is the target, in rank
-    order: for the zero target the ranks its flags mark, for any other the
-    ranks filed under the target packed as the index's values are.  A
-    target with a coefficient that fits no field (negative, or 2**width or
-    more) is no value of the index, and packing it would alias another.
-    Only these ranks are decoded: bisect finds the tree, and the cell's
-    high and low digits pick the labels from its two tables."""
+    order: for the zero target the ranks filed under no value, flagged in
+    one bytearray per lookup, for any other the ranks filed under the
+    target packed as the index's values are.  A target with a coefficient
+    that fits no field (negative, or 2**width or more) is no value of the
+    index, and packing it would alias another.  Only these ranks are
+    decoded: bisect finds the tree, and the cell's high and low digits pick
+    the labels from its two tables."""
     coeffs = target.coeffs
     if not coeffs:
-        ranks = itertools.compress(itertools.count(), index.zeros)
+        zeros = bytearray(b"\1") * index.candidates
+        for rank in itertools.chain.from_iterable(index.ranks.values()):
+            zeros[rank] = 0  # filed under a nonzero value
+        ranks = itertools.compress(itertools.count(), zeros)
     else:
         ranks = index.ranks.get(target.eval_int(1 << index.width), ())
         if ranks and (min(coeffs) < 0 or max(coeffs) >> index.width):
@@ -615,15 +618,14 @@ def search_delayed(target: QPoly, max_edges: int) -> list[DelayedTree]:
     one walk over each tree's removal sequences, which values every delay
     vector of the tree at once; later searches look the target's ranks up
     under its packed value and decode only those (_witnesses), the zero
-    target's from the index's zero flags.  A value at e edges has degree
-    at most C(e, 2), since its hook lengths sum to at least e (q_degree),
-    so an edge count below the target's degree is neither built nor looked
-    up; the zero target and 1 reach every edge count.  The search leaves
-    nothing in the leaf-removal memo.  max_edges must be an int (not a
-    bool).
+    target's as the ranks the index files under no value.  A value at e
+    edges has degree at most C(e, 2), since its hook lengths sum to at
+    least e (q_degree), so an edge count below the target's degree is
+    neither built nor looked up; the zero target and 1 reach every edge
+    count.  The search leaves nothing in the leaf-removal memo.  max_edges
+    must be an int (not a bool).
     """
-    if not isinstance(target, QPoly):
-        raise TypeError(f"target must be a QPoly, got {type(target).__name__}")
+    _checked_type(target, QPoly, "target", "a QPoly")
     _checked_int(max_edges, "edge bound", 0)
     return [
         hit

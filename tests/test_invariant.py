@@ -705,8 +705,8 @@ def test_search_bound():
 
 
 def test_search_refuses_a_target_that_is_not_a_qpoly():
-    for target in ((1, 1), [1, 1], 1, None):
-        with pytest.raises(TypeError):
+    for target, name in (((1, 1), "tuple"), ([1, 1], "list"), (1, "int"), (None, "NoneType")):
+        with pytest.raises(TypeError, match=rf"^target must be a QPoly, got {name}$"):
             search_delayed(target, 2)
 
 
@@ -795,9 +795,9 @@ def test_value_index_matches_the_recursion():
 
 
 def test_raising_a_label_never_adds_to_a_value():
-    # the premise of the index's zero flags, by the recursion alone: raising
-    # one label only drops removal sequences, so a line's nonzero cells are
-    # a prefix of it
+    # the premise of the index's filing, by the recursion alone: raising one
+    # label only drops removal sequences, so a line's nonzero cells are a
+    # prefix of it, and filing stops at the first zero cell
     comparisons = 0
     for edges, delayed in delayed_candidates(5):
         word, labels = trees.dyck_word(delayed.tree), delayed.delays
@@ -824,8 +824,9 @@ def test_the_top_degree_fills_the_last_field():
 
 # sha256 over the value indexes for 0..6 edges: each index's width, its
 # packed values in ascending order, each with the bytes of its rank array
-# (int64, little-endian on the hosts CI runs), its zero flags and its trees'
-# first ranks.  Any moved rank, flag or packing changes it.
+# (int64, little-endian on the hosts CI runs), its zero flags, one byte per
+# candidate, 1 for a rank filed under no value, and its trees' first ranks.
+# Any moved rank, zero or packing changes it.
 VALUE_INDEX_SHA256 = "d15eeb8174614cdbc7cbd1db85bba4b2df2b666afd142b154cbbd174cb600cd9"
 
 
@@ -834,17 +835,26 @@ def test_value_index_is_pinned():
     digest = hashlib.sha256()
     for edges in range(7):
         index = invariant._value_index(edges)
+        filed = [rank for ranks in index.ranks.values() for rank in ranks]
+        # a zero candidate is one filed under no value, so none is filed
+        # under 0, none twice, and none past the candidate count
+        assert 0 not in index.ranks, edges
+        assert len(set(filed)) == len(filed), edges
+        assert all(0 <= rank < index.candidates for rank in filed), edges
+        zeros = bytearray(b"\1") * index.candidates
+        for rank in filed:
+            zeros[rank] = 0
         digest.update(b"%d;" % index.width)
         for packed in sorted(index.ranks):
             digest.update(b"%d:" % packed)
             digest.update(index.ranks[packed].tobytes())
-        digest.update(index.zeros)
+        digest.update(zeros)
         digest.update(array("q", index.starts).tobytes())
     assert digest.hexdigest() == VALUE_INDEX_SHA256
 
 
 def test_value_index_is_compact():
-    # ranks in arrays and one flag byte per candidate: the 252,377
+    # ranks in arrays and nothing per zero candidate: the 252,377
     # candidates with at most 6 edges held 22 MB as (tree, labels) tuples
     clear_caches()
     tracemalloc.start()
